@@ -13,7 +13,6 @@ import csv
 import io
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -39,7 +38,6 @@ from .qsystem import weak_values
 from .sampler import (
     NoiseModel,
     estimate_cheshire,
-    max_threads,
     sample_trials,
     write_trials_csv,
 )
@@ -163,10 +161,6 @@ def sweep_rows(config: ExperimentConfig, g_min: float, g_max: float, steps: int)
         neg = meter_negativity(amps, g, g).negativity
         return (float(g), float(g), exact.c_value, c_grid, exact.p_success, neg)
 
-    workers = max_threads()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(row, g_values))
     return [row(g) for g in g_values]
 
 

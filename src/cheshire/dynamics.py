@@ -27,7 +27,10 @@ from .meter import (
     GaussianMeter,
     Grid,
     GridMeter,
+    _shifted,
+    _trapezoid_weights,
     gaussian_ground_state,
+    pointer_matrices,
 )
 from .qsystem import PhotonKet, TransitionAmplitudes
 
@@ -93,18 +96,6 @@ def _check_realizable(amps: TransitionAmplitudes, weights: BranchWeights) -> Non
         )
 
 
-def _pair_overlap0(s1: float, s2: float) -> float:
-    return math.exp(-((s1 - s2) ** 2) / 8.0)
-
-
-def _pair_overlap1(s1: float, s2: float) -> float:
-    decay = math.exp(-((s1 - s2) ** 2) / 8.0)
-    if decay == 0.0:
-        # Gaussian suppression beats the linear mean even at infinite shift
-        return 0.0
-    return 0.5 * (s1 + s2) * decay
-
-
 def _branch_shifts(g_a: float, g_b: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
     # an unshifted branch stays at 0 even for infinite coupling
     return (
@@ -117,6 +108,12 @@ def _validate_couplings(g_a: float, g_b: float) -> None:
     # +inf is allowed: it models perfectly distinguishable pointer states
     if math.isnan(g_a) or math.isnan(g_b) or g_a < 0.0 or g_b < 0.0:
         raise ValidationError("couplings must be >= 0")
+
+
+def _check_weights(*weights: str) -> None:
+    for w in weights:
+        if w not in ("1", "x"):
+            raise ValidationError(f"pointer observable must be '1' or 'x', got {w!r}")
 
 
 @dataclass(frozen=True)
@@ -153,32 +150,38 @@ def _product(*factors: float) -> float:
     return out
 
 
+def branch_terms(coherence: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re(K_jk A_jk B_jk) for every branch pair (j, k).
+
+    Every exact success-branch quantity is a sum of these terms: K holds the
+    branch coherences, A and B one pointer matrix of each meter (or stacks
+    of them, broadcast against K).  As in `_product`, an exactly-zero factor
+    annihilates even an infinite partner.
+    """
+    if np.isrealobj(a) and np.isrealobj(b):
+        # real pointer matrices stay real: complex times inf gives nan
+        coherence = coherence.real
+    live = (coherence != 0.0) & (a != 0.0) & (b != 0.0)
+    terms = np.zeros(live.shape, dtype=np.result_type(coherence, a, b))
+    np.multiply(coherence, a, out=terms, where=live)
+    np.multiply(terms, b, out=terms, where=live)
+    return terms.real
+
+
+def _total(terms: np.ndarray) -> float:
+    # plain float addition in branch-pair order: inf - inf gives nan silently
+    return float(sum(terms.ravel().tolist()))
+
+
 def success_moments(amps: TransitionAmplitudes, g_a: float, g_b: float) -> SuccessMoments:
     """Closed-form branch-pair sums for P and the first success moments."""
     _validate_couplings(g_a, g_b)
     shifts_a, shifts_b = _branch_shifts(g_a, g_b)
-    coeffs = (amps.l, amps.r_plus, amps.r_minus)
-
-    norm = x = y = xy = 0.0
-    for j in range(3):
-        for k in range(3):
-            cc = (complex(coeffs[j]).conjugate() * complex(coeffs[k])).real
-            if cc == 0.0:
-                continue
-            if j == k:
-                # identical branch states: unit overlap, mean at the shift
-                a0, b0 = 1.0, 1.0
-                a1, b1 = shifts_a[j], shifts_b[j]
-            else:
-                a0 = _pair_overlap0(shifts_a[j], shifts_a[k])
-                a1 = _pair_overlap1(shifts_a[j], shifts_a[k])
-                b0 = _pair_overlap0(shifts_b[j], shifts_b[k])
-                b1 = _pair_overlap1(shifts_b[j], shifts_b[k])
-            norm += _product(cc, a0, b0)
-            x += _product(cc, a1, b0)
-            y += _product(cc, a0, b1)
-            xy += _product(cc, a1, b1)
-    return SuccessMoments(norm, x, y, xy)
+    a1, ax = pointer_matrices(shifts_a)
+    b1, bx = pointer_matrices(shifts_b)
+    # weight pairs (1, 1), (x, 1), (1, x), (x, x) stacked into one kernel call
+    terms = branch_terms(amps.coherence(), np.stack([a1, ax, a1, ax]), np.stack([b1, b1, bx, bx]))
+    return SuccessMoments(*map(_total, terms))
 
 
 def classical_mixture_moment(
@@ -191,9 +194,7 @@ def classical_mixture_moment(
     """Tr(X_A X_B rho_cl) for X in {1, x}: every branch factorizes, so the
     moment is the weight-averaged product of single-meter means."""
     _validate_couplings(g_a, g_b)
-    for w in (x_weight, y_weight):
-        if w not in ("1", "x"):
-            raise ValidationError(f"pointer observable must be '1' or 'x', got {w!r}")
+    _check_weights(x_weight, y_weight)
     shifts_a, shifts_b = _branch_shifts(g_a, g_b)
     total = 0.0
     for p, sa, sb in zip(weights.probabilities, shifts_a, shifts_b):
@@ -256,8 +257,6 @@ class JointMeterState:
 
 def _branch_waves(meter, shifts, x: np.ndarray) -> np.ndarray:
     """Rows are the pointer wavefunction shifted by each branch shift."""
-    from .meter import _shifted  # shared lattice-shift kernel
-
     if isinstance(meter, GaussianMeter):
         return np.stack([gaussian_ground_state(x - s).astype(complex) for s in shifts])
     if isinstance(meter, GridMeter):
@@ -265,13 +264,6 @@ def _branch_waves(meter, shifts, x: np.ndarray) -> np.ndarray:
             raise ValidationError("grid meter branches must be evaluated on the meter's own grid")
         return np.stack([_shifted(meter, s) for s in shifts])
     raise ValidationError(f"expected GaussianMeter or GridMeter, got {type(meter).__name__}")
-
-
-def _trapezoid_weights(grid: Grid) -> np.ndarray:
-    w = np.full(grid.n_points, grid.spacing)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
 
 
 def grid_moments(
@@ -346,9 +338,7 @@ class FailureBranch:
 
     def moment(self, x_weight: str = "1", y_weight: str = "1") -> float:
         """Trapezoidal integral of w_A(x) w_B(y) p_f(x, y)."""
-        for w in (x_weight, y_weight):
-            if w not in ("1", "x"):
-                raise ValidationError(f"pointer observable must be '1' or 'x', got {w!r}")
+        _check_weights(x_weight, y_weight)
         va = _trapezoid_weights(self.grid_a)
         vb = _trapezoid_weights(self.grid_b)
         if x_weight == "x":

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dynamics import _validate_couplings
 from .errors import OrthogonalPostselection, ValidationError
-from .meter import gaussian_pair_overlap0
+from .meter import pointer_matrices
 from .qsystem import TransitionAmplitudes
 
 RANK_TOL = 1e-12
@@ -87,10 +87,10 @@ def embed(amps: TransitionAmplitudes, g_a: float, g_b: float) -> EmbeddedMeterSt
     embedded directly.
     """
     _validate_couplings(g_a, g_b)
-    shifts_a = (0.0, g_a)
-    shifts_b = (0.0, g_b, -g_b)
-    basis_a = gram_orthonormalize(_shift_gram(shifts_a))
-    basis_b = gram_orthonormalize(_shift_gram(shifts_b))
+    # Gram matrices of the distinct meter states: A unshifted and shifted,
+    # B unshifted and shifted either way
+    basis_a = gram_orthonormalize(pointer_matrices((0.0, g_a))[0])
+    basis_b = gram_orthonormalize(pointer_matrices((0.0, g_b, -g_b))[0])
 
     # branches pair (coefficient, A-state index, B-state index)
     branches = ((amps.l, 1, 0), (amps.r_plus, 0, 1), (amps.r_minus, 0, 2))
@@ -104,15 +104,6 @@ def embed(amps: TransitionAmplitudes, g_a: float, g_b: float) -> EmbeddedMeterSt
             f"success branch has squared norm {norm_sq!r}; nothing to embed"
         )
     return EmbeddedMeterState(basis_a, basis_b, tensor / math.sqrt(norm_sq), norm_sq)
-
-
-def _shift_gram(shifts: tuple[float, ...]) -> np.ndarray:
-    n = len(shifts)
-    g = np.eye(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            g[i, j] = g[j, i] = gaussian_pair_overlap0(shifts[i], shifts[j])
-    return g
 
 
 @dataclass(frozen=True)

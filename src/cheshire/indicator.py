@@ -20,22 +20,25 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize as _sciopt
 
 from .dynamics import (
     _branch_shifts,
+    _check_weights,
     _product,
+    _total,
     _validate_couplings,
     JointMeterState,
+    branch_terms,
     success_moments,
 )
-from .errors import FlatObjective, OrthogonalPostselection, ValidationError
-from .meter import gaussian_overlap0, gaussian_overlap1, matrix_element
+from .errors import ConsistencyError, FlatObjective, OrthogonalPostselection, ValidationError
+from .meter import gaussian_overlap0, pointer_matrices
 from .qsystem import (
     PhotonDensity,
     PhotonEffect,
     PhotonKet,
     TransitionAmplitudes,
+    branch_coherence,
     trace_term,
 )
 
@@ -43,8 +46,6 @@ POSTSELECTION_EPS = 1e-12
 
 OPTIMAL_COUPLING = 2.0
 MAX_TRACE_TERM = 0.25
-
-_BRANCH_PROJECTOR_SLICES = ((0, 2), (2, 3), (3, 4))
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,7 @@ class CheshireResult:
     def __post_init__(self):
         bound = indicator_bound(self.g_a, self.g_b)
         if abs(self.c_value) > bound + 1e-10:
-            raise ValidationError(
+            raise ConsistencyError(
                 f"indicator {self.c_value!r} exceeds the state-independent bound {bound!r}"
             )
 
@@ -101,34 +102,19 @@ def moment_decomposition(
 ) -> MomentDecomposition:
     """Classical / entanglement / local-interference split of the moment.
 
-    Built from single-meter matrix elements between the shifted branch
-    states, so it works for both analytic and grid meters.
+    The branch-pair terms come from each meter's pointer matrix, so this
+    works for both analytic and grid meters: diagonal pairs are classical,
+    left-right pairs entangling, and the right-right pair local to meter B.
     """
+    _check_weights(x_weight, y_weight)
     shifts_a, shifts_b = _branch_shifts(state.g_a, state.g_b)
-    coeffs = (state.amps.l, state.amps.r_plus, state.amps.r_minus)
-
-    def element(j: int, k: int) -> complex:
-        ma = matrix_element(state.meter_a, shifts_a[j], shifts_a[k], x_weight)
-        mb = matrix_element(state.meter_b, shifts_b[j], shifts_b[k], y_weight)
-        return complex(coeffs[j]).conjugate() * complex(coeffs[k]) * ma * mb
-
-    m_cl = sum(element(j, j).real for j in range(3))
-    m_ent = sum(2.0 * element(0, k).real for k in (1, 2))
-    m_li = 2.0 * element(1, 2).real
+    a = pointer_matrices(shifts_a, state.meter_a)[("1", "x").index(x_weight)]
+    b = pointer_matrices(shifts_b, state.meter_b)[("1", "x").index(y_weight)]
+    terms = branch_terms(state.amps.coherence(), a, b)
+    m_cl = _total(np.diag(terms))
+    m_ent = _total(terms[0, 1:]) + _total(terms[1:, 0])
+    m_li = float(terms[1, 2] + terms[2, 1])
     return MomentDecomposition(m_cl, m_ent, m_li)
-
-
-def cross_moment(amps: TransitionAmplitudes, g_a: float, g_b: float) -> float:
-    """<xy> P = 2 o1(g_A) o1(g_B) Re[l* (r+ - r-)] for Gaussian meters.
-
-    The diagonal and right-right terms carry a zero-mean pointer factor,
-    so only the left-right entanglement terms survive.
-    """
-    _validate_couplings(g_a, g_b)
-    if not (math.isfinite(g_a) and math.isfinite(g_b)):
-        return 0.0
-    coupling = 2.0 * gaussian_overlap1(g_a) * gaussian_overlap1(g_b)
-    return coupling * (complex(amps.l).conjugate() * complex(amps.polarization_difference)).real
 
 
 def _effect_matrix(E) -> np.ndarray:
@@ -147,48 +133,23 @@ def _density_matrix(rho) -> np.ndarray:
     raise ValidationError(f"preparation must be a PhotonKet or PhotonDensity, got {type(rho).__name__}")
 
 
-def _mixed_success_probability(e: np.ndarray, r: np.ndarray, g_a: float, g_b: float) -> float:
-    """P = sum_ij Tr[E P_i rho P_j] <M_j|M_i> over the three branch
-    projectors, with <M_j|M_i> the Gaussian meter-state overlaps."""
-    shifts_a, shifts_b = _branch_shifts(g_a, g_b)
-    p = 0.0
-    for i, (ilo, ihi) in enumerate(_BRANCH_PROJECTOR_SLICES):
-        for j, (jlo, jhi) in enumerate(_BRANCH_PROJECTOR_SLICES):
-            block = complex(np.trace(e[jlo:jhi, ilo:ihi] @ r[ilo:ihi, jlo:jhi]))
-            if block == 0.0:
-                continue
-            if i == j:
-                overlap = 1.0
-            else:
-                da = shifts_a[j] - shifts_a[i]
-                db = shifts_b[j] - shifts_b[i]
-                overlap = math.exp(-(da * da + db * db) / 8.0)
-            p += (block * overlap).real
-    return p
-
-
 def cheshire_analytic(E, rho, g_a: float, g_b: float) -> CheshireResult:
-    """Exact Gaussian-meter indicator for (possibly mixed) E and rho."""
+    """Exact Gaussian-meter indicator for (possibly mixed) E and rho.
+
+    P = sum_jk Re(Tr[E P_k rho P_j] <M_j|M_k>) over the branch pairs; at
+    infinite coupling the off-diagonal meter overlaps vanish.
+    """
     _validate_couplings(g_a, g_b)
-    e = _effect_matrix(E)
-    r = _density_matrix(rho)
-    t = trace_term(PhotonEffect(np.asarray(e)), PhotonDensity(np.asarray(r)))
+    effect = PhotonEffect(np.asarray(_effect_matrix(E)))
+    density = PhotonDensity(np.asarray(_density_matrix(rho)))
+    t = trace_term(effect, density)
     w_a = gaussian_overlap0(g_a) if math.isfinite(g_a) else 0.0
     w_b = gaussian_overlap0(g_b) if math.isfinite(g_b) else 0.0
     c = _product(g_a, w_a, g_b, w_b) * t.real
-    if math.isfinite(g_a) and math.isfinite(g_b):
-        p = _mixed_success_probability(e, r, g_a, g_b)
-    else:
-        p = _diagonal_success(e, r)
+    shifts_a, shifts_b = _branch_shifts(g_a, g_b)
+    overlaps = (pointer_matrices(shifts_a)[0], pointer_matrices(shifts_b)[0])
+    p = _total(branch_terms(branch_coherence(effect, density), *overlaps))
     return CheshireResult(c, p, g_a, g_b, t)
-
-
-def _diagonal_success(e: np.ndarray, r: np.ndarray) -> float:
-    # infinite couplings: meter overlaps vanish, only diagonal blocks remain
-    p = 0.0
-    for lo, hi in _BRANCH_PROJECTOR_SLICES:
-        p += float(np.trace(e[lo:hi, lo:hi] @ r[lo:hi, lo:hi]).real)
-    return p
 
 
 def local_averages(
@@ -275,6 +236,9 @@ def optimize_states(g_a: float, g_b: float, n_starts: int = 8, seed: int = 0) ->
     the pair, normalized inside the objective; deterministic seeds per
     start, best value wins, ties broken by the earliest start.
     """
+    # imported here so that `import cheshire` does not load scipy
+    from scipy import optimize as _sciopt
+
     _validate_couplings(g_a, g_b)
     if not (g_a > 0.0 and g_b > 0.0 and math.isfinite(g_a) and math.isfinite(g_b)):
         raise ValidationError("state optimization needs finite positive couplings")

@@ -1,15 +1,16 @@
 """Meter models: the analytic unit-variance Gaussian and a grid oracle.
 
 A meter is a one-dimensional pointer prepared in a zero-mean, unit-variance
-state.  Coupling with strength ``g`` shifts the pointer; all downstream
-exact results reduce to the two single-meter integrals
+state psi0.  Each branch of the particle shifts the pointer by its own
+amount s_j, so every exact result needs only the two pointer matrices
 
-    o0(g) = int phi0*(x) phi0(x - g) dx
-    o1(g) = int x phi0*(x) phi0(x - g) dx
+    M_1[j, k] = int psi0*(x - s_j) psi0(x - s_k) dx
+    M_x[j, k] = int x psi0*(x - s_j) psi0(x - s_k) dx
 
-For the Gaussian ground state phi0(x) = (2 pi)^{-1/4} exp(-x^2/4) these
-have closed forms; `GridMeter` evaluates the same integrals by quadrature
-for arbitrary pointer states and serves as the numeric oracle.
+over the branch shifts (`pointer_matrices`).  For the Gaussian ground state
+phi0(x) = (2 pi)^{-1/4} exp(-x^2/4) they have closed forms, valid for
+infinite shifts too; `GridMeter` evaluates them by quadrature for arbitrary
+pointer states and serves as the numeric oracle.
 """
 
 from __future__ import annotations
@@ -65,16 +66,6 @@ def check_coverage(grid: Grid, shifts) -> None:
             )
 
 
-def gaussian_pair_overlap0(a: float, b: float) -> float:
-    """int phi0(x - a) phi0(x - b) dx = exp(-(a - b)^2 / 8)."""
-    return math.exp(-((a - b) ** 2) / 8.0)
-
-
-def gaussian_pair_overlap1(a: float, b: float) -> float:
-    """int x phi0(x - a) phi0(x - b) dx = ((a + b) / 2) exp(-(a - b)^2 / 8)."""
-    return 0.5 * (a + b) * math.exp(-((a - b) ** 2) / 8.0)
-
-
 @dataclass(frozen=True)
 class GaussianMeter:
     """Pointer in the Gaussian ground state, coupled with strength ``g``.
@@ -88,12 +79,6 @@ class GaussianMeter:
     def __post_init__(self):
         if not (self.g >= 0.0) or not math.isfinite(self.g):
             raise ValidationError("coupling g must be finite and >= 0")
-
-    def overlap0(self) -> float:
-        return gaussian_overlap0(self.g)
-
-    def overlap1(self) -> float:
-        return gaussian_overlap1(self.g)
 
 
 @dataclass(frozen=True)
@@ -219,6 +204,13 @@ def format_complex(z: complex) -> str:
     return f"{z.real:.17g}{z.imag:+.17g}i"
 
 
+def _trapezoid_weights(grid: Grid) -> np.ndarray:
+    w = np.full(grid.n_points, grid.spacing)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
+
+
 def _shifted(meter: GridMeter, shift: float) -> np.ndarray:
     """psi0(x - shift) on the lattice.
 
@@ -251,57 +243,28 @@ def _shifted(meter: GridMeter, shift: float) -> np.ndarray:
     return re + 1j * im
 
 
-def grid_overlap(meter: GridMeter, shift: float, weight: str = "1") -> complex:
-    """Quadrature of int w(x) psi0*(x) psi0(x - shift) dx with w in {1, x}.
+def pointer_matrices(shifts, meter=None) -> tuple[np.ndarray, np.ndarray]:
+    """The pointer matrices (M_1, M_x) over the branch shifts.
 
-    Trapezoidal quadrature on the meter's grid; for smooth, edge-decayed
-    states this is accurate far beyond the 1e-8 cross-check tolerance.
+    ``meter`` is None or a `GaussianMeter` for the Gaussian closed forms
+    M_1 = exp(-(s_j - s_k)^2 / 8), M_x = (s_j + s_k) / 2 * M_1, which hold
+    for infinite shifts too; a `GridMeter` uses trapezoidal quadrature on
+    its own lattice.
     """
-    if weight not in ("1", "x"):
-        raise ValidationError(f"weight must be '1' or 'x', got {weight!r}")
-    integrand = np.conj(meter.psi0) * _shifted(meter, shift)
-    if weight == "x":
-        integrand = meter.grid.points * integrand
-    return complex(np.trapezoid(integrand, dx=meter.grid.spacing))
-
-
-def matrix_element(meter, s_bra: float, s_ket: float, weight: str = "1") -> complex:
-    """int w(x) psi0*(x - s_bra) psi0(x - s_ket) dx with w in {1, x}."""
-    if weight not in ("1", "x"):
-        raise ValidationError(f"weight must be '1' or 'x', got {weight!r}")
-    if isinstance(meter, GaussianMeter):
-        if weight == "1":
-            return complex(gaussian_pair_overlap0(s_bra, s_ket))
-        return complex(gaussian_pair_overlap1(s_bra, s_ket))
+    if meter is None or isinstance(meter, GaussianMeter):
+        s = np.asarray(shifts, dtype=float)
+        bra, ket = s[:, None], s[None, :]
+        shape = (len(s), len(s))
+        # real arithmetic throughout: coincident shifts are one state even at
+        # infinite shift, and a vanishing overlap annihilates an infinite mean
+        gap = np.subtract(bra, ket, out=np.zeros(shape), where=bra != ket)
+        m1 = np.exp(-(gap ** 2) / 8.0)
+        overlapping = m1 != 0.0
+        mean = 0.5 * np.add(bra, ket, out=np.zeros(shape), where=overlapping)
+        mx = np.multiply(mean, m1, out=np.zeros(shape), where=overlapping)
+        return m1, mx
     if isinstance(meter, GridMeter):
-        integrand = np.conj(_shifted(meter, s_bra)) * _shifted(meter, s_ket)
-        if weight == "x":
-            integrand = meter.grid.points * integrand
-        return complex(np.trapezoid(integrand, dx=meter.grid.spacing))
-    raise ValidationError(f"expected GaussianMeter or GridMeter, got {type(meter).__name__}")
-
-
-@dataclass(frozen=True)
-class OverlapSet:
-    """The two single-meter overlap integrals as callables of the shift."""
-
-    o0: Callable[[float], complex]
-    o1: Callable[[float], complex]
-
-
-def overlap_set(meter) -> OverlapSet:
-    """Overlap integrals for either meter model.
-
-    Gaussian meters use the closed forms; grid meters use quadrature.
-    """
-    if isinstance(meter, GaussianMeter):
-        return OverlapSet(
-            o0=lambda g: complex(gaussian_overlap0(g)),
-            o1=lambda g: complex(gaussian_overlap1(g)),
-        )
-    if isinstance(meter, GridMeter):
-        return OverlapSet(
-            o0=lambda g: grid_overlap(meter, g, "1"),
-            o1=lambda g: grid_overlap(meter, g, "x"),
-        )
+        waves = np.stack([_shifted(meter, s) for s in shifts])
+        bras = np.conj(waves) * _trapezoid_weights(meter.grid)
+        return bras @ waves.T, (bras * meter.grid.points) @ waves.T
     raise ValidationError(f"expected GaussianMeter or GridMeter, got {type(meter).__name__}")

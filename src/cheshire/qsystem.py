@@ -38,6 +38,9 @@ PI_R_MINUS = _projector(3)
 SIGMA_R = PI_R_PLUS - PI_R_MINUS
 SIGMA_R.setflags(write=False)
 
+# basis state -> branch (L, R+, R-): both left-arm polarizations share a branch
+_BRANCH_OF_BASIS = np.array([[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
+
 
 @dataclass(frozen=True, eq=False)
 class CanonicalOperators:
@@ -174,6 +177,11 @@ class TransitionAmplitudes:
         """r+ - r-, the matrix element of the right-arm polarization."""
         return self.r_plus - self.r_minus
 
+    def coherence(self) -> np.ndarray:
+        """Branch coherences K = conj(c) c^T of c = (l, r+, r-)."""
+        c = np.array([self.l, self.r_plus, self.r_minus], dtype=complex)
+        return np.outer(c.conj(), c)
+
 
 @dataclass(frozen=True)
 class WeakValues:
@@ -223,3 +231,13 @@ def trace_term(E, rho) -> complex:
     e = _operator_matrix(E)
     r = _operator_matrix(rho)
     return complex(np.trace(e @ SIGMA_R @ r @ PI_L))
+
+
+def branch_coherence(E, rho) -> np.ndarray:
+    """K_jk = Tr(E P_k rho P_j) over the branch projectors (Pi_L, Pi_R+, Pi_R-).
+
+    For pure E and rho this equals `TransitionAmplitudes.coherence`.
+    """
+    e = _operator_matrix(E)
+    r = _operator_matrix(rho)
+    return _BRANCH_OF_BASIS.T @ (e * r.T) @ _BRANCH_OF_BASIS

@@ -31,10 +31,10 @@ from .dynamics import (
     BranchWeights,
     JointMeterState,
     classical_mixture_density,
+    success_moments,
     success_probability,
 )
 from .errors import ValidationError
-from .indicator import cross_moment
 from .meter import DEFAULT_GRID, Grid, check_coverage
 from .qsystem import TransitionAmplitudes
 
@@ -309,7 +309,7 @@ def trial_variance(
     ex2 = pa * (1.0 + g_a * g_a) + (pb + pc)
     ey2 = pa + (pb + pc) * (1.0 + g_b * g_b)
     ex2y2 = pa * (1.0 + g_a * g_a) + (pb + pc) * (1.0 + g_b * g_b)
-    c = 2.0 * cross_moment(amps, g_a, g_b)
+    c = 2.0 * success_moments(amps, g_a, g_b).xy
     return (
         ex2y2
         + noise.nu_b ** 2 * ex2
@@ -344,7 +344,7 @@ def noise_robustness(
     The same seed is reused across rows (common random numbers), so rows
     differ only through the injected noise.
     """
-    c = 2.0 * cross_moment(amps, g_a, g_b)
+    c = 2.0 * success_moments(amps, g_a, g_b).xy
     rows: list[NoiseStudyRow] = []
     for nu_a, nu_b in nu_grid:
         noise = NoiseModel(float(nu_a), float(nu_b))

@@ -20,13 +20,11 @@ from cheshire import (
     JointMeterState,
     PhotonKet,
     cheshire_analytic,
-    cross_moment,
     estimate_cheshire,
     failure_density,
     gaussian_overlap0,
     gaussian_overlap1,
     grid_moments,
-    grid_overlap,
     indicator_bound,
     local_averages,
     meter_negativity,
@@ -37,7 +35,7 @@ from cheshire import (
     transition_amplitudes,
 )
 from cheshire.cli import locate_max, sweep_rows
-from cheshire.meter import Grid, GridMeter
+from cheshire.meter import Grid, GridMeter, pointer_matrices
 from cheshire.qsystem import TransitionAmplitudes
 
 EXAMPLE_PREP = PhotonKet.normalized([1.0, 0.0, 1.0, 1.0])
@@ -90,7 +88,7 @@ def test_criterion_3_state_independent_bound():
         prep, post = _random_pair(rng)
         amps = transition_amplitudes(prep, post)
         for g in couplings:
-            slack = abs(2.0 * cross_moment(amps, g, g)) - bounds[g]
+            slack = abs(2.0 * success_moments(amps, g, g).xy) - bounds[g]
             worst = max(worst, slack)
     ok = worst <= 1e-10
     _report(3, ok, f"|C| <= g^2 w^2 / 4 over {n_pairs} random pairs x 4 couplings",
@@ -103,8 +101,8 @@ def test_criterion_4_oracle_equivalence():
     worst = 0.0
     for g in np.linspace(0.0, 8.0, 17):
         g = float(g)
-        worst = max(worst, abs(grid_overlap(meter, g, "1") - gaussian_overlap0(g)))
-        worst = max(worst, abs(grid_overlap(meter, g, "x") - gaussian_overlap1(g)))
+        o0, o1 = (m[0, 1] for m in pointer_matrices((0.0, g), meter))
+        worst = max(worst, abs(o0 - gaussian_overlap0(g)), abs(o1 - gaussian_overlap1(g)))
         state = JointMeterState.gaussian(EXAMPLE_AMPS, g, g)
         numeric = grid_moments(state, DEFAULT_GRID, DEFAULT_GRID)
         exact = success_moments(EXAMPLE_AMPS, g, g)
@@ -180,7 +178,7 @@ def test_criterion_8_entanglement_certification():
         prep, post = _random_pair(rng)
         amps = transition_amplitudes(prep, post)
         for g in (0.5, 2.0):
-            if abs(2.0 * cross_moment(amps, g, g)) > 1e-6:
+            if abs(2.0 * success_moments(amps, g, g).xy) > 1e-6:
                 checked += 1
                 if not meter_negativity(amps, g, g).negativity > 0.0:
                     violations += 1

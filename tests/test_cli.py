@@ -3,11 +3,13 @@
 import csv
 import io
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import cheshire
 from cheshire.cli import locate_max, main
 from cheshire.meter import parse_complex
 from cheshire.sampler import read_trials_csv
@@ -297,3 +299,15 @@ class TestEntryPoint:
         assert proc.returncode == 0
         for name in ("analytic", "sweep", "montecarlo", "optimize"):
             assert name in proc.stdout
+
+    def test_import_does_not_load_scipy(self):
+        # only optimize_states needs scipy, and it imports it on first use
+        src = os.path.dirname(os.path.dirname(cheshire.__file__))
+        probe = "import sys, cheshire; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

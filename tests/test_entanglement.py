@@ -17,7 +17,7 @@ from cheshire.entanglement import (
 )
 from cheshire.errors import OrthogonalPostselection, ValidationError
 from cheshire.indicator import cheshire_analytic
-from cheshire.meter import gaussian_pair_overlap0
+from cheshire.meter import pointer_matrices
 from cheshire.qsystem import TransitionAmplitudes, transition_amplitudes
 
 from conftest import unit_kets
@@ -57,8 +57,7 @@ class TestGramOrthonormalize:
 
     @given(g=st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=6.0)))
     def test_meter_gram_rank(self, g):
-        gram = np.array([[1.0, gaussian_pair_overlap0(0.0, g)],
-                         [gaussian_pair_overlap0(g, 0.0), 1.0]])
+        gram = pointer_matrices((0.0, g))[0]
         coords = gram_orthonormalize(gram)
         assert coords.shape[1] == (1 if g == 0.0 else 2)
         assert np.allclose(coords @ coords.conj().T, gram, atol=1e-12)

@@ -1,6 +1,7 @@
 """Indicator values, moment decomposition, and the two optimizers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,18 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cheshire.dynamics import JointMeterState, grid_moments, success_moments, success_probability
-from cheshire.errors import FlatObjective, OrthogonalPostselection, ValidationError
+from cheshire.errors import ConsistencyError, FlatObjective, OrthogonalPostselection, ValidationError
 from cheshire.indicator import (
     CheshireResult,
     cheshire_analytic,
-    cross_moment,
     indicator_bound,
     local_averages,
     moment_decomposition,
     optimize_couplings,
     optimize_states,
 )
-from cheshire.meter import Grid, GridMeter, gaussian_overlap0
+from cheshire.meter import Grid, GridMeter, gaussian_overlap0, gaussian_overlap1
 from cheshire.qsystem import (
     PhotonDensity,
     PhotonEffect,
@@ -30,13 +30,14 @@ from cheshire.qsystem import (
     weak_values,
 )
 
-from conftest import unit_kets
+from conftest import complex_amplitudes, unit_kets
 
 EXAMPLE_AMPS = TransitionAmplitudes(1 / 3, 1 / 3, -1 / 3)
 C_EXAMPLE_G2 = 4.0 * math.exp(-1.0) * (2.0 / 9.0)
 SMALL_GRID = Grid(-12.0, 12.0, 1201)
 
 couplings = st.floats(min_value=0.0, max_value=3.0, allow_nan=False)
+wide_couplings = st.one_of(st.just(0.0), st.just(math.inf), st.floats(min_value=0.0, max_value=6.0))
 weight_labels = st.sampled_from(["1", "x"])
 
 
@@ -46,7 +47,7 @@ class TestMomentDecomposition:
         d = moment_decomposition(state, "x", "x")
         assert d.m_cl == 0.0
         assert d.m_li == 0.0
-        assert np.isclose(d.m_ent, cross_moment(EXAMPLE_AMPS, 2.0, 2.0), atol=1e-15)
+        assert np.isclose(d.m_ent, success_moments(EXAMPLE_AMPS, 2.0, 2.0).xy, atol=1e-15)
 
     def test_unit_weights_recover_success_probability(self):
         state = JointMeterState.gaussian(EXAMPLE_AMPS, 2.0, 2.0)
@@ -90,27 +91,37 @@ class TestMomentDecomposition:
 
 
 class TestCrossMoment:
+    """<xy> P, the ``xy`` success moment of the branch-pair sum."""
+
     def test_example_value(self):
-        value = cross_moment(EXAMPLE_AMPS, 2.0, 2.0)
+        value = success_moments(EXAMPLE_AMPS, 2.0, 2.0).xy
         assert np.isclose(value, 2.0 * math.exp(-1.0) * (2.0 / 9.0), atol=1e-15)
         assert np.isclose(value, 0.5 * C_EXAMPLE_G2, atol=1e-15)
 
     def test_equal_right_amplitudes_cancel(self):
         amps = TransitionAmplitudes(0.5, 0.4, 0.4)
-        assert cross_moment(amps, 2.0, 2.0) == 0.0
+        assert success_moments(amps, 2.0, 2.0).xy == 0.0
 
     def test_zero_coupling_gives_zero(self):
-        assert cross_moment(EXAMPLE_AMPS, 0.0, 2.0) == 0.0
-        assert cross_moment(EXAMPLE_AMPS, 2.0, 0.0) == 0.0
+        assert success_moments(EXAMPLE_AMPS, 0.0, 2.0).xy == 0.0
+        assert success_moments(EXAMPLE_AMPS, 2.0, 0.0).xy == 0.0
 
     @given(prep=unit_kets(), post=unit_kets(), g_a=couplings, g_b=couplings)
     def test_equals_xy_success_moment(self, prep, post, g_a, g_b):
+        # only the left-right terms survive: 2 o1(g_A) o1(g_B) Re[l* (r+ - r-)]
         amps = transition_amplitudes(prep, post)
-        assert np.isclose(
-            cross_moment(amps, g_a, g_b),
-            success_moments(amps, g_a, g_b).xy,
-            atol=1e-12,
-        )
+        closed_form = 2.0 * gaussian_overlap1(g_a) * gaussian_overlap1(g_b) * (
+            complex(amps.l).conjugate() * complex(amps.polarization_difference)
+        ).real
+        assert np.isclose(success_moments(amps, g_a, g_b).xy, closed_form, atol=1e-12)
+
+    def test_infinite_coupling_values(self):
+        # numpy warnings as errors: no inf * 0 or inf - inf on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = success_moments(EXAMPLE_AMPS, math.inf, math.inf)
+        assert m.x == math.inf
+        assert m.xy == 0.0
 
 
 class TestCheshireAnalytic:
@@ -155,7 +166,7 @@ class TestCheshireAnalytic:
     def test_doubles_cross_moment_for_pure_states(self, prep, post, g_a, g_b):
         amps = transition_amplitudes(prep, post)
         result = cheshire_analytic(post, prep, g_a, g_b)
-        assert np.isclose(result.c_value, 2.0 * cross_moment(amps, g_a, g_b), atol=1e-12)
+        assert np.isclose(result.c_value, 2.0 * success_moments(amps, g_a, g_b).xy, atol=1e-12)
         assert np.isclose(result.p_success, success_probability(amps, g_a, g_b), atol=1e-12)
 
     @given(prep=unit_kets(), post=unit_kets(), g_a=couplings, g_b=couplings)
@@ -163,8 +174,34 @@ class TestCheshireAnalytic:
         result = cheshire_analytic(post, prep, g_a, g_b)
         assert abs(result.c_value) <= indicator_bound(g_a, g_b) + 1e-10
 
+    @given(
+        effect_vectors=st.tuples(complex_amplitudes(), complex_amplitudes(), complex_amplitudes(),
+                                 complex_amplitudes()),
+        mu=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=4, max_size=4),
+        kets=st.lists(unit_kets(), min_size=1, max_size=3),
+        lam=st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=3, max_size=3),
+        g_a=wide_couplings,
+        g_b=wide_couplings,
+    )
+    @settings(max_examples=100)
+    def test_mixed_success_is_component_average(self, effect_vectors, mu, kets, lam, g_a, g_b):
+        # E = sum_j mu_j |e_j><e_j| with orthonormal e_j, rho = sum_i lam_i |r_i><r_i|:
+        # P is bilinear in (E, rho), so it averages the pure-pair probabilities
+        q, _ = np.linalg.qr(np.column_stack(effect_vectors))
+        effect_kets = [PhotonKet(q[:, j]) for j in range(4)]
+        lam = np.asarray(lam[: len(kets)]) / sum(lam[: len(kets)])
+        effect = PhotonEffect(sum(m * e.outer() for m, e in zip(mu, effect_kets)))
+        rho = PhotonDensity(sum(w * r.outer() for w, r in zip(lam, kets)))
+        expected = sum(
+            m * w * success_probability(transition_amplitudes(r, e), g_a, g_b)
+            for m, e in zip(mu, effect_kets)
+            for w, r in zip(lam, kets)
+        )
+        assert abs(cheshire_analytic(effect, rho, g_a, g_b).p_success - expected) < 1e-12
+
     def test_bound_violation_rejected(self):
-        with pytest.raises(ValidationError):
+        # a bound breach is an internal inconsistency, not bad input
+        with pytest.raises(ConsistencyError):
             CheshireResult(1.0, 0.5, 2.0, 2.0, 0.25)
 
     def test_rejects_raw_matrices(self, example_prep):

@@ -1,4 +1,4 @@
-"""Gaussian overlap closed forms against the grid quadrature oracle."""
+"""Gaussian pointer-matrix closed forms against the grid quadrature oracle."""
 
 import math
 
@@ -17,14 +17,16 @@ from cheshire.meter import (
     gaussian_ground_state,
     gaussian_overlap0,
     gaussian_overlap1,
-    gaussian_pair_overlap0,
-    gaussian_pair_overlap1,
-    grid_overlap,
-    overlap_set,
     parse_complex,
+    pointer_matrices,
 )
 
 couplings = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
+
+
+def grid_overlap(meter, shift, weight="1"):
+    """int w(x) psi0*(x) psi0(x - shift) dx from the pointer matrices."""
+    return pointer_matrices((0.0, shift), meter)[("1", "x").index(weight)][0, 1]
 
 
 class TestClosedForms:
@@ -67,17 +69,27 @@ class TestClosedForms:
     )
     def test_pair_overlaps_reduce_to_single(self, a, b):
         # shifting both states by the same offset translates the weight only
-        o0 = gaussian_pair_overlap0(a, b)
-        o1 = gaussian_pair_overlap1(a, b)
+        m1, mx = pointer_matrices((a, b))
+        o0, o1 = m1[0, 1], mx[0, 1]
         assert np.isclose(o0, gaussian_overlap0(abs(a - b)), atol=1e-15)
         assert np.isclose(o1, 0.5 * (a + b) * o0, atol=1e-15)
+        assert np.array_equal(m1, m1.T) and np.array_equal(mx, mx.T)
+        assert m1[0, 0] == 1.0 and mx[0, 0] == a and mx[1, 1] == b
+
+    def test_infinite_shifts(self):
+        m1, mx = pointer_matrices((0.0, math.inf, -math.inf))
+        assert np.array_equal(m1, np.eye(3))
+        assert np.array_equal(mx, np.diag([0.0, math.inf, -math.inf]))
 
 
 class TestGaussianMeter:
     def test_stores_coupling(self):
         m = GaussianMeter(2.0)
-        assert m.overlap0() == gaussian_overlap0(2.0)
-        assert m.overlap1() == gaussian_overlap1(2.0)
+        assert m.g == 2.0
+        # the meter selects the closed forms; the shifts come from the dynamics
+        m1, mx = pointer_matrices((0.0, m.g), m)
+        assert m1[0, 1] == gaussian_overlap0(2.0)
+        assert mx[0, 1] == gaussian_overlap1(2.0)
 
     def test_rejects_negative_or_nan(self):
         with pytest.raises(ValidationError):
@@ -166,8 +178,13 @@ class TestGridOverlap:
             grid_overlap(meter, 35.0, "1")
 
     def test_bad_weight(self, meter):
+        from cheshire.dynamics import JointMeterState
+        from cheshire.indicator import moment_decomposition
+        from cheshire.qsystem import TransitionAmplitudes
+
+        state = JointMeterState(TransitionAmplitudes(0.5, 0.5, 0.0), meter, meter, 1.0, 1.0)
         with pytest.raises(ValidationError):
-            grid_overlap(meter, 1.0, "x^2")
+            moment_decomposition(state, "x^2", "1")
 
     def test_non_gaussian_state(self):
         # first excited oscillator state u*phi0(u): zero mean, variance 3,
@@ -198,20 +215,25 @@ class TestGridOverlap:
 
 
 class TestOverlapSet:
-    def test_gaussian_dispatch(self):
-        s = overlap_set(GaussianMeter(2.0))
-        assert np.isclose(s.o0(2.0), gaussian_overlap0(2.0))
-        assert np.isclose(s.o1(2.0), gaussian_overlap1(2.0))
+    """`pointer_matrices` for each meter model over a full branch-shift set."""
 
-    def test_grid_dispatch_agrees(self):
-        s = overlap_set(GridMeter.gaussian())
+    def test_gaussian_dispatch(self):
+        closed = pointer_matrices((2.0, 0.0, 0.0))
+        for meter in (None, GaussianMeter(2.0)):
+            m1, mx = pointer_matrices((2.0, 0.0, 0.0), meter)
+            assert np.array_equal(m1, closed[0]) and np.array_equal(mx, closed[1])
+        assert np.isclose(closed[0][0, 1], gaussian_overlap0(2.0))
+        assert np.isclose(closed[1][0, 1], gaussian_overlap1(2.0))
+
+    def test_grid_dispatch_agrees(self, meter):
         for g in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0):
-            assert abs(s.o0(g) - gaussian_overlap0(g)) < 1e-8
-            assert abs(s.o1(g) - gaussian_overlap1(g)) < 1e-8
+            shifts = (0.0, g, -g)
+            for grid_m, gauss_m in zip(pointer_matrices(shifts, meter), pointer_matrices(shifts)):
+                assert np.max(np.abs(grid_m - gauss_m)) < 1e-8
 
     def test_rejects_unknown_meter(self):
         with pytest.raises(ValidationError):
-            overlap_set(object())
+            pointer_matrices((0.0, 1.0), object())
 
 
 class TestStateFile:

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cheshire.dynamics import BranchWeights, success_probability
+from cheshire.dynamics import BranchWeights, success_moments, success_probability
 from cheshire.errors import GridTooSmall, ValidationError
-from cheshire.indicator import cross_moment, local_averages
+from cheshire.indicator import local_averages
 from cheshire.meter import DEFAULT_GRID, Grid
 from cheshire.qsystem import PhotonKet, TransitionAmplitudes, transition_amplitudes
 from cheshire.sampler import (
@@ -37,7 +37,7 @@ from conftest import unit_kets
 
 EXAMPLE_AMPS = TransitionAmplitudes(1 / 3, 1 / 3, -1 / 3)
 EXAMPLE_WEIGHTS = BranchWeights(math.sqrt(1 / 3), math.sqrt(1 / 3), math.sqrt(1 / 3))
-C_EXAMPLE_G2 = 2.0 * cross_moment(EXAMPLE_AMPS, 2.0, 2.0)
+C_EXAMPLE_G2 = 2.0 * success_moments(EXAMPLE_AMPS, 2.0, 2.0).xy
 
 SMALL_GRID = Grid(-12.0, 12.0, 961)
 COARSE_GRID = Grid(-10.0, 10.0, 401)
