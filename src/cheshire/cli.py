@@ -207,8 +207,6 @@ def cmd_montecarlo(args) -> int:
         n=config.n_trials,
         seed=config.seed,
         noise=NoiseModel(config.noise_a, config.noise_b),
-        grid_a=config.grid,
-        grid_b=config.grid,
     )
     if args.dump_trials:
         write_trials_csv(trials, args.dump_trials)

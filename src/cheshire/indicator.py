@@ -157,14 +157,20 @@ def local_averages(
 ) -> tuple[float, float, float]:
     """Postselected single-pointer means (<x>, <y>, P).
 
-    In the weak limit <x>/g_A -> Re L_w and <y>/g_B -> Re Sigma_w.
+    In the weak limit <x>/g_A -> Re L_w and <y>/g_B -> Re Sigma_w.  At
+    infinite coupling a mean is +-inf when the success branch runs off to
+    one side only; running off to both sides leaves it undefined.
     """
     m = success_moments(amps, g_a, g_b)
     if m.norm <= eps:
         raise OrthogonalPostselection(
             f"success probability {m.norm!r} <= {eps!r}; pointer averages are undefined"
         )
-    return (m.x / m.norm, m.y / m.norm, m.norm)
+    x_mean, y_mean = m.x / m.norm, m.y / m.norm
+    if math.isnan(x_mean) or math.isnan(y_mean):
+        raise ValidationError(f"pointer means undefined at couplings ({g_a!r}, {g_b!r}): "
+                              "the success branch runs off to both +inf and -inf")
+    return (x_mean, y_mean, m.norm)
 
 
 def _golden_section_max(fn, lo: float, hi: float, tol: float = 1e-10) -> float:

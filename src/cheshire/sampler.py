@@ -1,12 +1,21 @@
 """Monte Carlo trial engine for the signed cross-moment estimator.
 
-Each trial draws a postselection outcome tau = +1 (probability P) or -1,
-then pointer readouts (x, y) from the matching branch density: |F|^2 / P
-on success, p_f / (1 - P) on failure.  Optional zero-mean Gaussian
-readout noise is added to both branches (same apparatus either way).
-The indicator is estimated as the average of tau * x * y over all trials;
-independent zero-mean noise leaves that average unbiased and only
-inflates the per-trial variance.
+Trials simulate the postselect-then-read-the-pointers experiment exactly,
+with no grid.  Success density |F|^2 plus failure density p_f is the
+classical mixture p_cl = sum_k p_k phi0^2(x - a_k) phi0^2(y - b_k), so each
+trial draws branch k with probability p_k and readouts x = a_k + z1,
+y = b_k + z2 (z standard normal), then succeeds (tau = +1) with probability
+|F(x, y)|^2 / p_cl(x, y) and fails (tau = -1) otherwise: von Neumann
+rejection with every proposal kept as a trial.  With
+e_k = exp(-((x - a_k)^2 + (y - b_k)^2) / 4) that ratio is
+|sum_k c_k e_k|^2 / sum_k p_k e_k^2, at most the realizability budget
+sum_k |c_k|^2 / p_k by Cauchy-Schwarz; a ratio above the budget's cap
+raises `PositivityError` rather than being clipped.
+
+Optional zero-mean Gaussian readout noise is added to both branches (same
+apparatus either way).  The indicator is estimated as the average of
+tau * x * y over all trials; independent zero-mean noise leaves that
+average unbiased and only inflates the per-trial variance.
 
 Randomness is counter-based: trials are generated in fixed-size batches
 of 2^16, batch b using the Philox stream `Philox(key=seed).jumped(b)`
@@ -26,16 +35,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
+    REALIZABILITY_TOL,
     _branch_shifts,
     _check_realizable,
+    _validate_couplings,
     BranchWeights,
-    JointMeterState,
-    classical_mixture_density,
     success_moments,
-    success_probability,
 )
-from .errors import ValidationError
-from .meter import DEFAULT_GRID, Grid, check_coverage
+from .errors import PositivityError, ValidationError
 from .qsystem import TransitionAmplitudes
 
 TRIALS_PER_BATCH = 1 << 16
@@ -43,18 +50,9 @@ THREADS_ENV_VAR = "CHESHIRE_THREADS"
 
 DETECTION_Z = 5.0
 
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """One experimental run: postselection flag and the two readouts."""
-
-    tau: int
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if self.tau not in (1, -1):
-            raise ValidationError(f"tau must be +1 or -1, got {self.tau!r}")
+# The acceptance ratio is a probability only up to the realizability slack;
+# 1e-12 covers its rounding (a few ulps on sums of three terms) with room.
+ACCEPTANCE_BOUND = 1.0 + REALIZABILITY_TOL + 1e-12
 
 
 @dataclass(frozen=True)
@@ -98,18 +96,6 @@ class Trials:
     def __len__(self) -> int:
         return self.tau.size
 
-    def __iter__(self):
-        for t, xv, yv in zip(self.tau, self.x, self.y):
-            yield TrialRecord(int(t), float(xv), float(yv))
-
-    @classmethod
-    def from_records(cls, records) -> "Trials":
-        rows = [(r.tau, r.x, r.y) for r in records]
-        if not rows:
-            return cls(np.zeros(0, dtype=np.int8), np.zeros(0), np.zeros(0))
-        tau, x, y = (np.array(col) for col in zip(*rows))
-        return cls(tau, x, y)
-
     def products(self) -> np.ndarray:
         """The per-trial signed products tau * x * y."""
         return self.tau.astype(float) * self.x * self.y
@@ -121,57 +107,6 @@ class EstimatorOutput:
     std_error: float
     p_hat: float
     n_trials: int
-
-
-class GridSampler2D:
-    """Tabulated inverse-CDF sampler for a non-negative density on a grid.
-
-    Cell masses come from corner averages; a draw picks an x-cell from the
-    row-marginal CDF, a y-cell from the conditional CDF of that row (via a
-    single search on a flattened, globally nondecreasing offset table),
-    and jitters uniformly inside the cell.  Exact to grid resolution,
-    deterministic, and vectorized.
-    """
-
-    def __init__(self, density: np.ndarray, grid_a: Grid, grid_b: Grid):
-        d = np.asarray(density, dtype=float)
-        if d.shape != (grid_a.n_points, grid_b.n_points):
-            raise ValidationError("density shape must match the two grids")
-        if d.min() < 0.0:
-            raise ValidationError("density must be non-negative")
-        self.grid_a = grid_a
-        self.grid_b = grid_b
-        dx = grid_a.spacing
-        dy = grid_b.spacing
-
-        cells = 0.25 * (d[:-1, :-1] + d[1:, :-1] + d[:-1, 1:] + d[1:, 1:]) * dx * dy
-        total = float(cells.sum())
-        if total <= 0.0:
-            raise ValidationError("density integrates to zero; nothing to sample")
-        self.total_mass = total
-
-        row_mass = cells.sum(axis=1)
-        self._row_cdf = np.cumsum(row_mass) / total
-        self._row_cdf[-1] = 1.0
-
-        cond = np.cumsum(cells, axis=1)
-        np.divide(cond, row_mass[:, None], out=cond, where=row_mass[:, None] > 0.0)
-        cond[:, -1] = 1.0
-        # flatten with per-row integer offsets: globally nondecreasing, so
-        # one vectorized search resolves the conditional y-cell
-        self._flat_cond = (np.arange(cells.shape[0])[:, None] + cond).ravel()
-        self._n_cells_b = cells.shape[1]
-
-    def sample(self, u_x, u_jx, u_y, u_jy) -> tuple[np.ndarray, np.ndarray]:
-        """Map uniform [0,1) draws to (x, y) samples."""
-        n_b = self._n_cells_b
-        i = np.searchsorted(self._row_cdf, u_x, side="right")
-        np.clip(i, 0, len(self._row_cdf) - 1, out=i)
-        j = np.searchsorted(self._flat_cond, i + u_y, side="right") - i * n_b
-        np.clip(j, 0, n_b - 1, out=j)
-        x = self.grid_a.x_min + (i + u_jx) * self.grid_a.spacing
-        y = self.grid_b.x_min + (j + u_jy) * self.grid_b.spacing
-        return x, y
 
 
 def max_threads() -> int:
@@ -188,24 +123,16 @@ def max_threads() -> int:
     return value
 
 
-def _branch_densities(
-    amps: TransitionAmplitudes,
-    weights: BranchWeights,
-    g_a: float,
-    g_b: float,
-    grid_a: Grid,
-    grid_b: Grid,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(|F|^2, p_f) on the sampling grids."""
-    state = JointMeterState.gaussian(amps, g_a, g_b)
-    coeffs = np.array([amps.l, amps.r_plus, amps.r_minus])
-    wa = state.branch_waves_a(grid_a.points)
-    wb = state.branch_waves_b(grid_b.points)
-    f = (coeffs[:, None] * wa).T @ wb
-    success = np.abs(f) ** 2
-    p_cl = classical_mixture_density(weights, g_a, g_b, grid_a, grid_b)
-    failure = np.clip(p_cl - success, 0.0, None)
-    return success, failure
+def _pick_branches(probabilities: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Branch index for each uniform draw in [0, 1).
+
+    The last branch with non-zero weight ends exactly at 1, so weights whose
+    squares sum to 1 only within rounding never hand a draw to a zero-weight
+    branch.
+    """
+    edges = np.cumsum(probabilities)
+    edges[np.flatnonzero(probabilities)[-1]:] = 1.0
+    return np.searchsorted(edges, u, side="right")
 
 
 def sample_trials(
@@ -216,28 +143,23 @@ def sample_trials(
     n: int,
     seed: int,
     noise: NoiseModel = NO_NOISE,
-    grid_a: Grid = DEFAULT_GRID,
-    grid_b: Grid = DEFAULT_GRID,
     threads: int | None = None,
 ) -> Trials:
     """Simulate n independent trials; bit-identical for a given seed.
 
     Trials are generated in fixed batches of TRIALS_PER_BATCH, each from
-    its own counter-based substream, so the result does not depend on the
-    thread count.
+    its own counter-based substream with a fixed number of draws per trial,
+    so the result does not depend on the thread count.
     """
     if n < 1:
         raise ValidationError("need at least one trial")
+    _validate_couplings(g_a, g_b)
+    if not (math.isfinite(g_a) and math.isfinite(g_b)):
+        raise ValidationError("Monte Carlo sampling needs finite couplings")
     _check_realizable(amps, weights)
-    shifts_a, shifts_b = _branch_shifts(g_a, g_b)
-    check_coverage(grid_a, shifts_a)
-    check_coverage(grid_b, shifts_b)
-
-    p = success_probability(amps, g_a, g_b)
-    success_density, failure_density = _branch_densities(amps, weights, g_a, g_b, grid_a, grid_b)
-    success_sampler = GridSampler2D(success_density, grid_a, grid_b) if p > 0.0 else None
-    failure_sampler = GridSampler2D(failure_density, grid_a, grid_b) if p < 1.0 else None
-    del success_density, failure_density
+    shifts_a, shifts_b = (np.array(s) for s in _branch_shifts(g_a, g_b))
+    probabilities = np.array(weights.probabilities)
+    coeffs = np.array([amps.l, amps.r_plus, amps.r_minus])
 
     tau = np.empty(n, dtype=np.int8)
     x = np.empty(n)
@@ -247,23 +169,26 @@ def sample_trials(
         start = b * TRIALS_PER_BATCH
         rows = min(TRIALS_PER_BATCH, n - start)
         gen = np.random.Generator(np.random.Philox(key=seed).jumped(b))
-        u = gen.random((rows, 5))
-        eta = gen.standard_normal((rows, 2))
-        ok = u[:, 0] < p
-        bx = np.empty(rows)
-        by = np.empty(rows)
-        for mask, sampler in ((ok, success_sampler), (~ok, failure_sampler)):
-            if not np.any(mask):
-                continue
-            if sampler is None:
-                raise ValidationError("drew a trial from a zero-probability branch")
-            bx[mask], by[mask] = sampler.sample(
-                u[mask, 1], u[mask, 2], u[mask, 3], u[mask, 4]
+        u = gen.random((rows, 2))
+        z = gen.standard_normal((rows, 4))
+        k = _pick_branches(probabilities, u[:, 0])
+        bx = shifts_a[k] + z[:, 0]
+        by = shifts_b[k] + z[:, 1]
+        # |F|^2 / p_cl: the phi0 normalisation cancels, and the drawn
+        # branch's own factor keeps the denominator positive
+        e = np.exp(-0.25 * ((bx - shifts_a[:, None]) ** 2 + (by - shifts_b[:, None]) ** 2))
+        f = coeffs @ e
+        ratio = (f.real ** 2 + f.imag ** 2) / (probabilities @ (e * e))
+        worst = ratio.max()
+        if not worst <= ACCEPTANCE_BOUND:
+            raise PositivityError(
+                f"acceptance ratio |F|^2 / p_cl reaches {worst!r} > {ACCEPTANCE_BOUND!r}; "
+                "amplitudes and branch weights are inconsistent"
             )
-        bx += noise.nu_a * eta[:, 0]
-        by += noise.nu_b * eta[:, 1]
+        bx += noise.nu_a * z[:, 2]
+        by += noise.nu_b * z[:, 3]
         sl = slice(start, start + rows)
-        tau[sl] = np.where(ok, 1, -1)
+        tau[sl] = np.where(u[:, 1] < ratio, 1, -1)
         x[sl] = bx
         y[sl] = by
 
@@ -278,10 +203,8 @@ def sample_trials(
     return Trials(tau, x, y)
 
 
-def estimate_cheshire(trials) -> EstimatorOutput:
+def estimate_cheshire(trials: Trials) -> EstimatorOutput:
     """C estimate: mean of tau x y, its standard error, and the success rate."""
-    if not isinstance(trials, Trials):
-        trials = Trials.from_records(trials)
     n = len(trials)
     if n < 2:
         raise ValidationError("estimator needs at least 2 trials")
@@ -362,11 +285,10 @@ CSV_HEADER = ("tau", "x", "y")
 
 def write_trials_csv(trials: Trials, path) -> None:
     """Trial stream as CSV with exact lowercase header and 17-digit floats."""
+    rows = zip(trials.tau.tolist(), trials.x.tolist(), trials.y.tolist())
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for t, xv, yv in zip(trials.tau, trials.x, trials.y):
-            writer.writerow((int(t), f"{xv:.17g}", f"{yv:.17g}"))
+        fh.write(",".join(CSV_HEADER) + "\n")
+        fh.writelines("%d,%.17g,%.17g\n" % row for row in rows)
 
 
 def read_trials_csv(path) -> Trials:

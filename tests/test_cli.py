@@ -231,6 +231,15 @@ class TestMonteCarlo:
         trials = read_trials_csv(target)
         assert len(trials) == 300
 
+    def test_over_budget_acceptance_ratio_exits_three(self, capsys, config_path, monkeypatch):
+        # amplitudes beyond the realizability budget of the configured weights
+        monkeypatch.setattr(cheshire.sampler, "_check_realizable", lambda amps, weights: None)
+        monkeypatch.setattr(cheshire.config.ExperimentConfig, "amplitudes",
+                            lambda self: cheshire.TransitionAmplitudes(1.0, 0.0, 0.0))
+        code, _, err = run_cli(capsys, "montecarlo", "--config", config_path)
+        assert code == 3
+        assert "acceptance ratio" in err
+
     def test_needs_hundred_trials(self, capsys, config_path):
         code, _, err = run_cli(capsys, "montecarlo", "--config", config_path,
                                "--trials", "50")

@@ -245,6 +245,15 @@ class TestLocalAverages:
         with pytest.raises(OrthogonalPostselection):
             local_averages(amps, 0.0, 0.0)
 
+    def test_one_signed_infinite_limit_kept(self):
+        x_mean, y_mean, _ = local_averages(TransitionAmplitudes(1 / 3, 0.0, -1 / 3), 1.0, math.inf)
+        assert y_mean == -math.inf
+        assert math.isfinite(x_mean)
+
+    def test_two_signed_infinite_limit_raises(self):
+        with pytest.raises(ValidationError):
+            local_averages(TransitionAmplitudes(1 / 3, 1 / 3, -1 / 3), 1.0, math.inf)
+
     @given(prep=unit_kets(), post=unit_kets())
     @settings(max_examples=50)
     def test_weak_limit_matches_weak_values(self, prep, post):

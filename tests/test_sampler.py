@@ -5,25 +5,26 @@ Statistical assertions use 4-sigma bounds and retry once with the next
 seed, so the false-failure rate is ~4e-9 per check.
 """
 
+import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cheshire.dynamics import BranchWeights, success_moments, success_probability
-from cheshire.errors import GridTooSmall, ValidationError
+from cheshire import sampler
+from cheshire.errors import PositivityError, ValidationError
 from cheshire.indicator import local_averages
-from cheshire.meter import DEFAULT_GRID, Grid
-from cheshire.qsystem import PhotonKet, TransitionAmplitudes, transition_amplitudes
+from cheshire.qsystem import TransitionAmplitudes, transition_amplitudes
 from cheshire.sampler import (
     CSV_HEADER,
-    GridSampler2D,
     NO_NOISE,
     NoiseModel,
     TRIALS_PER_BATCH,
-    TrialRecord,
     Trials,
+    _pick_branches,
     estimate_cheshire,
     max_threads,
     noise_robustness,
@@ -39,15 +40,11 @@ EXAMPLE_AMPS = TransitionAmplitudes(1 / 3, 1 / 3, -1 / 3)
 EXAMPLE_WEIGHTS = BranchWeights(math.sqrt(1 / 3), math.sqrt(1 / 3), math.sqrt(1 / 3))
 C_EXAMPLE_G2 = 2.0 * success_moments(EXAMPLE_AMPS, 2.0, 2.0).xy
 
-SMALL_GRID = Grid(-12.0, 12.0, 961)
-COARSE_GRID = Grid(-10.0, 10.0, 401)
-
 
 def example_trials(n, seed, noise=NO_NOISE, threads=None):
     return sample_trials(
         EXAMPLE_AMPS, EXAMPLE_WEIGHTS, 2.0, 2.0,
-        n=n, seed=seed, noise=noise,
-        grid_a=SMALL_GRID, grid_b=SMALL_GRID, threads=threads,
+        n=n, seed=seed, noise=noise, threads=threads,
     )
 
 
@@ -114,7 +111,7 @@ class TestDistribution:
         def check(seed):
             trials = sample_trials(
                 EXAMPLE_AMPS, EXAMPLE_WEIGHTS, 0.0, 0.0,
-                n=50_000, seed=seed, grid_a=SMALL_GRID, grid_b=SMALL_GRID,
+                n=50_000, seed=seed,
             )
             n = len(trials)
             ok = abs(trials.x.mean()) < 4.0 / math.sqrt(n)
@@ -133,7 +130,7 @@ class TestDistribution:
         def check(seed):
             trials = sample_trials(
                 amps, weights, 2.0, 2.0,
-                n=20_000, seed=seed, grid_a=SMALL_GRID, grid_b=SMALL_GRID,
+                n=20_000, seed=seed,
             )
             n = len(trials)
             ok = bool(np.all(trials.tau == -1))
@@ -148,7 +145,7 @@ class TestDistribution:
         amps = TransitionAmplitudes(1.0, 0.0, 0.0)
         trials = sample_trials(
             amps, weights, 2.0, 2.0,
-            n=20_000, seed=5, grid_a=SMALL_GRID, grid_b=SMALL_GRID,
+            n=20_000, seed=5,
         )
         assert bool(np.all(trials.tau == 1))
         assert abs(trials.x.mean() - 2.0) < 4.0 / math.sqrt(len(trials))
@@ -185,19 +182,12 @@ class TestEstimator:
 
         retry_once(check)
 
-    def test_accepts_record_iterable(self):
-        trials = example_trials(500, seed=1)
-        from_records = estimate_cheshire(list(trials))
-        direct = estimate_cheshire(trials)
-        assert from_records == direct
-
     def test_requires_two_trials(self):
         with pytest.raises(ValidationError):
-            estimate_cheshire([TrialRecord(1, 0.5, 0.5)])
+            estimate_cheshire(Trials(np.array([1], dtype=np.int8), [0.5], [0.5]))
 
     def test_constant_products_have_zero_error(self):
-        records = [TrialRecord(1, 1.0, 2.0), TrialRecord(1, 1.0, 2.0)]
-        out = estimate_cheshire(records)
+        out = estimate_cheshire(Trials(np.array([1, 1], dtype=np.int8), [1.0, 1.0], [2.0, 2.0]))
         assert out.c_hat == 2.0
         assert out.std_error == 0.0
         assert out.p_hat == 1.0
@@ -253,9 +243,39 @@ class TestNoiseRobustness:
 
 
 class TestValidation:
-    def test_grid_too_small_for_large_shift(self):
-        with pytest.raises(GridTooSmall):
-            sample_trials(EXAMPLE_AMPS, EXAMPLE_WEIGHTS, 15.0, 2.0, n=10, seed=0)
+    def test_large_shift_samples_exactly(self):
+        p = success_probability(EXAMPLE_AMPS, 15.0, 2.0)
+
+        def check(seed):
+            trials = sample_trials(EXAMPLE_AMPS, EXAMPLE_WEIGHTS, 15.0, 2.0, n=100_000, seed=seed)
+            p_hat = np.mean(trials.tau == 1)
+            return abs(p_hat - p) < 4.0 * math.sqrt(p * (1 - p) / len(trials))
+
+        retry_once(check)
+
+    def test_infinite_coupling_rejected(self):
+        with pytest.raises(ValidationError):
+            sample_trials(EXAMPLE_AMPS, EXAMPLE_WEIGHTS, math.inf, 2.0, n=10, seed=0)
+
+    def test_zero_weight_branch_never_drawn(self):
+        # 0.1 + 0.9 rounds to just below 1, leaving a gap before the last edge
+        weights = BranchWeights(math.sqrt(0.1), math.sqrt(0.9), 0.0)
+        probabilities = np.array(weights.probabilities)
+        assert probabilities.sum() < 1.0
+        u = np.array([0.0, probabilities[0], np.nextafter(1.0, 0.0)])
+        assert _pick_branches(probabilities, u).tolist() == [0, 1, 1]
+        trials = sample_trials(TransitionAmplitudes(0.1, 0.2, 0.0), weights, 2.0, 2.0,
+                               n=1000, seed=0)
+        assert np.all(np.isfinite(trials.x)) and np.all(np.isfinite(trials.y))
+
+    def test_heap_stays_small(self):
+        tracemalloc.start()
+        try:
+            sample_trials(EXAMPLE_AMPS, EXAMPLE_WEIGHTS, 2.0, 2.0, n=1 << 17, seed=0, threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
 
     def test_default_grid_supports_shift_ten(self):
         trials = sample_trials(EXAMPLE_AMPS, EXAMPLE_WEIGHTS, 10.0, 10.0, n=64, seed=0)
@@ -274,55 +294,47 @@ class TestValidation:
         with pytest.raises(ValidationError):
             NoiseModel(-0.1, 0.0)
 
-    def test_trial_record_rejects_bad_tau(self):
-        with pytest.raises(ValidationError):
-            TrialRecord(0, 0.0, 0.0)
-
     def test_trials_rejects_mismatched_lengths(self):
         with pytest.raises(ValidationError):
             Trials(np.array([1, -1], dtype=np.int8), np.zeros(2), np.zeros(3))
 
 
-class TestGridSampler:
-    def test_uniform_density_fills_box(self):
-        grid = Grid(0.0, 1.0, 11)
-        sampler = GridSampler2D(np.ones((11, 11)), grid, grid)
-        rng = np.random.default_rng(0)
-        u = rng.random((20_000, 4))
-        x, y = sampler.sample(u[:, 0], u[:, 1], u[:, 2], u[:, 3])
-        assert x.min() >= 0.0 and x.max() <= 1.0
-        assert y.min() >= 0.0 and y.max() <= 1.0
-        assert abs(x.mean() - 0.5) < 4.0 * math.sqrt(1 / 12 / len(x))
-        assert abs(y.mean() - 0.5) < 4.0 * math.sqrt(1 / 12 / len(y))
+class TestAcceptanceBound:
+    def test_realizability_edge_samples(self):
+        # budget (amp/weight)^2 = 1 + 4e-10: inside REALIZABILITY_TOL, so the
+        # ratio near the separated left branch may exceed 1 by as much
+        amps = TransitionAmplitudes(1.0000000002 / math.sqrt(3), 0.0, 0.0)
+        trials = sample_trials(amps, EXAMPLE_WEIGHTS, 8.0, 8.0, n=TRIALS_PER_BATCH, seed=0)
+        assert len(trials) == TRIALS_PER_BATCH
 
-    def test_half_plane_density_confines_samples(self):
-        grid = Grid(0.0, 1.0, 11)
-        density = np.zeros((11, 11))
-        density[:5, :] = 1.0
-        sampler = GridSampler2D(density, grid, grid)
-        rng = np.random.default_rng(1)
-        u = rng.random((5_000, 4))
-        x, _ = sampler.sample(u[:, 0], u[:, 1], u[:, 2], u[:, 3])
-        # support ends at the first zero grid point; the straddling cell
-        # [0.4, 0.5] carries half a cell of mass (1/9 of the total)
-        assert x.max() <= 0.5 + 1e-12
-        edge_fraction = np.mean(x > 0.4)
-        assert abs(edge_fraction - 1 / 9) < 4.0 * math.sqrt((1 / 9) * (8 / 9) / len(x))
+    def test_over_budget_ratio_raises(self, monkeypatch):
+        monkeypatch.setattr(sampler, "_check_realizable", lambda amps, weights: None)
+        amps = TransitionAmplitudes(1.0, 0.0, 0.0)
+        with pytest.raises(PositivityError):
+            sample_trials(amps, EXAMPLE_WEIGHTS, 2.0, 2.0, n=1000, seed=0)
 
-    def test_rejects_zero_density(self):
-        grid = Grid(0.0, 1.0, 11)
-        with pytest.raises(ValidationError):
-            GridSampler2D(np.zeros((11, 11)), grid, grid)
 
-    def test_rejects_negative_density(self):
-        grid = Grid(0.0, 1.0, 11)
-        density = np.ones((11, 11))
-        density[3, 3] = -1.0
-        with pytest.raises(ValidationError):
-            GridSampler2D(density, grid, grid)
+def csv_writer_reference(trials, path):
+    """The row-by-row csv.writer format the trial CSV has always had."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        for t, xv, yv in zip(trials.tau, trials.x, trials.y):
+            writer.writerow((int(t), f"{xv:.17g}", f"{yv:.17g}"))
 
 
 class TestCsv:
+    def test_matches_csv_writer_bytes(self, tmp_path):
+        values = [-0.0, 0.0, 5e-324, -2.2250738585072009e-308, 0.1, 1 / 3, -2 / 3 * 1e17,
+                  1.7976931348623157e308, 123456789.01234567, math.inf, -math.inf]
+        x = np.array(values)
+        y = -x[::-1]
+        tau = np.where(np.arange(len(x)) % 2 == 0, 1, -1).astype(np.int8)
+        trials = Trials(tau, x, y)
+        write_trials_csv(trials, tmp_path / "fast.csv")
+        csv_writer_reference(trials, tmp_path / "reference.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
     def test_round_trip_bitwise(self, tmp_path):
         trials = example_trials(257, seed=6)
         path = tmp_path / "trials.csv"
@@ -345,14 +357,6 @@ class TestCsv:
         with pytest.raises(ValidationError):
             read_trials_csv(path)
 
-    def test_record_round_trip(self):
-        trials = example_trials(40, seed=12)
-        rebuilt = Trials.from_records(list(trials))
-        assert np.array_equal(trials.tau, rebuilt.tau)
-        assert np.array_equal(trials.x, rebuilt.x)
-        assert np.array_equal(trials.y, rebuilt.y)
-
-
 class TestPhysicalPairsProperty:
     @settings(max_examples=15, deadline=None)
     @given(prep=unit_kets(), post=unit_kets(),
@@ -362,7 +366,7 @@ class TestPhysicalPairsProperty:
         weights = BranchWeights.from_preparation(prep)
         trials = sample_trials(
             amps, weights, g, g,
-            n=256, seed=17, grid_a=COARSE_GRID, grid_b=COARSE_GRID,
+            n=256, seed=17,
         )
         assert len(trials) == 256
         assert np.all(np.isfinite(trials.x))
