@@ -38,6 +38,7 @@ from .qsystem import weak_values
 from .sampler import (
     NoiseModel,
     estimate_cheshire,
+    sample_estimate,
     sample_trials,
     write_trials_csv,
 )
@@ -198,19 +199,16 @@ def cmd_montecarlo(args) -> int:
         raise ValidationError("n_trials: the Monte Carlo run needs at least 100 trials")
     if not config.is_pure:
         raise ValidationError("post: Monte Carlo sampling needs a pure postselection state")
-    amps = config.amplitudes()
-    trials = sample_trials(
-        amps,
-        config.weights(),
-        config.g_a,
-        config.g_b,
-        n=config.n_trials,
-        seed=config.seed,
-        noise=NoiseModel(config.noise_a, config.noise_b),
-    )
+    run = (config.amplitudes(), config.weights(), config.g_a, config.g_b)
+    draws = dict(n=config.n_trials, seed=config.seed,
+                 noise=NoiseModel(config.noise_a, config.noise_b))
     if args.dump_trials:
+        trials = sample_trials(*run, **draws)
         write_trials_csv(trials, args.dump_trials)
-    estimate = estimate_cheshire(trials)
+        estimate = estimate_cheshire(trials)
+    else:
+        # the same estimate, bit for bit, without storing the trials
+        estimate = sample_estimate(*run, **draws)
     exact = cheshire_analytic(config.post, config.prep, config.g_a, config.g_b)
     if estimate.std_error > 0.0:
         z = (estimate.c_hat - exact.c_value) / estimate.std_error

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dynamics import BranchWeights
-from .errors import GridTooSmall, ValidationError
-from .meter import DEFAULT_GRID, Grid, check_coverage, format_complex, parse_complex
+from .errors import ValidationError
+from .meter import DEFAULT_GRID, Grid, format_complex, parse_complex
 from .qsystem import (
     PhotonEffect,
     PhotonKet,
@@ -81,11 +81,6 @@ class ExperimentConfig:
             raise ValidationError(f"seed: must be a 64-bit non-negative integer, got {self.seed!r}")
         if not isinstance(self.grid, Grid):
             raise ValidationError("grid: expected (min, max, points)")
-        try:
-            check_coverage(self.grid, (0.0, self.g_a))
-            check_coverage(self.grid, (0.0, self.g_b, -self.g_b))
-        except GridTooSmall as exc:
-            raise ValidationError(f"grid: {exc}") from exc
 
     @property
     def is_pure(self) -> bool:

@@ -52,20 +52,6 @@ def gaussian_overlap1(g: float) -> float:
     return 0.5 * g * math.exp(-g * g / 8.0)
 
 
-def check_coverage(grid: Grid, shifts) -> None:
-    """Require every Gaussian branch shifted by an entry of ``shifts`` to
-    keep its probability mass on the grid (off-grid tail <= 1e-12).
-    """
-    for s in shifts:
-        upper = 0.5 * math.erfc((grid.x_max - s) / math.sqrt(2.0))
-        lower = 0.5 * math.erfc((s - grid.x_min) / math.sqrt(2.0))
-        if upper + lower > EDGE_AMPLITUDE_TOL:
-            raise GridTooSmall(
-                f"shift {s} leaves probability mass {upper + lower:.3e} outside "
-                f"[{grid.x_min}, {grid.x_max}]"
-            )
-
-
 @dataclass(frozen=True)
 class GaussianMeter:
     """Pointer in the Gaussian ground state, coupled with strength ``g``.

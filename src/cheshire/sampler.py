@@ -22,11 +22,20 @@ of 2^16, batch b using the Philox stream `Philox(key=seed).jumped(b)`
 with a fixed draw budget per batch.  The trial stream is therefore
 bit-identical for a given seed regardless of how batches are scheduled
 across threads.
+
+The estimate is a batch-order merge of per-batch moments: each batch
+reduces its own trials to (count, successes, mean and M2 of tau * x * y),
+and the batches are combined in batch order with the pairwise update of
+Chan, Golub and LeVeque.  `sample_estimate` does this inside the workers
+that draw the batches, so its memory does not grow with the trial count;
+`estimate_cheshire` applies the same reduction to batch-sized slices of a
+stored trial stream and returns the identical result.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -132,25 +141,24 @@ def _pick_branches(probabilities: np.ndarray, u: np.ndarray) -> np.ndarray:
     """
     edges = np.cumsum(probabilities)
     edges[np.flatnonzero(probabilities)[-1]:] = 1.0
-    return np.searchsorted(edges, u, side="right")
+    # the number of edges at or below u: searchsorted(edges, u, "right")
+    k = np.zeros(u.shape, dtype=np.intp)
+    for edge in edges:
+        k += u >= edge
+    return k
 
 
-def sample_trials(
+def _batch_kernel(
     amps: TransitionAmplitudes,
     weights: BranchWeights,
     g_a: float,
     g_b: float,
     n: int,
     seed: int,
-    noise: NoiseModel = NO_NOISE,
-    threads: int | None = None,
-) -> Trials:
-    """Simulate n independent trials; bit-identical for a given seed.
-
-    Trials are generated in fixed batches of TRIALS_PER_BATCH, each from
-    its own counter-based substream with a fixed number of draws per trial,
-    so the result does not depend on the thread count.
-    """
+    noise: NoiseModel,
+):
+    """Validate a run of n trials; return _batch(b) -> (tau, x, y), which
+    draws batch b from its own substream."""
     if n < 1:
         raise ValidationError("need at least one trial")
     _validate_couplings(g_a, g_b)
@@ -161,13 +169,8 @@ def sample_trials(
     probabilities = np.array(weights.probabilities)
     coeffs = np.array([amps.l, amps.r_plus, amps.r_minus])
 
-    tau = np.empty(n, dtype=np.int8)
-    x = np.empty(n)
-    y = np.empty(n)
-
-    def run_batch(b: int) -> None:
-        start = b * TRIALS_PER_BATCH
-        rows = min(TRIALS_PER_BATCH, n - start)
+    def _batch(b: int):
+        rows = min(TRIALS_PER_BATCH, n - b * TRIALS_PER_BATCH)
         gen = np.random.Generator(np.random.Philox(key=seed).jumped(b))
         u = gen.random((rows, 2))
         z = gen.standard_normal((rows, 4))
@@ -187,32 +190,122 @@ def sample_trials(
             )
         bx += noise.nu_a * z[:, 2]
         by += noise.nu_b * z[:, 3]
-        sl = slice(start, start + rows)
-        tau[sl] = np.where(u[:, 1] < ratio, 1, -1)
-        x[sl] = bx
-        y[sl] = by
+        tau = np.where(u[:, 1] < ratio, np.int8(1), np.int8(-1))
+        return tau, bx, by
 
+    return _batch
+
+
+def _map_batches(fn, n: int, threads: int | None):
+    """fn(b) for every batch b of n trials, yielded in batch order.
+
+    With more than one worker thread the batches run concurrently, at most
+    one per worker at a time; the order of the results never changes.
+    """
     n_batches = (n + TRIALS_PER_BATCH - 1) // TRIALS_PER_BATCH
     workers = threads if threads is not None else max_threads()
     if workers > 1 and n_batches > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_batch, range(n_batches)))
+            yield from pool.map(fn, range(n_batches))
     else:
-        for b in range(n_batches):
-            run_batch(b)
+        yield from map(fn, range(n_batches))
+
+
+def _moments(tau: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """(count, successes, mean, M2) of the products tau * x * y of one batch,
+    M2 being the sum of squared deviations from the batch mean."""
+    products = tau * x * y
+    mean = products.mean()
+    products -= mean
+    np.square(products, out=products)
+    return tau.size, int(np.count_nonzero(tau == 1)), float(mean), float(products.sum())
+
+
+def _merge(a, b):
+    """Moments of two consecutive runs of trials from those of each run
+    (Chan, Golub and LeVeque's pairwise update)."""
+    n_a, successes_a, mean_a, m2_a = a
+    n_b, successes_b, mean_b, m2_b = b
+    n = n_a + n_b
+    delta = mean_b - mean_a
+    return (
+        n,
+        successes_a + successes_b,
+        mean_a + delta * (n_b / n),
+        m2_a + m2_b + delta * delta * (n_a * n_b / n),
+    )
+
+
+def _estimate(n: int, batch_moments) -> EstimatorOutput:
+    """Merge the per-batch moments of n trials, in batch order."""
+    if n < 2:
+        raise ValidationError("estimator needs at least 2 trials")
+    _, successes, mean, m2 = functools.reduce(_merge, batch_moments)
+    return EstimatorOutput(mean, math.sqrt(m2 / (n - 1)) / math.sqrt(n), successes / n, n)
+
+
+def sample_trials(
+    amps: TransitionAmplitudes,
+    weights: BranchWeights,
+    g_a: float,
+    g_b: float,
+    n: int,
+    seed: int,
+    noise: NoiseModel = NO_NOISE,
+    threads: int | None = None,
+) -> Trials:
+    """Simulate n independent trials; bit-identical for a given seed.
+
+    Trials are generated in fixed batches of TRIALS_PER_BATCH, each from
+    its own counter-based substream with a fixed number of draws per trial,
+    so the result does not depend on the thread count.  The whole stream is
+    kept; `sample_estimate` gives its estimate without storing it.
+    """
+    batch = _batch_kernel(amps, weights, g_a, g_b, n, seed, noise)
+    tau = np.empty(n, dtype=np.int8)
+    x = np.empty(n)
+    y = np.empty(n)
+
+    def fill(b: int) -> None:
+        sl = slice(b * TRIALS_PER_BATCH, (b + 1) * TRIALS_PER_BATCH)
+        tau[sl], x[sl], y[sl] = batch(b)
+
+    for _ in _map_batches(fill, n, threads):
+        pass
     return Trials(tau, x, y)
 
 
+def sample_estimate(
+    amps: TransitionAmplitudes,
+    weights: BranchWeights,
+    g_a: float,
+    g_b: float,
+    n: int,
+    seed: int,
+    noise: NoiseModel = NO_NOISE,
+    threads: int | None = None,
+) -> EstimatorOutput:
+    """The estimate of `estimate_cheshire(sample_trials(...))`, bit for bit,
+    without keeping the trials: each batch is reduced by the worker that drew
+    it, so memory stays O(TRIALS_PER_BATCH) per worker at any n.  The route
+    for large n.
+    """
+    batch = _batch_kernel(amps, weights, g_a, g_b, n, seed, noise)
+    return _estimate(n, _map_batches(lambda b: _moments(*batch(b)), n, threads))
+
+
 def estimate_cheshire(trials: Trials) -> EstimatorOutput:
-    """C estimate: mean of tau x y, its standard error, and the success rate."""
+    """C estimate: mean of tau x y, its standard error, and the success rate.
+
+    Reduced batch by batch like `sample_estimate`, so both give the same bits
+    for the same trials.
+    """
+    def batch_moments(start: int):
+        sl = slice(start, start + TRIALS_PER_BATCH)
+        return _moments(trials.tau[sl], trials.x[sl], trials.y[sl])
+
     n = len(trials)
-    if n < 2:
-        raise ValidationError("estimator needs at least 2 trials")
-    products = trials.products()
-    c_hat = float(products.mean())
-    std_error = float(products.std(ddof=1)) / math.sqrt(n)
-    p_hat = float(np.mean(trials.tau == 1))
-    return EstimatorOutput(c_hat, std_error, p_hat, n)
+    return _estimate(n, map(batch_moments, range(0, n, TRIALS_PER_BATCH)))
 
 
 def trial_variance(
@@ -271,8 +364,7 @@ def noise_robustness(
     rows: list[NoiseStudyRow] = []
     for nu_a, nu_b in nu_grid:
         noise = NoiseModel(float(nu_a), float(nu_b))
-        trials = sample_trials(amps, weights, g_a, g_b, n=n, seed=seed, noise=noise)
-        estimate = estimate_cheshire(trials)
+        estimate = sample_estimate(amps, weights, g_a, g_b, n=n, seed=seed, noise=noise)
         variance = trial_variance(amps, weights, g_a, g_b, noise)
         n_required = math.inf if c == 0.0 else math.ceil(z * z * variance / (c * c))
         rows.append(NoiseStudyRow(noise.nu_a, noise.nu_b, estimate.c_hat,

@@ -189,6 +189,9 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", "--config", config_path, "--g-max", "14")
         assert code == 2
         assert "grid" in err.lower() or "shift" in err.lower()
+        code, _, err = run_cli(capsys, "sweep", "--config", config_path, "--g-max", "30")
+        assert code == 2
+        assert "shift" in err and "off the grid" in err
 
     def test_too_few_steps(self, capsys, config_path):
         code, _, err = run_cli(capsys, "sweep", "--config", config_path, "--steps", "1")
@@ -240,6 +243,14 @@ class TestMonteCarlo:
         assert code == 3
         assert "acceptance ratio" in err
 
+    def test_dump_trials_leaves_report_unchanged(self, capsys, config_path, tmp_path):
+        argv = ("montecarlo", "--config", config_path, "--trials", "140000")
+        code, streamed, _ = run_cli(capsys, *argv)
+        assert code == 0
+        code, stored, _ = run_cli(capsys, *argv, "--dump-trials", str(tmp_path / "t.csv"))
+        assert code == 0
+        assert streamed == stored
+
     def test_needs_hundred_trials(self, capsys, config_path):
         code, _, err = run_cli(capsys, "montecarlo", "--config", config_path,
                                "--trials", "50")
@@ -258,6 +269,17 @@ class TestMonteCarlo:
         code, _, err = run_cli(capsys, "montecarlo", "--config", str(path))
         assert code == 2
         assert "post" in err
+
+
+class TestGridScope:
+    @pytest.mark.parametrize("command", ["analytic", "montecarlo"])
+    def test_coupling_beyond_grid_runs(self, capsys, tmp_path, command):
+        # the grid belongs to the sweep's oracle; these subcommands never use it
+        path = tmp_path / "large.cfg"
+        path.write_text(EXAMPLE_TEXT.replace("g_a=2", "g_a=15"), encoding="utf-8")
+        code, out, err = run_cli(capsys, command, "--config", str(path))
+        assert code == 0, err
+        assert key_values(out)["c_analytic"]
 
 
 class TestOptimize:

@@ -140,11 +140,10 @@ class TestValidation:
             example_config(seed=2 ** 64)
         assert example_config(seed=2 ** 64 - 1).seed == 2 ** 64 - 1
 
-    def test_grid_must_cover_shifts(self):
-        with pytest.raises(ValidationError, match="grid"):
-            example_config(g_a=15.0)
-        with pytest.raises(ValidationError, match="grid"):
-            example_config(grid=Grid(-4.0, 4.0, 401))
+    def test_grid_does_not_limit_couplings(self):
+        # only the sweep's oracle uses the grid, and it checks its own range
+        assert example_config(g_a=15.0).g_a == 15.0
+        assert example_config(grid=Grid(-4.0, 4.0, 401)).grid == Grid(-4.0, 4.0, 401)
 
     def test_effect_eigenvalues_checked(self):
         entries = ",".join("2+0i" if i % 5 == 0 else "0+0i" for i in range(16))

@@ -29,6 +29,7 @@ from cheshire.sampler import (
     max_threads,
     noise_robustness,
     read_trials_csv,
+    sample_estimate,
     sample_trials,
     trial_variance,
     write_trials_csv,
@@ -185,6 +186,8 @@ class TestEstimator:
     def test_requires_two_trials(self):
         with pytest.raises(ValidationError):
             estimate_cheshire(Trials(np.array([1], dtype=np.int8), [0.5], [0.5]))
+        with pytest.raises(ValidationError):
+            sample_estimate(EXAMPLE_AMPS, EXAMPLE_WEIGHTS, 2.0, 2.0, n=1, seed=0)
 
     def test_constant_products_have_zero_error(self):
         out = estimate_cheshire(Trials(np.array([1, 1], dtype=np.int8), [1.0, 1.0], [2.0, 2.0]))
@@ -192,6 +195,49 @@ class TestEstimator:
         assert out.std_error == 0.0
         assert out.p_hat == 1.0
         assert out.n_trials == 2
+        # across batches of unequal length too
+        n = 3 * TRIALS_PER_BATCH - 7
+        out = estimate_cheshire(Trials(np.full(n, -1, dtype=np.int8), np.full(n, 0.5),
+                                       np.full(n, 4.0)))
+        assert (out.c_hat, out.std_error, out.p_hat, out.n_trials) == (-2.0, 0.0, 0.0, n)
+
+    def test_merged_error_keeps_variance_under_large_offset(self):
+        # products of mean 1e6 and spread 1: a one-pass sum of squares cancels
+        # to the ulp of 1e12 per trial and loses the variance
+        n = 3 * TRIALS_PER_BATCH + 5
+        rng = np.random.default_rng(0)
+        x = 1e6 + rng.standard_normal(n)
+        tau = np.where(rng.random(n) < 0.5, 1, -1).astype(np.int8)
+        out = estimate_cheshire(Trials(tau, tau * x, np.ones(n)))
+        assert out.std_error == pytest.approx(x.std(ddof=1) / math.sqrt(n), rel=1e-9)
+        assert out.c_hat == pytest.approx(x.mean(), rel=1e-15)
+        assert out.p_hat == np.mean(tau == 1)
+
+
+class TestStreamedEstimate:
+    @pytest.mark.parametrize("threads", [1, 4])
+    @pytest.mark.parametrize("n", [2, 100, TRIALS_PER_BATCH, TRIALS_PER_BATCH + 1,
+                                   3 * TRIALS_PER_BATCH - 7])
+    def test_equals_estimate_of_stored_trials(self, n, threads):
+        args = (EXAMPLE_AMPS, EXAMPLE_WEIGHTS, 2.0, 1.5)
+        draws = dict(n=n, seed=5, noise=NoiseModel(0.5, 1.0), threads=threads)
+        streamed = sample_estimate(*args, **draws)
+        stored = estimate_cheshire(sample_trials(*args, **draws))
+        assert streamed.c_hat == stored.c_hat
+        assert streamed.std_error == stored.std_error
+        assert streamed.p_hat == stored.p_hat
+        assert streamed.n_trials == stored.n_trials == n
+
+    def test_heap_does_not_grow_with_trials(self):
+        # storing 2^21 trials and their products would take about 70 MB
+        tracemalloc.start()
+        try:
+            sample_estimate(EXAMPLE_AMPS, EXAMPLE_WEIGHTS, 2.0, 2.0, n=1 << 21, seed=0,
+                            threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
 
 class TestTrialVariance:
@@ -267,6 +313,19 @@ class TestValidation:
         trials = sample_trials(TransitionAmplitudes(0.1, 0.2, 0.0), weights, 2.0, 2.0,
                                n=1000, seed=0)
         assert np.all(np.isfinite(trials.x)) and np.all(np.isfinite(trials.y))
+
+    def test_branch_pick_matches_searchsorted(self):
+        rng = np.random.default_rng(1)
+        for weights in (EXAMPLE_WEIGHTS, BranchWeights(math.sqrt(0.1), math.sqrt(0.9), 0.0),
+                        BranchWeights(0.0, 1.0, 0.0), BranchWeights(math.sqrt(0.5), 0.0,
+                                                                     math.sqrt(0.5))):
+            probabilities = np.array(weights.probabilities)
+            edges = np.cumsum(probabilities)
+            edges[np.flatnonzero(probabilities)[-1]:] = 1.0
+            u = np.concatenate([rng.random(10_000), edges[edges < 1.0], [0.0],
+                                np.nextafter(edges[edges > 0.0], 0.0)])
+            expected = np.searchsorted(edges, u, side="right")
+            assert np.array_equal(_pick_branches(probabilities, u), expected)
 
     def test_heap_stays_small(self):
         tracemalloc.start()
