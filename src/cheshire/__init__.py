@@ -17,7 +17,6 @@ from .dynamics import (
     JointMeterState,
     SuccessMoments,
     classical_mixture_density,
-    classical_mixture_moment,
     failure_density,
     grid_moments,
     success_moments,
@@ -71,7 +70,6 @@ from .qsystem import (
     PhotonKet,
     TransitionAmplitudes,
     WeakValues,
-    canonical_operators,
     trace_term,
     transition_amplitudes,
     weak_values,
@@ -127,10 +125,8 @@ __all__ = [
     "Trials",
     "ValidationError",
     "WeakValues",
-    "canonical_operators",
     "cheshire_analytic",
     "classical_mixture_density",
-    "classical_mixture_moment",
     "dump_config",
     "embed",
     "estimate_cheshire",

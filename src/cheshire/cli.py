@@ -242,8 +242,7 @@ def cmd_optimize(args) -> int:
     else:
         if args.dump_config:
             raise ValidationError("config: --dump-config needs --config")
-        seed = args.seed if args.seed is not None else 0
-        optimum = optimize_states(args.g_a, args.g_b, n_starts=args.starts, seed=seed)
+        optimum = optimize_states(args.g_a, args.g_b)
         amps = ",".join(format_complex(z) for z in optimum.prep.amplitudes)
         post = ",".join(format_complex(z) for z in optimum.post.amplitudes)
         lines = [
@@ -297,12 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="optimal couplings for a configured experiment (with --config) "
              "or optimal state pair at fixed couplings (without)",
     )
-    p_opt.add_argument("--g-a", type=float, default=2.0, help="coupling A for the state search")
-    p_opt.add_argument("--g-b", type=float, default=2.0, help="coupling B for the state search")
+    p_opt.add_argument("--g-a", type=float, default=2.0, help="coupling A for the optimal states")
+    p_opt.add_argument("--g-b", type=float, default=2.0, help="coupling B for the optimal states")
     p_opt.add_argument("--search-max", type=float, default=8.0,
-                       help="upper bound of the coupling search (default 8)")
-    p_opt.add_argument("--starts", type=int, default=8,
-                       help="multistart count for the state search (default 8)")
+                       help="largest coupling the optimum may take (default 8)")
     p_opt.set_defaults(func=cmd_optimize)
     return parser
 

@@ -184,26 +184,6 @@ def success_moments(amps: TransitionAmplitudes, g_a: float, g_b: float) -> Succe
     return SuccessMoments(*map(_total, terms))
 
 
-def classical_mixture_moment(
-    weights: BranchWeights,
-    x_weight: str,
-    y_weight: str,
-    g_a: float,
-    g_b: float,
-) -> float:
-    """Tr(X_A X_B rho_cl) for X in {1, x}: every branch factorizes, so the
-    moment is the weight-averaged product of single-meter means."""
-    _validate_couplings(g_a, g_b)
-    _check_weights(x_weight, y_weight)
-    shifts_a, shifts_b = _branch_shifts(g_a, g_b)
-    total = 0.0
-    for p, sa, sb in zip(weights.probabilities, shifts_a, shifts_b):
-        mean_a = 1.0 if x_weight == "1" else sa
-        mean_b = 1.0 if y_weight == "1" else sb
-        total += p * mean_a * mean_b
-    return total
-
-
 @dataclass(frozen=True, eq=False)
 class JointMeterState:
     """Success-branch meter wavefunction F for a given amplitude triple."""

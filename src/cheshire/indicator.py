@@ -94,7 +94,7 @@ def indicator_bound(g_a: float, g_b: float) -> float:
     _validate_couplings(g_a, g_b)
     w_a = gaussian_overlap0(g_a) if math.isfinite(g_a) else 0.0
     w_b = gaussian_overlap0(g_b) if math.isfinite(g_b) else 0.0
-    return _product(g_a, w_a, g_b, w_b) / 4.0
+    return _product(g_a, w_a, g_b, w_b) * MAX_TRACE_TERM
 
 
 def moment_decomposition(
@@ -173,25 +173,6 @@ def local_averages(
     return (x_mean, y_mean, m.norm)
 
 
-def _golden_section_max(fn, lo: float, hi: float, tol: float = 1e-10) -> float:
-    """Maximize a unimodal function on [lo, hi]; returns the argmax."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
-
-
 @dataclass(frozen=True)
 class CouplingOptimum:
     g_a: float
@@ -203,15 +184,18 @@ def optimize_couplings(E, rho, g_max: float = 8.0) -> CouplingOptimum:
     """Arg-max of |C| over the couplings.
 
     C factorizes as [g_A w(g_A)][g_B w(g_B)] Re Tr(.), so each coupling
-    maximizes g exp(-g^2/8) separately; the peak sits at g = 2.
+    maximizes g exp(-g^2/8) separately.  That rises up to g = 2 and falls
+    after it, so the optimum on [0, g_max] is min(2, g_max).
     """
+    if not g_max >= 0.0:
+        raise ValidationError(f"coupling search bound must be >= 0, got {g_max!r}")
     t = trace_term(
         PhotonEffect(np.asarray(_effect_matrix(E))),
         PhotonDensity(np.asarray(_density_matrix(rho))),
     )
     if t.real == 0.0:
         raise FlatObjective("Re Tr(E sigma_R rho Pi_L) = 0; the indicator vanishes identically")
-    g_star = _golden_section_max(lambda g: g * gaussian_overlap0(g), 0.0, g_max)
+    g_star = min(OPTIMAL_COUPLING, g_max)
     c_star = (g_star * gaussian_overlap0(g_star)) ** 2 * t.real
     return CouplingOptimum(g_star, g_star, c_star)
 
@@ -224,46 +208,22 @@ class StateOptimum:
     trace_term: complex
 
 
-def _pair_from_raw(raw: np.ndarray) -> tuple[PhotonKet, PhotonKet]:
-    prep = PhotonKet.normalized(raw[0:4] + 1j * raw[4:8])
-    post = PhotonKet.normalized(raw[8:12] + 1j * raw[12:16])
-    return prep, post
-
-
-def _state_objective(raw: np.ndarray) -> float:
-    prep, post = _pair_from_raw(raw)
-    return trace_term(post, prep).real
-
-
-def optimize_states(g_a: float, g_b: float, n_starts: int = 8, seed: int = 0) -> StateOptimum:
+def optimize_states(g_a: float, g_b: float, seed: int = 0) -> StateOptimum:
     """Maximize C over normalized pure state pairs at fixed couplings.
 
-    Multi-start quasi-Newton search over the raw real parametrization of
-    the pair, normalized inside the objective; deterministic seeds per
-    start, best value wins, ties broken by the earliest start.
+    The trace factor is Re Tr(E sigma_R rho Pi_L) = Re l (r+ - r-)*, with
+    l = <post|Pi_L|prep> and r+- the right-arm amplitude products.  By
+    Cauchy-Schwarz |l| <= |post_L||prep_L| and |r+ - r-| <= |post_R||prep_R|,
+    and |psi_L||psi_R| <= 1/2 for a normalized ket, so the factor is at most
+    1/4.  prep = post = (|L,+> + |R,+>)/sqrt(2) attains it; it is one
+    optimum of a family whose members differ by phases and polarizations,
+    and this function always returns it.  ``seed`` is accepted for
+    backward compatibility and has no effect.
     """
-    # imported here so that `import cheshire` does not load scipy
-    from scipy import optimize as _sciopt
-
     _validate_couplings(g_a, g_b)
     if not (g_a > 0.0 and g_b > 0.0 and math.isfinite(g_a) and math.isfinite(g_b)):
         raise ValidationError("state optimization needs finite positive couplings")
-    best_raw = None
-    best_value = -math.inf
-    for start in range(n_starts):
-        rng = np.random.default_rng([seed, start])
-        raw0 = rng.standard_normal(16)
-        result = _sciopt.minimize(
-            lambda raw: -_state_objective(raw),
-            raw0,
-            method="L-BFGS-B",
-            options={"ftol": 1e-16, "gtol": 1e-12, "maxiter": 1000},
-        )
-        value = -float(result.fun)
-        if value > best_value + 1e-15:
-            best_value = value
-            best_raw = result.x
-    prep, post = _pair_from_raw(best_raw)
+    prep = post = PhotonKet.normalized([1.0, 0.0, 1.0, 0.0])
     t = trace_term(post, prep)
     prefactor = _product(g_a, gaussian_overlap0(g_a), g_b, gaussian_overlap0(g_b))
     return StateOptimum(prep, post, prefactor * t.real, t)

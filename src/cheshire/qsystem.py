@@ -43,20 +43,6 @@ _BRANCH_OF_BASIS = np.array([[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=
 
 
 @dataclass(frozen=True, eq=False)
-class CanonicalOperators:
-    """The arm projectors and the right-arm polarization operator."""
-
-    pi_L: np.ndarray
-    pi_R_plus: np.ndarray
-    pi_R_minus: np.ndarray
-    sigma_R: np.ndarray
-
-
-def canonical_operators() -> CanonicalOperators:
-    return CanonicalOperators(PI_L, PI_R_PLUS, PI_R_MINUS, SIGMA_R)
-
-
-@dataclass(frozen=True, eq=False)
 class PhotonKet:
     """Pure photon state as a complex 4-vector over ``BASIS_LABELS``.
 

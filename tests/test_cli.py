@@ -320,25 +320,63 @@ class TestOptimize:
         assert code == 2
         assert "config" in err
 
+    @pytest.mark.parametrize("search_max,g_star", [("inf", "2"), ("1e308", "2"), ("1", "1")])
+    def test_optimum_is_two_capped_by_search_max(self, capsys, config_path, search_max, g_star):
+        code, out, err = run_cli(capsys, "optimize", "--config", config_path,
+                                 "--search-max", search_max)
+        assert code == 0, err
+        report = key_values(out)
+        assert report["g_a_optimal"] == report["g_b_optimal"] == g_star
+
+    @pytest.mark.parametrize("search_max", ["nan", "-1"])
+    def test_invalid_search_max_exits_two(self, capsys, config_path, search_max):
+        code, out, err = run_cli(capsys, "optimize", "--config", config_path,
+                                 "--search-max", search_max)
+        assert code == 2
+        assert out == ""
+        assert "search bound" in err
+
+
+def _run_python(*argv):
+    """Run the interpreter on this checkout's package, installed or not."""
+    src = os.path.dirname(os.path.dirname(cheshire.__file__))
+    return subprocess.run(
+        [sys.executable, *argv],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+
 
 class TestEntryPoint:
     def test_module_invocation_shows_subcommands(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "cheshire.cli", "--help"],
-            capture_output=True, text=True, timeout=60,
-        )
+        proc = _run_python("-m", "cheshire.cli", "--help")
         assert proc.returncode == 0
         for name in ("analytic", "sweep", "montecarlo", "optimize"):
             assert name in proc.stdout
 
     def test_import_does_not_load_scipy(self):
-        # only optimize_states needs scipy, and it imports it on first use
-        src = os.path.dirname(os.path.dirname(cheshire.__file__))
+        # nothing in the package uses scipy, so importing it loads none
         probe = "import sys, cheshire; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        proc = subprocess.run(
-            [sys.executable, "-c", probe],
-            capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": src},
-        )
+        proc = _run_python("-c", probe)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_every_subcommand_runs_without_scipy(self, config_path):
+        # a None entry in sys.modules makes `import scipy` raise ImportError
+        runs = [
+            ["analytic", "--config", config_path],
+            ["sweep", "--config", config_path, "--steps", "5"],
+            ["montecarlo", "--config", config_path, "--trials", "300"],
+            ["optimize", "--config", config_path],
+            ["optimize", "--g-a", "2", "--g-b", "2"],
+        ]
+        shim = (
+            "import sys; sys.modules['scipy'] = None\n"
+            "from cheshire.cli import main\n"
+            f"for argv in {runs!r}:\n"
+            "    code = main(argv)\n"
+            "    if code != 0:\n"
+            "        sys.exit(f'{argv[0]} exited {code}')\n"
+        )
+        proc = _run_python("-c", shim)
+        assert proc.returncode == 0, proc.stderr

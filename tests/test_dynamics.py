@@ -11,7 +11,6 @@ from cheshire.dynamics import (
     BranchWeights,
     JointMeterState,
     classical_mixture_density,
-    classical_mixture_moment,
     failure_density,
     grid_moments,
     success_moments,
@@ -147,37 +146,11 @@ class TestJointMeterState:
 
 
 class TestClassicalMixture:
-    def test_cross_moment_always_zero(self):
-        w = BranchWeights(0.5, 0.5, math.sqrt(0.5))
-        assert classical_mixture_moment(w, "x", "x", 2.0, 3.0) == 0.0
-
-    def test_left_branch_mean(self):
-        w = BranchWeights(1.0, 0.0, 0.0)
-        assert classical_mixture_moment(w, "x", "1", 2.5, 1.0) == 2.5
-        assert classical_mixture_moment(w, "1", "x", 2.5, 1.0) == 0.0
-
-    def test_right_plus_branch_mean(self):
-        w = BranchWeights(0.0, 1.0, 0.0)
-        assert classical_mixture_moment(w, "1", "x", 2.5, 1.5) == 1.5
-
-    def test_right_minus_branch_mean(self):
-        w = BranchWeights(0.0, 0.0, 1.0)
-        assert classical_mixture_moment(w, "1", "x", 2.5, 1.5) == -1.5
-
-    def test_normalization(self):
-        w = BranchWeights(0.6, 0.0, 0.8)
-        assert classical_mixture_moment(w, "1", "1", 2.0, 2.0) == 1.0
-
     def test_density_integrates_to_one(self):
         w = BranchWeights(0.6, 0.8j, 0.0)
         p = classical_mixture_density(w, 2.0, 2.0, SMALL_GRID, SMALL_GRID)
         dx = SMALL_GRID.spacing
         assert np.isclose(np.trapezoid(np.trapezoid(p, dx=dx), dx=dx), 1.0, atol=1e-10)
-
-    def test_bad_weight_label(self):
-        w = BranchWeights(1.0, 0.0, 0.0)
-        with pytest.raises(ValidationError):
-            classical_mixture_moment(w, "x^2", "1", 1.0, 1.0)
 
 
 class TestFailureDensity:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from cheshire.dynamics import JointMeterState, grid_moments, success_moments, success_probability
 from cheshire.errors import ConsistencyError, FlatObjective, OrthogonalPostselection, ValidationError
 from cheshire.indicator import (
+    MAX_TRACE_TERM,
     CheshireResult,
     cheshire_analytic,
     indicator_bound,
@@ -315,6 +316,16 @@ class TestOptimizeStates:
         prep = PhotonKet([math.cos(math.pi / 4), 0.0, math.sin(math.pi / 4) * inv, -math.sin(math.pi / 4) * inv])
         post = PhotonKet([math.cos(math.pi / 4), 0.0, math.sin(math.pi / 4) * inv, math.sin(math.pi / 4) * inv])
         assert np.isclose(trace_term(post, prep), 0.25, atol=1e-12)
+
+    @given(unit_kets(), unit_kets())
+    def test_no_pair_exceeds_quarter_trace_term(self, prep, post):
+        # Cauchy-Schwarz: |l| |r+ - r-| <= |post_L||prep_L| |post_R||prep_R| <= 1/4
+        assert trace_term(post, prep).real <= MAX_TRACE_TERM + 1e-15
+
+    @pytest.mark.parametrize("g_a,g_b", [(1.3, 0.7), (2.0, 2.0), (3.7, 5.0)])
+    def test_canonical_pair_attains_quarter_trace_term(self, g_a, g_b):
+        t = optimize_states(g_a, g_b).trace_term.real
+        assert MAX_TRACE_TERM - 2e-16 <= t <= MAX_TRACE_TERM
 
     def test_reaches_quarter_trace_term(self):
         opt = optimize_states(2.0, 2.0)

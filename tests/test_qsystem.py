@@ -15,7 +15,6 @@ from cheshire.qsystem import (
     PhotonEffect,
     PhotonKet,
     TransitionAmplitudes,
-    canonical_operators,
     trace_term,
     transition_amplitudes,
     weak_values,
@@ -49,11 +48,6 @@ class TestOperators:
     def test_constants_read_only(self):
         with pytest.raises(ValueError):
             PI_L[0, 0] = 5.0
-
-    def test_canonical_operators_bundle(self):
-        ops = canonical_operators()
-        assert ops.pi_L is PI_L
-        assert ops.sigma_R is SIGMA_R
 
 
 class TestPhotonKet:
