@@ -10,7 +10,9 @@ rejection with every proposal kept as a trial.  With
 e_k = exp(-((x - a_k)^2 + (y - b_k)^2) / 4) that ratio is
 |sum_k c_k e_k|^2 / sum_k p_k e_k^2, at most the realizability budget
 sum_k |c_k|^2 / p_k by Cauchy-Schwarz; a ratio above the budget's cap
-raises `PositivityError` rather than being clipped.
+raises `PositivityError` rather than being clipped.  The ratio is summed
+branch by branch in real arithmetic, (Re f)^2 + (Im f)^2 over the
+denominator with f = sum_k c_k e_k, without complex arrays or a BLAS call.
 
 Optional zero-mean Gaussian readout noise is added to both branches (same
 apparatus either way).  The indicator is estimated as the average of
@@ -21,7 +23,10 @@ Randomness is counter-based: trials are generated in fixed-size batches
 of 2^16, batch b using the Philox stream `Philox(key=seed).jumped(b)`
 with a fixed draw budget per batch.  The trial stream is therefore
 bit-identical for a given seed regardless of how batches are scheduled
-across threads.
+across threads.  Each worker thread of a call draws and evaluates its
+batches in one set of batch-sized buffers (about 7 MB), made on its first
+batch and freed when the call returns; drawing a batch allocates nothing
+larger than a boolean mask.
 
 The estimate is a batch-order merge of per-batch moments: each batch
 reduces its own trials to (count, successes, mean and M2 of tau * x * y),
@@ -38,6 +43,7 @@ import csv
 import functools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -132,8 +138,9 @@ def max_threads() -> int:
     return value
 
 
-def _pick_branches(probabilities: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Branch index for each uniform draw in [0, 1).
+def _pick_branches(probabilities: np.ndarray, u: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Branch index for each uniform draw in [0, 1), written to `out` if given.
 
     The last branch with non-zero weight ends exactly at 1, so weights whose
     squares sum to 1 only within rounding never hand a draw to a zero-weight
@@ -142,7 +149,8 @@ def _pick_branches(probabilities: np.ndarray, u: np.ndarray) -> np.ndarray:
     edges = np.cumsum(probabilities)
     edges[np.flatnonzero(probabilities)[-1]:] = 1.0
     # the number of edges at or below u: searchsorted(edges, u, "right")
-    k = np.zeros(u.shape, dtype=np.intp)
+    k = np.empty(u.shape, dtype=np.intp) if out is None else out
+    k.fill(0)
     for edge in edges:
         k += u >= edge
     return k
@@ -157,8 +165,9 @@ def _batch_kernel(
     seed: int,
     noise: NoiseModel,
 ):
-    """Validate a run of n trials; return _batch(b) -> (tau, x, y), which
-    draws batch b from its own substream."""
+    """Validate a run of n trials; return _batch(b) -> (accepted, x, y), which
+    draws batch b from its own substream into views of the calling thread's
+    buffers, valid until that thread's next batch."""
     if n < 1:
         raise ValidationError("need at least one trial")
     _validate_couplings(g_a, g_b)
@@ -168,30 +177,53 @@ def _batch_kernel(
     shifts_a, shifts_b = (np.array(s) for s in _branch_shifts(g_a, g_b))
     probabilities = np.array(weights.probabilities)
     coeffs = np.array([amps.l, amps.r_plus, amps.r_minus])
+    branches = list(zip(shifts_a, shifts_b, coeffs.real, coeffs.imag, probabilities))
+    size = min(TRIALS_PER_BATCH, n)
+    # one set of buffers per worker thread, freed when the call's last
+    # reference to _batch goes
+    workspace = threading.local()
 
     def _batch(b: int):
         rows = min(TRIALS_PER_BATCH, n - b * TRIALS_PER_BATCH)
+        buffers = getattr(workspace, "buffers", None)
+        if buffers is None:
+            buffers = workspace.buffers = (
+                np.empty((size, 2)), np.empty((size, 4)), np.empty(size, dtype=np.intp),
+                np.empty(size, dtype=bool), np.empty((7, size)),
+            )
+        u, z, k, accept = (buf[:rows] for buf in buffers[:4])
+        bx, by, e, t, re, im, den = buffers[4][:, :rows]
         gen = np.random.Generator(np.random.Philox(key=seed).jumped(b))
-        u = gen.random((rows, 2))
-        z = gen.standard_normal((rows, 4))
-        k = _pick_branches(probabilities, u[:, 0])
-        bx = shifts_a[k] + z[:, 0]
-        by = shifts_b[k] + z[:, 1]
-        # |F|^2 / p_cl: the phi0 normalisation cancels, and the drawn
-        # branch's own factor keeps the denominator positive
-        e = np.exp(-0.25 * ((bx - shifts_a[:, None]) ** 2 + (by - shifts_b[:, None]) ** 2))
-        f = coeffs @ e
-        ratio = (f.real ** 2 + f.imag ** 2) / (probabilities @ (e * e))
+        gen.random(out=u)
+        gen.standard_normal(out=z)
+        _pick_branches(probabilities, u[:, 0], out=k)
+        np.add(np.take(shifts_a, k, out=bx), z[:, 0], out=bx)
+        np.add(np.take(shifts_b, k, out=by), z[:, 1], out=by)
+        # |F|^2 / p_cl = (Re f^2 + Im f^2) / den with f = sum_k c_k e_k and
+        # den = sum_k p_k e_k^2: the phi0 normalisation cancels, and the
+        # drawn branch's own factor keeps den positive
+        re[:] = im[:] = den[:] = 0.0
+        for a_k, b_k, c_re, c_im, p_k in branches:
+            np.square(np.subtract(bx, a_k, out=t), out=t)
+            t += np.square(np.subtract(by, b_k, out=e), out=e)
+            t *= -0.25
+            np.exp(t, out=e)
+            re += np.multiply(e, c_re, out=t)
+            im += np.multiply(e, c_im, out=t)
+            np.square(e, out=e)
+            den += np.multiply(e, p_k, out=e)
+        ratio = np.square(re, out=re)
+        ratio += np.square(im, out=im)
+        ratio /= den
         worst = ratio.max()
         if not worst <= ACCEPTANCE_BOUND:
             raise PositivityError(
                 f"acceptance ratio |F|^2 / p_cl reaches {worst!r} > {ACCEPTANCE_BOUND!r}; "
                 "amplitudes and branch weights are inconsistent"
             )
-        bx += noise.nu_a * z[:, 2]
-        by += noise.nu_b * z[:, 3]
-        tau = np.where(u[:, 1] < ratio, np.int8(1), np.int8(-1))
-        return tau, bx, by
+        bx += np.multiply(z[:, 2], noise.nu_a, out=t)
+        by += np.multiply(z[:, 3], noise.nu_b, out=t)
+        return np.less(u[:, 1], ratio, out=accept), bx, by
 
     return _batch
 
@@ -211,14 +243,17 @@ def _map_batches(fn, n: int, threads: int | None):
         yield from map(fn, range(n_batches))
 
 
-def _moments(tau: np.ndarray, x: np.ndarray, y: np.ndarray):
+def _moments(accepted: np.ndarray, x: np.ndarray, y: np.ndarray):
     """(count, successes, mean, M2) of the products tau * x * y of one batch,
-    M2 being the sum of squared deviations from the batch mean."""
-    products = tau * x * y
+    tau being +1 where `accepted` and -1 elsewhere, M2 the sum of squared
+    deviations from the batch mean."""
+    # negation is exact, so these are the products tau * x * y bit for bit
+    products = np.multiply(x, y)
+    np.negative(products, out=products, where=~accepted)
     mean = products.mean()
     products -= mean
     np.square(products, out=products)
-    return tau.size, int(np.count_nonzero(tau == 1)), float(mean), float(products.sum())
+    return accepted.size, int(np.count_nonzero(accepted)), float(mean), float(products.sum())
 
 
 def _merge(a, b):
@@ -268,7 +303,8 @@ def sample_trials(
 
     def fill(b: int) -> None:
         sl = slice(b * TRIALS_PER_BATCH, (b + 1) * TRIALS_PER_BATCH)
-        tau[sl], x[sl], y[sl] = batch(b)
+        accepted, x[sl], y[sl] = batch(b)
+        tau[sl] = np.where(accepted, np.int8(1), np.int8(-1))
 
     for _ in _map_batches(fill, n, threads):
         pass
@@ -302,7 +338,7 @@ def estimate_cheshire(trials: Trials) -> EstimatorOutput:
     """
     def batch_moments(start: int):
         sl = slice(start, start + TRIALS_PER_BATCH)
-        return _moments(trials.tau[sl], trials.x[sl], trials.y[sl])
+        return _moments(trials.tau[sl] == 1, trials.x[sl], trials.y[sl])
 
     n = len(trials)
     return _estimate(n, map(batch_moments, range(0, n, TRIALS_PER_BATCH)))

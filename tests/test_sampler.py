@@ -6,8 +6,12 @@ seed, so the false-failure rate is ~4e-9 per check.
 """
 
 import csv
+import hashlib
 import math
+import sys
+import threading
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -40,6 +44,9 @@ from conftest import unit_kets
 EXAMPLE_AMPS = TransitionAmplitudes(1 / 3, 1 / 3, -1 / 3)
 EXAMPLE_WEIGHTS = BranchWeights(math.sqrt(1 / 3), math.sqrt(1 / 3), math.sqrt(1 / 3))
 C_EXAMPLE_G2 = 2.0 * success_moments(EXAMPLE_AMPS, 2.0, 2.0).xy
+# the state of test_zero_weight_branch_never_drawn
+ZERO_WEIGHT_AMPS = TransitionAmplitudes(0.1, 0.2, 0.0)
+ZERO_WEIGHT_WEIGHTS = BranchWeights(math.sqrt(0.1), math.sqrt(0.9), 0.0)
 
 
 def example_trials(n, seed, noise=NO_NOISE, threads=None):
@@ -56,7 +63,37 @@ def retry_once(check, seeds=(42, 43)):
     assert check(seeds[1]), f"statistical check failed for both seeds {seeds}"
 
 
+ROUTES = pytest.mark.parametrize("route", [sample_trials, sample_estimate],
+                                 ids=["sample_trials", "sample_estimate"])
+
+
+def stream_digest(trials):
+    """sha256 over the bytes of tau, x and y, in that order."""
+    digest = hashlib.sha256()
+    for column in (trials.tau, trials.x, trials.y):
+        digest.update(column.tobytes())
+    return digest.hexdigest()
+
+
+MULTI_BATCH_DIGEST = "9a94b32639d72f977d4131e460f6e5443b5f11d6cb1371cb4d23cb22f467cbea"
+
+
 class TestDeterminism:
+    # digests of the stream as first recorded; a change to any of them is a
+    # change of the trial stream and must be announced as one
+    @pytest.mark.parametrize("make, expected", [
+        (lambda: example_trials(100, seed=7),
+         "384bcf75419041220dd7d03b68cdad4611532d37f3e17e69db9acb83ddad8033"),
+        (lambda: example_trials(3 * TRIALS_PER_BATCH - 7, seed=3, threads=1), MULTI_BATCH_DIGEST),
+        (lambda: example_trials(3 * TRIALS_PER_BATCH - 7, seed=3, threads=2), MULTI_BATCH_DIGEST),
+        (lambda: example_trials(TRIALS_PER_BATCH + 1, seed=5, noise=NoiseModel(0.5, 2.0)),
+         "3c0c8e0a61665022145a907328246f5648235c72933647e64c7088b86ff34b5c"),
+        (lambda: sample_trials(ZERO_WEIGHT_AMPS, ZERO_WEIGHT_WEIGHTS, 2.0, 2.0, n=1000, seed=0),
+         "7163914c05160b1d2eac3ea98cb074f02b1f5097674cea21b6afc64da0b5a362"),
+    ], ids=["n100", "multi-batch-threads1", "multi-batch-threads2", "noise", "zero-weight"])
+    def test_stream_matches_recorded_digest(self, make, expected):
+        assert stream_digest(make()) == expected
+
     def test_same_seed_bit_identical(self):
         a = example_trials(1000, seed=7)
         b = example_trials(1000, seed=7)
@@ -239,6 +276,79 @@ class TestStreamedEstimate:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
 
+    # each worker's buffers: two uniforms, four normals, a branch index and
+    # seven reals per trial (8 bytes each) plus a one-byte acceptance flag
+    WORKSPACE_BYTES = TRIALS_PER_BATCH * (8 * (2 + 4 + 1 + 7) + 1)
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_heap_bounded_by_workspaces_and_freed_after_call(self, threads):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sample_estimate(EXAMPLE_AMPS, EXAMPLE_WEIGHTS, 2.0, 2.0, n=1 << 20, seed=0,
+                            threads=threads)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < threads * self.WORKSPACE_BYTES + 4 * 2 ** 20
+        assert abs(after - before) < 2 ** 20
+
+
+class TestWorkspace:
+    """Each call owns its buffers, one set per worker thread."""
+
+    ARGS = (EXAMPLE_AMPS, EXAMPLE_WEIGHTS, 2.0, 1.5)
+
+    @staticmethod
+    def same_result(a, b):
+        if isinstance(a, Trials):
+            return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("tau", "x", "y"))
+        return a == b
+
+    @ROUTES
+    def test_concurrent_calls_equal_sequential_calls(self, route):
+        draws = [dict(n=3 * TRIALS_PER_BATCH - 7, seed=seed, noise=NoiseModel(0.5, 2.0),
+                      threads=2) for seed in (21, 22)]
+        expected = [route(*self.ARGS, **d) for d in draws]
+        results = [None, None]
+
+        def run(i):
+            results[i] = route(*self.ARGS, **draws[i])
+
+        # two callers with two workers each on fewer cores, switching often
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert all(self.same_result(r, e) for r, e in zip(results, expected))
+
+    @ROUTES
+    def test_short_batch_after_full_batches_matches_fresh_run(self, route):
+        draws = dict(n=TRIALS_PER_BATCH + 5, seed=4, threads=1)
+        fresh = []
+        caller = threading.Thread(target=lambda: fresh.append(route(*self.ARGS, **draws)))
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive() and len(fresh) == 1
+        route(*self.ARGS, n=2 * TRIALS_PER_BATCH, seed=9, threads=1)
+        assert self.same_result(route(*self.ARGS, **draws), fresh[0])
+
+    @ROUTES
+    def test_call_after_positivity_error_matches_fresh_run(self, route, monkeypatch):
+        draws = dict(n=2 * TRIALS_PER_BATCH + 3, seed=8, threads=2)
+        fresh = route(*self.ARGS, **draws)
+        monkeypatch.setattr(sampler, "_check_realizable", lambda amps, weights: None)
+        with pytest.raises(PositivityError):
+            route(TransitionAmplitudes(1.0, 0.0, 0.0), EXAMPLE_WEIGHTS, 2.0, 1.5, **draws)
+        assert self.same_result(route(*self.ARGS, **draws), fresh)
+
 
 class TestTrialVariance:
     def test_matches_sampled_variance(self):
@@ -366,11 +476,23 @@ class TestAcceptanceBound:
         trials = sample_trials(amps, EXAMPLE_WEIGHTS, 8.0, 8.0, n=TRIALS_PER_BATCH, seed=0)
         assert len(trials) == TRIALS_PER_BATCH
 
-    def test_over_budget_ratio_raises(self, monkeypatch):
+    @pytest.mark.parametrize("threads", [1, 2])
+    @ROUTES
+    def test_over_budget_ratio_raises(self, route, threads, monkeypatch):
         monkeypatch.setattr(sampler, "_check_realizable", lambda amps, weights: None)
         amps = TransitionAmplitudes(1.0, 0.0, 0.0)
         with pytest.raises(PositivityError):
-            sample_trials(amps, EXAMPLE_WEIGHTS, 2.0, 2.0, n=1000, seed=0)
+            route(amps, EXAMPLE_WEIGHTS, 2.0, 2.0, n=1000, seed=0, threads=threads)
+
+    @ROUTES
+    def test_nan_ratio_raises(self, route, monkeypatch):
+        # at zero coupling every branch factor is equal, so weights (1, -1, 0)
+        # cancel to den = 0 and zero amplitudes give the ratio 0 / 0
+        monkeypatch.setattr(sampler, "_check_realizable", lambda amps, weights: None)
+        weights = SimpleNamespace(probabilities=(1.0, -1.0, 0.0))
+        amps = TransitionAmplitudes(0.0, 0.0, 0.0)
+        with np.errstate(invalid="ignore"), pytest.raises(PositivityError, match="nan"):
+            route(amps, weights, 0.0, 0.0, n=1000, seed=0, threads=1)
 
 
 def csv_writer_reference(trials, path):
