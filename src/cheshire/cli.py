@@ -17,7 +17,6 @@ import sys
 import numpy as np
 
 from .config import ExperimentConfig, dump_config, load_config
-from .dynamics import JointMeterState
 from .entanglement import meter_negativity
 from .errors import (
     ConsistencyError,
@@ -34,7 +33,7 @@ from .indicator import (
     optimize_states,
 )
 from .meter import Grid, GridMeter, format_complex
-from .qsystem import weak_values
+from .qsystem import WeakValues, weak_values
 from .sampler import (
     NoiseModel,
     estimate_cheshire,
@@ -45,8 +44,6 @@ from .sampler import (
 
 SWEEP_COLUMNS = ("g_a", "g_b", "c_analytic", "c_grid", "p_success", "negativity")
 ORACLE_AGREEMENT_TOL = 1e-6
-
-_NAN_COMPLEX = complex(math.nan, math.nan)
 
 
 def _fmt(value: float) -> str:
@@ -88,44 +85,35 @@ def _handle_dump(args, config: ExperimentConfig) -> bool:
 def analytic_report(config: ExperimentConfig) -> list[tuple[str, str]]:
     """Key/value pairs of every exact quantity for one configuration.
 
-    Quantities that are undefined for the configuration (weak values for
-    an orthogonal pair, pure-state diagnostics for an effect) are nan.
+    Quantities that are undefined for an orthogonal postselection (weak
+    values, local averages, negativity) are nan.
     """
-    postselection = config.post if config.is_pure else config.post_effect
-    result = cheshire_analytic(postselection, config.prep, config.g_a, config.g_b)
-    pairs = [
+    result = cheshire_analytic(config.postselection, config.prep, config.g_a, config.g_b)
+    k, g_a, g_b = config.coherence(), config.g_a, config.g_b
+    nan = complex(math.nan, math.nan)
+    values = _or_undefined(lambda: weak_values(k), WeakValues(nan, nan))
+    x_mean, y_mean, _ = _or_undefined(lambda: local_averages(k, g_a, g_b), (math.nan,) * 3)
+    neg = _or_undefined(lambda: meter_negativity(k, g_a, g_b).negativity, math.nan)
+    return [
         ("c_analytic", _fmt(result.c_value)),
         ("p_success", _fmt(result.p_success)),
         ("trace_term", format_complex(result.trace_term)),
-    ]
-
-    presence = polarization = _NAN_COMPLEX
-    x_mean = y_mean = neg = math.nan
-    if config.is_pure:
-        amps = config.amplitudes()
-        try:
-            values = weak_values(amps)
-            presence, polarization = values.L_w, values.Sigma_w
-        except OrthogonalPostselection:
-            pass
-        try:
-            x_mean, y_mean, _ = local_averages(amps, config.g_a, config.g_b)
-        except OrthogonalPostselection:
-            pass
-        try:
-            neg = meter_negativity(amps, config.g_a, config.g_b).negativity
-        except OrthogonalPostselection:
-            pass
-    pairs.extend([
-        ("weak_value_presence", format_complex(presence)),
-        ("weak_value_polarization", format_complex(polarization)),
+        ("weak_value_presence", format_complex(values.L_w)),
+        ("weak_value_polarization", format_complex(values.Sigma_w)),
         ("x_mean", _fmt(x_mean)),
         ("y_mean", _fmt(y_mean)),
         ("negativity", _fmt(neg)),
-        ("g_a", _fmt(config.g_a)),
-        ("g_b", _fmt(config.g_b)),
-    ])
-    return pairs
+        ("g_a", _fmt(g_a)),
+        ("g_b", _fmt(g_b)),
+    ]
+
+
+def _or_undefined(compute, undefined):
+    """compute(), or ``undefined`` for an orthogonal postselection."""
+    try:
+        return compute()
+    except OrthogonalPostselection:
+        return undefined
 
 
 def cmd_analytic(args) -> int:
@@ -144,22 +132,19 @@ def sweep_rows(config: ExperimentConfig, g_min: float, g_max: float, steps: int)
         raise ValidationError("steps: a sweep needs at least 2 points")
     if not (0.0 <= g_min < g_max and math.isfinite(g_max)):
         raise ValidationError("g-range: need 0 <= g-min < g-max < infinity")
-    if not config.is_pure:
-        raise ValidationError("post: the sweep's grid oracle needs a pure postselection state")
-    amps = config.amplitudes()
+    coherence = config.coherence()
     meter = GridMeter.gaussian(config.grid)
     g_values = np.linspace(g_min, g_max, steps)
 
     def row(g: float):
-        exact = cheshire_analytic(config.post, config.prep, g, g)
-        state = JointMeterState(amps, meter, meter, g, g)
-        c_grid = 2.0 * moment_decomposition(state, "x", "x").total
+        exact = cheshire_analytic(config.postselection, config.prep, g, g)
+        c_grid = 2.0 * moment_decomposition((coherence, meter, meter, g, g), "x", "x").total
         if abs(exact.c_value - c_grid) > ORACLE_AGREEMENT_TOL:
             raise ConsistencyError(
                 f"analytic and grid indicators disagree at g={g}: "
                 f"{exact.c_value!r} vs {c_grid!r}"
             )
-        neg = meter_negativity(amps, g, g).negativity
+        neg = meter_negativity(coherence, g, g).negativity
         return (float(g), float(g), exact.c_value, c_grid, exact.p_success, neg)
 
     return [row(g) for g in g_values]
@@ -197,9 +182,7 @@ def cmd_montecarlo(args) -> int:
         return 0
     if config.n_trials < 100:
         raise ValidationError("n_trials: the Monte Carlo run needs at least 100 trials")
-    if not config.is_pure:
-        raise ValidationError("post: Monte Carlo sampling needs a pure postselection state")
-    run = (config.amplitudes(), config.weights(), config.g_a, config.g_b)
+    run = (config.coherence(), config.weights(), config.g_a, config.g_b)
     draws = dict(n=config.n_trials, seed=config.seed,
                  noise=NoiseModel(config.noise_a, config.noise_b))
     if args.dump_trials:
@@ -209,7 +192,7 @@ def cmd_montecarlo(args) -> int:
     else:
         # the same estimate, bit for bit, without storing the trials
         estimate = sample_estimate(*run, **draws)
-    exact = cheshire_analytic(config.post, config.prep, config.g_a, config.g_b)
+    exact = cheshire_analytic(config.postselection, config.prep, config.g_a, config.g_b)
     if estimate.std_error > 0.0:
         z = (estimate.c_hat - exact.c_value) / estimate.std_error
     else:
@@ -232,8 +215,7 @@ def cmd_optimize(args) -> int:
         config = _effective_config(args)
         if _handle_dump(args, config):
             return 0
-        postselection = config.post if config.is_pure else config.post_effect
-        optimum = optimize_couplings(postselection, config.prep, g_max=args.search_max)
+        optimum = optimize_couplings(config.postselection, config.prep, g_max=args.search_max)
         lines = [
             f"g_a_optimal={_fmt(optimum.g_a)}",
             f"g_b_optimal={_fmt(optimum.g_b)}",

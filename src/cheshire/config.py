@@ -22,6 +22,7 @@ from .qsystem import (
     PhotonEffect,
     PhotonKet,
     TransitionAmplitudes,
+    branch_coherence,
     transition_amplitudes,
 )
 
@@ -85,6 +86,15 @@ class ExperimentConfig:
     @property
     def is_pure(self) -> bool:
         return self.post is not None
+
+    @property
+    def postselection(self) -> PhotonKet | PhotonEffect:
+        """The postselection as configured: the pure state or the effect."""
+        return self.post if self.post is not None else self.post_effect
+
+    def coherence(self) -> np.ndarray:
+        """Branch coherence K_jk = Tr(E P_k rho P_j), the input of every route."""
+        return branch_coherence(self.postselection, self.prep)
 
     def amplitudes(self) -> TransitionAmplitudes:
         """Transition amplitudes; defined only for a pure postselection."""

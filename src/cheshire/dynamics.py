@@ -32,7 +32,7 @@ from .meter import (
     gaussian_ground_state,
     pointer_matrices,
 )
-from .qsystem import PhotonKet, TransitionAmplitudes
+from .qsystem import PhotonKet, TransitionAmplitudes, _coherence
 
 PROBABILITY_TOL = 1e-10
 POSITIVITY_TOL = 1e-10
@@ -71,28 +71,25 @@ class BranchWeights:
         return (abs(self.a) ** 2, abs(self.b) ** 2, abs(self.c) ** 2)
 
 
-def _check_realizable(amps: TransitionAmplitudes, weights: BranchWeights) -> None:
-    """Amplitudes must come from some normalized postselection over the
-    preparation the weights describe: sum over branches of |amp/weight|^2
-    cannot exceed 1."""
-    budget = 0.0
-    for amp, weight in (
-        (amps.l, weights.a),
-        (amps.r_plus, weights.b),
-        (amps.r_minus, weights.c),
-    ):
-        w = abs(weight)
-        if w < 1e-15:
-            if abs(amp) > 1e-12:
-                raise ValidationError(
-                    "transition amplitude is non-zero on a branch with zero preparation weight"
-                )
-            continue
-        budget += (abs(amp) / w) ** 2
-    if budget > 1.0 + REALIZABILITY_TOL:
+def _check_realizable(coherence, weights: BranchWeights) -> None:
+    """K must come from some effect 0 <= E <= 1 over the preparation the
+    weights p describe, so 0 <= K <= diag(p): a zero-weight branch has a
+    vanishing diagonal entry, and D^(-1/2) K D^(-1/2), D = diag(p), over the
+    other branches has eigenvalues in [0, 1] (for pure K the largest is the
+    budget sum_k |c_k|^2 / p_k)."""
+    k = _coherence(coherence)
+    p = np.array(weights.probabilities)
+    live = p >= 1e-30
+    if np.any(np.abs(np.diag(k)[~live]) > 1e-24):
         raise ValidationError(
-            f"amplitudes need postselection norm^2 = {budget!r} > 1; "
-            "inconsistent with the given branch weights"
+            "branch coherence is non-zero on a branch with zero preparation weight"
+        )
+    scale = 1.0 / np.sqrt(p[live])
+    eigenvalues = np.linalg.eigvalsh(k[np.ix_(live, live)] * np.outer(scale, scale))
+    if not (eigenvalues[0] >= -REALIZABILITY_TOL and eigenvalues[-1] <= 1.0 + REALIZABILITY_TOL):
+        raise ValidationError(
+            f"diag(p)^(-1/2) K diag(p)^(-1/2) has eigenvalues {eigenvalues!r} outside [0, 1]; "
+            "the branch coherence is inconsistent with the given branch weights"
         )
 
 
@@ -130,10 +127,10 @@ class SuccessMoments:
     xy: float
 
 
-def success_probability(amps: TransitionAmplitudes, g_a: float, g_b: float) -> float:
-    """P = |l|^2 + |r+|^2 + |r-|^2 + 2 w_A w_B Re[l*(r+ + r-)]
-    + 2 exp(-g_B^2/2) Re[r+* r-], built from pairwise Gaussian overlaps."""
-    p = success_moments(amps, g_a, g_b).norm
+def success_probability(coherence, g_a: float, g_b: float) -> float:
+    """P = sum_jk Re(K_jk <M_j|M_k>) over the branch pairs; for pure states
+    |l|^2 + |r+|^2 + |r-|^2 + 2 w_A w_B Re[l*(r+ + r-)] + 2 exp(-g_B^2/2) Re[r+* r-]."""
+    p = success_moments(coherence, g_a, g_b).norm
     if not (-PROBABILITY_TOL <= p <= 1.0 + PROBABILITY_TOL):
         raise ConsistencyError(f"success probability {p!r} outside [0, 1]")
     return min(max(p, 0.0), 1.0)
@@ -173,14 +170,14 @@ def _total(terms: np.ndarray) -> float:
     return float(sum(terms.ravel().tolist()))
 
 
-def success_moments(amps: TransitionAmplitudes, g_a: float, g_b: float) -> SuccessMoments:
-    """Closed-form branch-pair sums for P and the first success moments."""
+def success_moments(coherence, g_a: float, g_b: float) -> SuccessMoments:
+    """Closed-form branch-pair sums over K for P and the first success moments."""
     _validate_couplings(g_a, g_b)
     shifts_a, shifts_b = _branch_shifts(g_a, g_b)
     a1, ax = pointer_matrices(shifts_a)
     b1, bx = pointer_matrices(shifts_b)
     # weight pairs (1, 1), (x, 1), (1, x), (x, x) stacked into one kernel call
-    terms = branch_terms(amps.coherence(), np.stack([a1, ax, a1, ax]), np.stack([b1, b1, bx, bx]))
+    terms = branch_terms(_coherence(coherence), np.stack([a1, ax, a1, ax]), np.stack([b1, b1, bx, bx]))
     return SuccessMoments(*map(_total, terms))
 
 

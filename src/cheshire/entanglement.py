@@ -3,13 +3,12 @@
 The success branch lives in the span of two A-meter states and three
 B-meter states, so meter-meter entanglement is a qubit-qutrit question.
 Orthonormalizing each span with the known Gaussian overlaps embeds
-|F>/sqrt(norm) into at most C^2 (x) C^3, where the partial-transpose
-criterion is exact: negativity > 0 if and only if the state is entangled.
+sum_jk K_kj |a_j b_j><a_k b_k| / P into at most C^2 (x) C^3, where the
+partial-transpose criterion is exact: negativity > 0 iff it is entangled.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,7 @@ import numpy as np
 from .dynamics import _validate_couplings
 from .errors import OrthogonalPostselection, ValidationError
 from .meter import pointer_matrices
-from .qsystem import TransitionAmplitudes
+from .qsystem import _coherence
 
 RANK_TOL = 1e-12
 NORM_EPS = 1e-12
@@ -55,36 +54,42 @@ class EmbeddedMeterState:
     """Success-branch meter state in orthonormal product coordinates.
 
     ``basis_a`` (2 x dim_a) and ``basis_b`` (3 x dim_b) give the meter
-    states' coordinates; ``amplitudes`` (dim_a x dim_b) is the normalized
-    state tensor; ``branch_norm_sq`` is the squared norm of the raw branch,
-    which equals the postselection success probability for physical inputs.
+    states' coordinates; ``rho`` is the normalized density matrix; and
+    ``branch_norm_sq`` is the trace of the raw branch, which equals the
+    postselection success probability for physical inputs.
     """
 
     basis_a: np.ndarray
     basis_b: np.ndarray
-    amplitudes: np.ndarray
+    rho: np.ndarray
     branch_norm_sq: float
 
     @property
     def dim_a(self) -> int:
-        return self.amplitudes.shape[0]
+        return self.basis_a.shape[1]
 
     @property
     def dim_b(self) -> int:
-        return self.amplitudes.shape[1]
+        return self.basis_b.shape[1]
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """Pure components w_r, rho = sum_r w_r w_r^dagger, as (dim_a, dim_b, rank)."""
+        lam, vectors = np.linalg.eigh(self.rho)
+        keep = lam > RANK_TOL
+        return (vectors[:, keep] * np.sqrt(lam[keep])).reshape(self.dim_a, self.dim_b, -1)
 
     def density(self) -> np.ndarray:
-        """Rank-1 density matrix on the dim_a * dim_b product space."""
-        vec = self.amplitudes.ravel()
-        return np.outer(vec, vec.conj())
+        """Density matrix on the dim_a * dim_b product space."""
+        return self.rho
 
 
-def embed(amps: TransitionAmplitudes, g_a: float, g_b: float) -> EmbeddedMeterState:
+def embed(coherence, g_a: float, g_b: float) -> EmbeddedMeterState:
     """Express the success branch in orthonormal qubit (x) qutrit coordinates.
 
-    Accepts any amplitude triple, so limiting configurations (for example
-    Bell-like triples unreachable from normalized photon states) can be
-    embedded directly.
+    Takes the branch coherence K (or amplitudes) and accepts any K, so
+    limiting configurations (for example Bell-like triples unreachable from
+    normalized photon states) can be embedded directly.
     """
     _validate_couplings(g_a, g_b)
     # Gram matrices of the distinct meter states: A unshifted and shifted,
@@ -92,18 +97,16 @@ def embed(amps: TransitionAmplitudes, g_a: float, g_b: float) -> EmbeddedMeterSt
     basis_a = gram_orthonormalize(pointer_matrices((0.0, g_a))[0])
     basis_b = gram_orthonormalize(pointer_matrices((0.0, g_b, -g_b))[0])
 
-    # branches pair (coefficient, A-state index, B-state index)
-    branches = ((amps.l, 1, 0), (amps.r_plus, 0, 1), (amps.r_minus, 0, 2))
-    tensor = np.zeros((basis_a.shape[1], basis_b.shape[1]), dtype=complex)
-    for coeff, ia, ib in branches:
-        tensor += complex(coeff) * np.outer(basis_a[ia], basis_b[ib])
+    # branch product states v_k in branch order (L, R+, R-): L shifts meter A
+    v = np.einsum("ka,kb->kab", basis_a[[1, 0, 0]], basis_b).reshape(3, -1)
+    rho = v.T @ _coherence(coherence).T @ v.conj()
 
-    norm_sq = float(np.sum(np.abs(tensor) ** 2))
+    norm_sq = float(np.trace(rho).real)
     if norm_sq <= NORM_EPS:
         raise OrthogonalPostselection(
             f"success branch has squared norm {norm_sq!r}; nothing to embed"
         )
-    return EmbeddedMeterState(basis_a, basis_b, tensor / math.sqrt(norm_sq), norm_sq)
+    return EmbeddedMeterState(basis_a, basis_b, rho / norm_sq, norm_sq)
 
 
 @dataclass(frozen=True)
@@ -141,6 +144,6 @@ def negativity(state: EmbeddedMeterState) -> NegativityReport:
     return NegativityReport(neg, float(eigenvalues[0]), da, db, conclusive)
 
 
-def meter_negativity(amps: TransitionAmplitudes, g_a: float, g_b: float) -> NegativityReport:
-    """Embed and score in one step."""
-    return negativity(embed(amps, g_a, g_b))
+def meter_negativity(coherence, g_a: float, g_b: float) -> NegativityReport:
+    """Embed the branch coherence K (or amplitudes) and score it in one step."""
+    return negativity(embed(coherence, g_a, g_b))

@@ -37,7 +37,8 @@ from .qsystem import (
     PhotonDensity,
     PhotonEffect,
     PhotonKet,
-    TransitionAmplitudes,
+    _coherence,
+    _operator_matrix,
     branch_coherence,
     trace_term,
 )
@@ -98,70 +99,61 @@ def indicator_bound(g_a: float, g_b: float) -> float:
 
 
 def moment_decomposition(
-    state: JointMeterState, x_weight: str = "x", y_weight: str = "x"
+    state, x_weight: str = "x", y_weight: str = "x"
 ) -> MomentDecomposition:
     """Classical / entanglement / local-interference split of the moment.
 
-    The branch-pair terms come from each meter's pointer matrix, so this
-    works for both analytic and grid meters: diagonal pairs are classical,
-    left-right pairs entangling, and the right-right pair local to meter B.
+    ``state`` is a `JointMeterState`, or its fields as a tuple with the
+    branch coherence K in place of ``amps``.  The branch-pair terms come
+    from each meter's pointer matrix, so this works for both analytic and
+    grid meters: diagonal pairs are classical, left-right pairs entangling,
+    and the right-right pair local to meter B.
     """
     _check_weights(x_weight, y_weight)
-    shifts_a, shifts_b = _branch_shifts(state.g_a, state.g_b)
-    a = pointer_matrices(shifts_a, state.meter_a)[("1", "x").index(x_weight)]
-    b = pointer_matrices(shifts_b, state.meter_b)[("1", "x").index(y_weight)]
-    terms = branch_terms(state.amps.coherence(), a, b)
+    if isinstance(state, JointMeterState):
+        state = (state.amps, state.meter_a, state.meter_b, state.g_a, state.g_b)
+    coherence, meter_a, meter_b, g_a, g_b = state
+    shifts_a, shifts_b = _branch_shifts(g_a, g_b)
+    a = pointer_matrices(shifts_a, meter_a)[("1", "x").index(x_weight)]
+    b = pointer_matrices(shifts_b, meter_b)[("1", "x").index(y_weight)]
+    terms = branch_terms(_coherence(coherence), a, b)
     m_cl = _total(np.diag(terms))
     m_ent = _total(terms[0, 1:]) + _total(terms[1:, 0])
     m_li = float(terms[1, 2] + terms[2, 1])
     return MomentDecomposition(m_cl, m_ent, m_li)
 
 
-def _effect_matrix(E) -> np.ndarray:
-    if isinstance(E, PhotonKet):
-        return E.effect().matrix
-    if isinstance(E, PhotonEffect):
-        return E.matrix
-    raise ValidationError(f"postselection must be a PhotonKet or PhotonEffect, got {type(E).__name__}")
-
-
-def _density_matrix(rho) -> np.ndarray:
-    if isinstance(rho, PhotonKet):
-        return rho.density().matrix
-    if isinstance(rho, PhotonDensity):
-        return rho.matrix
-    raise ValidationError(f"preparation must be a PhotonKet or PhotonDensity, got {type(rho).__name__}")
-
-
 def cheshire_analytic(E, rho, g_a: float, g_b: float) -> CheshireResult:
     """Exact Gaussian-meter indicator for (possibly mixed) E and rho.
 
-    P = sum_jk Re(Tr[E P_k rho P_j] <M_j|M_k>) over the branch pairs; at
-    infinite coupling the off-diagonal meter overlaps vanish.
+    Everything follows from the branch coherence K_jk = Tr(E P_k rho P_j):
+    the trace factor is K[L, R+] - K[L, R-], and P = sum_jk Re(K_jk
+    <M_j|M_k>) over the branch pairs; at infinite coupling the off-diagonal
+    meter overlaps vanish.
     """
     _validate_couplings(g_a, g_b)
-    effect = PhotonEffect(np.asarray(_effect_matrix(E)))
-    density = PhotonDensity(np.asarray(_density_matrix(rho)))
-    t = trace_term(effect, density)
+    k = branch_coherence(PhotonEffect(_operator_matrix(E)), PhotonDensity(_operator_matrix(rho)))
+    t = complex(k[0, 1] - k[0, 2])
     w_a = gaussian_overlap0(g_a) if math.isfinite(g_a) else 0.0
     w_b = gaussian_overlap0(g_b) if math.isfinite(g_b) else 0.0
     c = _product(g_a, w_a, g_b, w_b) * t.real
     shifts_a, shifts_b = _branch_shifts(g_a, g_b)
     overlaps = (pointer_matrices(shifts_a)[0], pointer_matrices(shifts_b)[0])
-    p = _total(branch_terms(branch_coherence(effect, density), *overlaps))
+    p = _total(branch_terms(k, *overlaps))
     return CheshireResult(c, p, g_a, g_b, t)
 
 
 def local_averages(
-    amps: TransitionAmplitudes, g_a: float, g_b: float, eps: float = POSTSELECTION_EPS
+    coherence, g_a: float, g_b: float, eps: float = POSTSELECTION_EPS
 ) -> tuple[float, float, float]:
-    """Postselected single-pointer means (<x>, <y>, P).
+    """Postselected single-pointer means (<x>, <y>, P) from the branch
+    coherence K or a pure amplitude triple.
 
     In the weak limit <x>/g_A -> Re L_w and <y>/g_B -> Re Sigma_w.  At
     infinite coupling a mean is +-inf when the success branch runs off to
     one side only; running off to both sides leaves it undefined.
     """
-    m = success_moments(amps, g_a, g_b)
+    m = success_moments(coherence, g_a, g_b)
     if m.norm <= eps:
         raise OrthogonalPostselection(
             f"success probability {m.norm!r} <= {eps!r}; pointer averages are undefined"
@@ -189,10 +181,7 @@ def optimize_couplings(E, rho, g_max: float = 8.0) -> CouplingOptimum:
     """
     if not g_max >= 0.0:
         raise ValidationError(f"coupling search bound must be >= 0, got {g_max!r}")
-    t = trace_term(
-        PhotonEffect(np.asarray(_effect_matrix(E))),
-        PhotonDensity(np.asarray(_density_matrix(rho))),
-    )
+    t = cheshire_analytic(E, rho, 0.0, 0.0).trace_term  # the same at every coupling
     if t.real == 0.0:
         raise FlatObjective("Re Tr(E sigma_R rho Pi_L) = 0; the indicator vanishes identically")
     g_star = min(OPTIMAL_COUPLING, g_max)

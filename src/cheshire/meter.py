@@ -76,6 +76,8 @@ class Grid:
     n_points: int = 4001
 
     def __post_init__(self):
+        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
+            raise ValidationError("grid bounds must be finite")
         if not (self.x_max > self.x_min):
             raise ValidationError("grid needs x_max > x_min")
         if self.n_points < 2:

@@ -188,14 +188,17 @@ def transition_amplitudes(prep: PhotonKet, post: PhotonKet) -> TransitionAmplitu
     return TransitionAmplitudes(l, r_plus, r_minus)
 
 
-def weak_values(amps: TransitionAmplitudes, eps: float = WEAK_VALUE_EPS) -> WeakValues:
-    """Postselection-normalized ratios L_w = l/(l+r+ +r-), Sigma_w = (r+ -r-)/(l+r+ +r-)."""
-    denom = amps.total
+def weak_values(coherence, eps: float = WEAK_VALUE_EPS) -> WeakValues:
+    """Weak values Tr(E A rho) / Tr(E rho) of A = Pi_L and sigma_R from the
+    branch coherence K (or amplitudes): branch k has sum_j K_jk / sum_jk K_jk,
+    l / (l + r+ + r-) if pure.  Undefined when Tr(E rho) <= ``eps``."""
+    branch = _coherence(coherence).sum(axis=0)
+    denom = complex(branch.sum())
     if abs(denom) <= eps:
         raise OrthogonalPostselection(
-            f"|l + r+ + r-| = {abs(denom):.3e} <= {eps:.1e}; weak values are undefined"
+            f"Tr(E rho) = {abs(denom):.3e} <= {eps:.1e}; weak values are undefined"
         )
-    return WeakValues(amps.l / denom, amps.polarization_difference / denom)
+    return WeakValues(complex(branch[0] / denom), complex((branch[1] - branch[2]) / denom))
 
 
 def _operator_matrix(op) -> np.ndarray:
@@ -209,14 +212,13 @@ def _operator_matrix(op) -> np.ndarray:
 
 
 def trace_term(E, rho) -> complex:
-    """Tr(E sigma_R rho Pi_L), the state-dependent factor of the indicator.
+    """Tr(E sigma_R rho Pi_L) = K[L, R+] - K[L, R-], the indicator's state factor.
 
     Accepts kets (lifted to rank-1 operators), densities, or effects.  For
     pure E = |post><post| and rho = |prep><prep| this equals (r+ - r-) l*.
     """
-    e = _operator_matrix(E)
-    r = _operator_matrix(rho)
-    return complex(np.trace(e @ SIGMA_R @ r @ PI_L))
+    k = branch_coherence(E, rho)
+    return complex(k[0, 1] - k[0, 2])
 
 
 def branch_coherence(E, rho) -> np.ndarray:
@@ -227,3 +229,13 @@ def branch_coherence(E, rho) -> np.ndarray:
     e = _operator_matrix(E)
     r = _operator_matrix(rho)
     return _BRANCH_OF_BASIS.T @ (e * r.T) @ _BRANCH_OF_BASIS
+
+
+def _coherence(source) -> np.ndarray:
+    """K itself, or the pure special case `TransitionAmplitudes.coherence`."""
+    if isinstance(source, TransitionAmplitudes):
+        return source.coherence()
+    k = np.asarray(source, dtype=complex)
+    if k.shape != (3, 3) or np.max(np.abs(k - k.conj().T)) > HERMITIAN_TOL:
+        raise ValidationError(f"branch coherence must be a Hermitian 3x3 matrix, got {k!r}")
+    return k

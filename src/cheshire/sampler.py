@@ -6,13 +6,14 @@ classical mixture p_cl = sum_k p_k phi0^2(x - a_k) phi0^2(y - b_k), so each
 trial draws branch k with probability p_k and readouts x = a_k + z1,
 y = b_k + z2 (z standard normal), then succeeds (tau = +1) with probability
 |F(x, y)|^2 / p_cl(x, y) and fails (tau = -1) otherwise: von Neumann
-rejection with every proposal kept as a trial.  With
+rejection with every proposal kept as a trial.  With the branch coherence
+K_jk = Tr(E P_k rho P_j) (conj(c) c^T for pure amplitudes c) and
 e_k = exp(-((x - a_k)^2 + (y - b_k)^2) / 4) that ratio is
-|sum_k c_k e_k|^2 / sum_k p_k e_k^2, at most the realizability budget
-sum_k |c_k|^2 / p_k by Cauchy-Schwarz; a ratio above the budget's cap
-raises `PositivityError` rather than being clipped.  The ratio is summed
-branch by branch in real arithmetic, (Re f)^2 + (Im f)^2 over the
-denominator with f = sum_k c_k e_k, without complex arrays or a BLAS call.
+Re(e^T K e) / (p . e^2), at most the realizability budget: the largest
+eigenvalue of diag(p)^(-1/2) K diag(p)^(-1/2), at most 1 as K <= diag(p)
+for any effect E <= 1.  A ratio above the budget's cap raises
+`PositivityError` rather than being clipped.  The ratio is summed term by
+term in real arithmetic, without complex arrays or a BLAS call.
 
 Optional zero-mean Gaussian readout noise is added to both branches (same
 apparatus either way).  The indicator is estimated as the average of
@@ -58,7 +59,7 @@ from .dynamics import (
     success_moments,
 )
 from .errors import PositivityError, ValidationError
-from .qsystem import TransitionAmplitudes
+from .qsystem import _coherence
 
 TRIALS_PER_BATCH = 1 << 16
 THREADS_ENV_VAR = "CHESHIRE_THREADS"
@@ -95,13 +96,15 @@ class Trials:
     y: np.ndarray
 
     def __post_init__(self):
-        tau = np.asarray(self.tau, dtype=np.int8)
+        tau = np.asarray(self.tau)
         x = np.asarray(self.x, dtype=float)
         y = np.asarray(self.y, dtype=float)
         if not (tau.shape == x.shape == y.shape) or tau.ndim != 1:
             raise ValidationError("tau, x, y must be 1-D arrays of equal length")
-        if tau.size and not np.all(np.abs(tau) == 1):
+        # checked before the cast, which would wrap 257 or truncate 1.7 to 1
+        if not np.all((tau == 1) | (tau == -1)):
             raise ValidationError("tau entries must be +1 or -1")
+        tau = tau.astype(np.int8, copy=False)
         for arr in (tau, x, y):
             arr.setflags(write=False)
         object.__setattr__(self, "tau", tau)
@@ -157,7 +160,7 @@ def _pick_branches(probabilities: np.ndarray, u: np.ndarray,
 
 
 def _batch_kernel(
-    amps: TransitionAmplitudes,
+    coherence,
     weights: BranchWeights,
     g_a: float,
     g_b: float,
@@ -173,11 +176,12 @@ def _batch_kernel(
     _validate_couplings(g_a, g_b)
     if not (math.isfinite(g_a) and math.isfinite(g_b)):
         raise ValidationError("Monte Carlo sampling needs finite couplings")
-    _check_realizable(amps, weights)
+    coherence = _coherence(coherence)
+    _check_realizable(coherence, weights)
     shifts_a, shifts_b = (np.array(s) for s in _branch_shifts(g_a, g_b))
     probabilities = np.array(weights.probabilities)
-    coeffs = np.array([amps.l, amps.r_plus, amps.r_minus])
-    branches = list(zip(shifts_a, shifts_b, coeffs.real, coeffs.imag, probabilities))
+    # e^T K e over real e: K_ii e_i^2, and 2 Re K_ij e_i e_j for each pair i < j
+    terms = [(i, j, (2.0 - (i == j)) * coherence[i, j].real) for i in range(3) for j in range(i, 3)]
     size = min(TRIALS_PER_BATCH, n)
     # one set of buffers per worker thread, freed when the call's last
     # reference to _batch goes
@@ -191,38 +195,39 @@ def _batch_kernel(
                 np.empty((size, 2)), np.empty((size, 4)), np.empty(size, dtype=np.intp),
                 np.empty(size, dtype=bool), np.empty((7, size)),
             )
-        u, z, k, accept = (buf[:rows] for buf in buffers[:4])
-        bx, by, e, t, re, im, den = buffers[4][:, :rows]
+        u, z, branch, accept = (buf[:rows] for buf in buffers[:4])
+        bx, by, *e, num, den = buffers[4][:, :rows]
         gen = np.random.Generator(np.random.Philox(key=seed).jumped(b))
         gen.random(out=u)
         gen.standard_normal(out=z)
-        _pick_branches(probabilities, u[:, 0], out=k)
-        np.add(np.take(shifts_a, k, out=bx), z[:, 0], out=bx)
-        np.add(np.take(shifts_b, k, out=by), z[:, 1], out=by)
-        # |F|^2 / p_cl = (Re f^2 + Im f^2) / den with f = sum_k c_k e_k and
-        # den = sum_k p_k e_k^2: the phi0 normalisation cancels, and the
-        # drawn branch's own factor keeps den positive
-        re[:] = im[:] = den[:] = 0.0
-        for a_k, b_k, c_re, c_im, p_k in branches:
-            np.square(np.subtract(bx, a_k, out=t), out=t)
-            t += np.square(np.subtract(by, b_k, out=e), out=e)
-            t *= -0.25
-            np.exp(t, out=e)
-            re += np.multiply(e, c_re, out=t)
-            im += np.multiply(e, c_im, out=t)
-            np.square(e, out=e)
-            den += np.multiply(e, p_k, out=e)
-        ratio = np.square(re, out=re)
-        ratio += np.square(im, out=im)
-        ratio /= den
+        _pick_branches(probabilities, u[:, 0], out=branch)
+        np.add(np.take(shifts_a, branch, out=bx), z[:, 0], out=bx)
+        np.add(np.take(shifts_b, branch, out=by), z[:, 1], out=by)
+        # |F|^2 / p_cl = Re(e^T K e) / den with e_k = exp(-((x - a_k)^2 +
+        # (y - b_k)^2) / 4) and den = sum_k p_k e_k^2: the phi0 normalisation
+        # cancels, and the drawn branch's own factor keeps den positive
+        for e_k, a_k, b_k in zip(e, shifts_a, shifts_b):
+            np.square(np.subtract(bx, a_k, out=e_k), out=e_k)
+            e_k += np.square(np.subtract(by, b_k, out=num), out=num)
+            e_k *= -0.25
+            np.exp(e_k, out=e_k)
+        # every e_k is used in num (with den as scratch) before it is squared
+        # in place for den
+        num.fill(0.0)
+        for i, j, weight in terms:
+            num += np.multiply(np.multiply(e[i], e[j], out=den), weight, out=den)
+        den.fill(0.0)
+        for e_k, p_k in zip(e, probabilities):
+            den += np.multiply(np.square(e_k, out=e_k), p_k, out=e_k)
+        ratio = np.divide(num, den, out=num)
         worst = ratio.max()
         if not worst <= ACCEPTANCE_BOUND:
             raise PositivityError(
                 f"acceptance ratio |F|^2 / p_cl reaches {worst!r} > {ACCEPTANCE_BOUND!r}; "
-                "amplitudes and branch weights are inconsistent"
+                "branch coherence and branch weights are inconsistent"
             )
-        bx += np.multiply(z[:, 2], noise.nu_a, out=t)
-        by += np.multiply(z[:, 3], noise.nu_b, out=t)
+        bx += np.multiply(z[:, 2], noise.nu_a, out=den)
+        by += np.multiply(z[:, 3], noise.nu_b, out=den)
         return np.less(u[:, 1], ratio, out=accept), bx, by
 
     return _batch
@@ -280,7 +285,7 @@ def _estimate(n: int, batch_moments) -> EstimatorOutput:
 
 
 def sample_trials(
-    amps: TransitionAmplitudes,
+    coherence,
     weights: BranchWeights,
     g_a: float,
     g_b: float,
@@ -296,7 +301,7 @@ def sample_trials(
     so the result does not depend on the thread count.  The whole stream is
     kept; `sample_estimate` gives its estimate without storing it.
     """
-    batch = _batch_kernel(amps, weights, g_a, g_b, n, seed, noise)
+    batch = _batch_kernel(coherence, weights, g_a, g_b, n, seed, noise)
     tau = np.empty(n, dtype=np.int8)
     x = np.empty(n)
     y = np.empty(n)
@@ -312,7 +317,7 @@ def sample_trials(
 
 
 def sample_estimate(
-    amps: TransitionAmplitudes,
+    coherence,
     weights: BranchWeights,
     g_a: float,
     g_b: float,
@@ -326,7 +331,7 @@ def sample_estimate(
     it, so memory stays O(TRIALS_PER_BATCH) per worker at any n.  The route
     for large n.
     """
-    batch = _batch_kernel(amps, weights, g_a, g_b, n, seed, noise)
+    batch = _batch_kernel(coherence, weights, g_a, g_b, n, seed, noise)
     return _estimate(n, _map_batches(lambda b: _moments(*batch(b)), n, threads))
 
 
@@ -345,7 +350,7 @@ def estimate_cheshire(trials: Trials) -> EstimatorOutput:
 
 
 def trial_variance(
-    amps: TransitionAmplitudes,
+    coherence,
     weights: BranchWeights,
     g_a: float,
     g_b: float,
@@ -361,7 +366,7 @@ def trial_variance(
     ex2 = pa * (1.0 + g_a * g_a) + (pb + pc)
     ey2 = pa + (pb + pc) * (1.0 + g_b * g_b)
     ex2y2 = pa * (1.0 + g_a * g_a) + (pb + pc) * (1.0 + g_b * g_b)
-    c = 2.0 * success_moments(amps, g_a, g_b).xy
+    c = 2.0 * success_moments(coherence, g_a, g_b).xy
     return (
         ex2y2
         + noise.nu_b ** 2 * ex2
@@ -381,7 +386,7 @@ class NoiseStudyRow:
 
 
 def noise_robustness(
-    amps: TransitionAmplitudes,
+    coherence,
     weights: BranchWeights,
     g_a: float,
     g_b: float,
@@ -396,12 +401,12 @@ def noise_robustness(
     The same seed is reused across rows (common random numbers), so rows
     differ only through the injected noise.
     """
-    c = 2.0 * success_moments(amps, g_a, g_b).xy
+    c = 2.0 * success_moments(coherence, g_a, g_b).xy
     rows: list[NoiseStudyRow] = []
     for nu_a, nu_b in nu_grid:
         noise = NoiseModel(float(nu_a), float(nu_b))
-        estimate = sample_estimate(amps, weights, g_a, g_b, n=n, seed=seed, noise=noise)
-        variance = trial_variance(amps, weights, g_a, g_b, noise)
+        estimate = sample_estimate(coherence, weights, g_a, g_b, n=n, seed=seed, noise=noise)
+        variance = trial_variance(coherence, weights, g_a, g_b, noise)
         n_required = math.inf if c == 0.0 else math.ceil(z * z * variance / (c * c))
         rows.append(NoiseStudyRow(noise.nu_a, noise.nu_b, estimate.c_hat,
                                   estimate.std_error, n_required))
@@ -436,4 +441,4 @@ def read_trials_csv(path) -> Trials:
             taus.append(int(row[0]))
             xs.append(float(row[1]))
             ys.append(float(row[2]))
-    return Trials(np.array(taus, dtype=np.int8), np.array(xs), np.array(ys))
+    return Trials(np.array(taus), np.array(xs), np.array(ys))

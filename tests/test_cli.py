@@ -1,17 +1,19 @@
 """End-to-end CLI tests: subcommands, flags, exit codes, output formats."""
 
 import csv
+import hashlib
 import io
 import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import cheshire
 from cheshire.cli import locate_max, main
-from cheshire.meter import parse_complex
+from cheshire.meter import format_complex, parse_complex
 from cheshire.sampler import read_trials_csv
 
 R3 = repr(1.0 / math.sqrt(3.0))
@@ -32,6 +34,36 @@ post={RH},0,0.5,-0.5
 g_a=2
 g_b=2
 """
+
+# a POVM element with coherences between every branch pair:
+# E = |post><post| / 2 + I / 4 for the example's post
+_POST = np.array([1.0, 0.0, 1.0, -1.0]) / math.sqrt(3.0)
+EFFECT_ENTRIES = ",".join(
+    format_complex(z) for z in (0.5 * np.outer(_POST, _POST) + 0.25 * np.eye(4)).ravel()
+)
+
+# the README's config-format example
+README_TEXT = """
+prep   = 0.57735026918962573+0i, 0+0i, 0.57735026918962573+0i, 0.57735026918962573+0i
+post   = 0.57735026918962573+0i, 0+0i, 0.57735026918962573+0i, -0.57735026918962573+0i
+g_a    = 2.0
+g_b    = 2.0
+noise_a = 0.0
+noise_b = 0.0
+n_trials = 1000000
+seed   = 0
+grid   = -20, 20, 4001
+"""
+README_MONTECARLO = (
+    "c_hat=0.322237736984263\n"
+    "std_error=0.0058977703282270351\n"
+    "p_hat=0.30425714285714284\n"
+    "n_trials=140000\n"
+    "c_analytic=0.32700394770794872\n"
+    "z_score=-0.80813772975769904\n"
+    "seed=0\n"
+)
+README_TRIALS_SHA256 = "6f8e2b2354c2bf6c90778f050457b595a91da1bc536ee161c20bd6e3d28c4ea9"
 
 
 @pytest.fixture()
@@ -96,7 +128,8 @@ class TestAnalytic:
         assert out == ""
         assert "c_analytic=" in target.read_text(encoding="utf-8")
 
-    def test_effect_config_reports_nan_diagnostics(self, capsys, tmp_path):
+    def test_effect_config_reports_finite_diagnostics(self, capsys, tmp_path):
+        # E = Pi_L keeps only the left branch: K = diag(1/3, 0, 0)
         entries = ["0+0i"] * 16
         for k in (0, 5):
             entries[k] = "1+0i"
@@ -108,9 +141,13 @@ class TestAnalytic:
         code, out, _ = run_cli(capsys, "analytic", "--config", str(path))
         assert code == 0
         report = key_values(out)
-        assert math.isfinite(float(report["c_analytic"]))
-        assert math.isnan(float(report["x_mean"]))
-        assert math.isnan(float(report["negativity"]))
+        assert float(report["c_analytic"]) == 0.0
+        assert float(report["p_success"]) == pytest.approx(1 / 3, abs=1e-15)
+        assert parse_complex(report["weak_value_presence"]) == pytest.approx(1.0, abs=1e-15)
+        assert parse_complex(report["weak_value_polarization"]) == 0.0
+        assert float(report["x_mean"]) == pytest.approx(2.0, abs=1e-15)
+        assert float(report["y_mean"]) == 0.0
+        assert float(report["negativity"]) == 0.0
 
 
 class TestExitCodes:
@@ -193,6 +230,17 @@ class TestSweep:
         assert code == 2
         assert "shift" in err and "off the grid" in err
 
+    def test_effect_config_runs(self, capsys, tmp_path):
+        path = tmp_path / "effect.cfg"
+        path.write_text(f"prep={R3},0,{R3},{R3}\npost_effect={EFFECT_ENTRIES}\n",
+                        encoding="utf-8")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(path), "--steps", "9")
+        assert code == 0, err
+        rows = list(csv.reader(io.StringIO(out)))[1:-1]
+        assert len(rows) == 9
+        assert max(abs(float(r[2])) for r in rows) > 0.01
+        assert all(float(r[5]) >= 0.0 for r in rows)
+
     def test_too_few_steps(self, capsys, config_path):
         code, _, err = run_cli(capsys, "sweep", "--config", config_path, "--steps", "1")
         assert code == 2
@@ -237,8 +285,8 @@ class TestMonteCarlo:
     def test_over_budget_acceptance_ratio_exits_three(self, capsys, config_path, monkeypatch):
         # amplitudes beyond the realizability budget of the configured weights
         monkeypatch.setattr(cheshire.sampler, "_check_realizable", lambda amps, weights: None)
-        monkeypatch.setattr(cheshire.config.ExperimentConfig, "amplitudes",
-                            lambda self: cheshire.TransitionAmplitudes(1.0, 0.0, 0.0))
+        monkeypatch.setattr(cheshire.config.ExperimentConfig, "coherence",
+                            lambda self: cheshire.TransitionAmplitudes(1.0, 0.0, 0.0).coherence())
         code, _, err = run_cli(capsys, "montecarlo", "--config", config_path)
         assert code == 3
         assert "acceptance ratio" in err
@@ -251,24 +299,37 @@ class TestMonteCarlo:
         assert code == 0
         assert streamed == stored
 
+    def test_readme_example_bytes(self, capsys, tmp_path):
+        # stdout and trial CSV of the README example, pinned: a change to how
+        # the sampler gets K or sums its ratio must not move the trial stream
+        path = tmp_path / "readme.cfg"
+        path.write_text(README_TEXT, encoding="utf-8")
+        argv = ("montecarlo", "--config", str(path), "--trials", "140000")
+        code, streamed, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert streamed == README_MONTECARLO
+        target = tmp_path / "trials.csv"
+        code, stored, _ = run_cli(capsys, *argv, "--dump-trials", str(target))
+        assert code == 0
+        assert stored == README_MONTECARLO
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == README_TRIALS_SHA256
+
     def test_needs_hundred_trials(self, capsys, config_path):
         code, _, err = run_cli(capsys, "montecarlo", "--config", config_path,
                                "--trials", "50")
         assert code == 2
         assert "n_trials" in err
 
-    def test_rejects_effect_config(self, capsys, tmp_path):
-        entries = ["0+0i"] * 16
-        for k in (0, 5):
-            entries[k] = "1+0i"
+    def test_effect_config_runs(self, capsys, tmp_path):
         path = tmp_path / "effect.cfg"
-        path.write_text(
-            f"prep={R3},0,{R3},{R3}\npost_effect={','.join(entries)}\n",
-            encoding="utf-8",
-        )
-        code, _, err = run_cli(capsys, "montecarlo", "--config", str(path))
-        assert code == 2
-        assert "post" in err
+        path.write_text(f"prep={R3},0,{R3},{R3}\npost_effect={EFFECT_ENTRIES}\n"
+                        "n_trials=20000\nseed=3\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "montecarlo", "--config", str(path))
+        assert code == 0, err
+        report = key_values(out)
+        assert report["n_trials"] == "20000"
+        assert abs(float(report["z_score"])) < 5.0
+        assert 0.0 < float(report["p_hat"]) < 1.0
 
 
 class TestGridScope:

@@ -145,6 +145,11 @@ class TestValidation:
         assert example_config(g_a=15.0).g_a == 15.0
         assert example_config(grid=Grid(-4.0, 4.0, 401)).grid == Grid(-4.0, 4.0, 401)
 
+    @pytest.mark.parametrize("bounds", ["-inf, 20, 4001", "-20, inf, 4001"])
+    def test_non_finite_grid_bounds_rejected(self, bounds):
+        with pytest.raises(ValidationError, match="grid"):
+            parse_config_text(MINIMAL_TEXT + f"grid = {bounds}\n")
+
     def test_effect_eigenvalues_checked(self):
         entries = ",".join("2+0i" if i % 5 == 0 else "0+0i" for i in range(16))
         text = f"prep={R3!r},0,{R3!r},{R3!r}\npost_effect={entries}\n"

@@ -467,6 +467,13 @@ class TestValidation:
         with pytest.raises(ValidationError):
             Trials(np.array([1, -1], dtype=np.int8), np.zeros(2), np.zeros(3))
 
+    @pytest.mark.parametrize("tau", [[1.7, -1.2], np.array([257, -1], dtype=np.int64)],
+                             ids=["fractional", "wraps-to-one"])
+    def test_trials_rejects_tau_other_than_plus_minus_one(self, tau):
+        # both would cast to int8 [1, -1]
+        with pytest.raises(ValidationError, match="tau"):
+            Trials(tau, np.zeros(2), np.zeros(2))
+
 
 class TestAcceptanceBound:
     def test_realizability_edge_samples(self):
