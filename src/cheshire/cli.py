@@ -19,6 +19,7 @@ import numpy as np
 from .config import ExperimentConfig, dump_config, load_config
 from .entanglement import meter_negativity
 from .errors import (
+    CheshireError,
     ConsistencyError,
     FlatObjective,
     GridTooSmall,
@@ -127,27 +128,43 @@ def cmd_analytic(args) -> int:
 
 def sweep_rows(config: ExperimentConfig, g_min: float, g_max: float, steps: int):
     """Diagonal sweep g_a = g_b = g: one row of exact and grid-oracle
-    values per sweep point, in sweep order."""
+    values per sweep point, in sweep order.
+
+    Each kernel runs once over the whole stack of couplings.  A row that
+    fails stops the sweep with its own error: when several rows fail, the
+    first in sweep order decides.
+    """
     if steps < 2:
         raise ValidationError("steps: a sweep needs at least 2 points")
     if not (0.0 <= g_min < g_max and math.isfinite(g_max)):
         raise ValidationError("g-range: need 0 <= g-min < g-max < infinity")
+    g_values = np.linspace(g_min, g_max, steps)
+    try:
+        return _sweep_stack(config, g_values)
+    except CheshireError as exc:
+        failure = exc
+    # a stack raises for whichever failing row its kernel meets first; one
+    # row at a time, the first failing row raises
+    for i in range(steps):
+        _sweep_stack(config, g_values[i:i + 1])
+    raise failure
+
+
+def _sweep_stack(config: ExperimentConfig, g: np.ndarray):
     coherence = config.coherence()
     meter = GridMeter.gaussian(config.grid)
-    g_values = np.linspace(g_min, g_max, steps)
-
-    def row(g: float):
-        exact = cheshire_analytic(config.postselection, config.prep, g, g)
-        c_grid = 2.0 * moment_decomposition((coherence, meter, meter, g, g), "x", "x").total
-        if abs(exact.c_value - c_grid) > ORACLE_AGREEMENT_TOL:
-            raise ConsistencyError(
-                f"analytic and grid indicators disagree at g={g}: "
-                f"{exact.c_value!r} vs {c_grid!r}"
-            )
-        neg = meter_negativity(coherence, g, g).negativity
-        return (float(g), float(g), exact.c_value, c_grid, exact.p_success, neg)
-
-    return [row(g) for g in g_values]
+    exact = cheshire_analytic(config.postselection, config.prep, g, g)
+    c_grid = 2.0 * moment_decomposition((coherence, meter, meter, g, g), "x", "x").total
+    disagree = np.flatnonzero(np.abs(exact.c_value - c_grid) > ORACLE_AGREEMENT_TOL)
+    if disagree.size:
+        i = disagree[0]
+        raise ConsistencyError(
+            f"analytic and grid indicators disagree at g={g[i]}: "
+            f"{exact.c_value[i].item()!r} vs {c_grid[i].item()!r}"
+        )
+    neg = meter_negativity(coherence, g, g).negativity
+    columns = (g, g, exact.c_value, c_grid, exact.p_success, neg)
+    return list(zip(*(column.tolist() for column in columns)))
 
 
 def locate_max(rows) -> tuple[float, float, float]:

@@ -27,6 +27,7 @@ from .meter import (
     GaussianMeter,
     Grid,
     GridMeter,
+    _check_edges,
     _shifted,
     _trapezoid_weights,
     gaussian_ground_state,
@@ -74,36 +75,70 @@ class BranchWeights:
 def _check_realizable(coherence, weights: BranchWeights) -> None:
     """K must come from some effect 0 <= E <= 1 over the preparation the
     weights p describe, so 0 <= K <= diag(p): a zero-weight branch has a
-    vanishing diagonal entry, and D^(-1/2) K D^(-1/2), D = diag(p), over the
-    other branches has eigenvalues in [0, 1] (for pure K the largest is the
-    budget sum_k |c_k|^2 / p_k)."""
-    k = _coherence(coherence)
-    p = np.array(weights.probabilities)
-    live = p >= 1e-30
-    if np.any(np.abs(np.diag(k)[~live]) > 1e-24):
+    vanishing diagonal entry, and M = D^(-1/2) K D^(-1/2), D = diag(p), over
+    the other branches has eigenvalues in [0, 1] (for pure K the largest is
+    the budget sum_k |c_k|^2 / p_k).
+
+    The check is two Cholesky factorizations in plain Python, of
+    M + tol I and (1 + tol) I - M with tol = REALIZABILITY_TOL: both succeed
+    exactly when M's eigenvalues lie in [-tol, 1 + tol], up to rounding of
+    about 1e-16.  Only a failing check computes the eigenvalues, for its
+    message.
+    """
+    k = _coherence(coherence).tolist()
+    p = weights.probabilities
+    live = [i for i in range(3) if p[i] >= 1e-30]
+    if any(abs(k[i][i]) > 1e-24 for i in range(3) if i not in live):
         raise ValidationError(
             "branch coherence is non-zero on a branch with zero preparation weight"
         )
-    scale = 1.0 / np.sqrt(p[live])
-    eigenvalues = np.linalg.eigvalsh(k[np.ix_(live, live)] * np.outer(scale, scale))
-    if not (eigenvalues[0] >= -REALIZABILITY_TOL and eigenvalues[-1] <= 1.0 + REALIZABILITY_TOL):
+    scale = [1.0 / math.sqrt(p[i]) for i in live]
+    m = [[k[i][j] * (s_i * s_j) for j, s_j in zip(live, scale)] for i, s_i in zip(live, scale)]
+    n = range(len(m))
+    above_floor = [[m[i][j] + (REALIZABILITY_TOL if i == j else 0.0) for j in n] for i in n]
+    below_ceiling = [[(1.0 + REALIZABILITY_TOL if i == j else 0.0) - m[i][j] for j in n] for i in n]
+    if not (_positive_definite(above_floor) and _positive_definite(below_ceiling)):
+        m = np.array(m)
+        found = "non-finite entries"
+        if np.all(np.isfinite(m)):
+            found = f"eigenvalues {np.linalg.eigvalsh(m)!r} outside [0, 1]"
         raise ValidationError(
-            f"diag(p)^(-1/2) K diag(p)^(-1/2) has eigenvalues {eigenvalues!r} outside [0, 1]; "
+            f"diag(p)^(-1/2) K diag(p)^(-1/2) has {found}; "
             "the branch coherence is inconsistent with the given branch weights"
         )
 
 
-def _branch_shifts(g_a: float, g_b: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    # an unshifted branch stays at 0 even for infinite coupling
-    return (
-        tuple(s * g_a if s != 0.0 else 0.0 for s in BRANCH_SHIFTS_A),
-        tuple(s * g_b if s != 0.0 else 0.0 for s in BRANCH_SHIFTS_B),
-    )
+def _positive_definite(a: list[list[complex]]) -> bool:
+    """Whether the Cholesky factorization of a small Hermitian matrix meets
+    only positive pivots (a nan pivot fails)."""
+    factor: list[list[complex]] = []
+    for i, row in enumerate(a):
+        factor.append([])
+        for j in range(i + 1):
+            partial = row[j] - sum(factor[i][q] * factor[j][q].conjugate() for q in range(j))
+            if j < i:
+                factor[i].append(partial / factor[j][j])
+            elif not partial.real > 0.0:
+                return False
+            else:
+                factor[i].append(math.sqrt(partial.real))
+    return True
 
 
-def _validate_couplings(g_a: float, g_b: float) -> None:
+def _branch_shifts(g_a, g_b) -> tuple[np.ndarray, np.ndarray]:
+    """Per-branch pointer shifts of each meter, shape (..., 3) over a stack
+    of couplings."""
+    def shifts(g, units):
+        g = np.asarray(g, dtype=float)
+        # an unshifted branch stays at 0 even for infinite coupling
+        return np.stack([s * g if s != 0.0 else np.zeros_like(g) for s in units], axis=-1)
+
+    return shifts(g_a, BRANCH_SHIFTS_A), shifts(g_b, BRANCH_SHIFTS_B)
+
+
+def _validate_couplings(g_a, g_b) -> None:
     # +inf is allowed: it models perfectly distinguishable pointer states
-    if math.isnan(g_a) or math.isnan(g_b) or g_a < 0.0 or g_b < 0.0:
+    if not (np.all(np.asarray(g_a) >= 0.0) and np.all(np.asarray(g_b) >= 0.0)):
         raise ValidationError("couplings must be >= 0")
 
 
@@ -136,15 +171,10 @@ def success_probability(coherence, g_a: float, g_b: float) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def _product(*factors: float) -> float:
-    # an exactly-zero factor annihilates even an infinite partner; this
-    # keeps the infinite-coupling limit finite where the moment vanishes
-    out = 1.0
-    for f in factors:
-        if f == 0.0:
-            return 0.0
-        out *= f
-    return out
+def _unstack(values):
+    """A stack of values as an array; a 0-d stack as its one Python scalar."""
+    values = np.asarray(values)
+    return values.item() if values.ndim == 0 else values
 
 
 def branch_terms(coherence: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -152,8 +182,8 @@ def branch_terms(coherence: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndar
 
     Every exact success-branch quantity is a sum of these terms: K holds the
     branch coherences, A and B one pointer matrix of each meter (or stacks
-    of them, broadcast against K).  As in `_product`, an exactly-zero factor
-    annihilates even an infinite partner.
+    of them, broadcast against K).  An exactly-zero factor annihilates even
+    an infinite partner.
     """
     if np.isrealobj(a) and np.isrealobj(b):
         # real pointer matrices stay real: complex times inf gives nan
@@ -165,9 +195,14 @@ def branch_terms(coherence: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndar
     return terms.real
 
 
-def _total(terms: np.ndarray) -> float:
-    # plain float addition in branch-pair order: inf - inf gives nan silently
-    return float(sum(terms.ravel().tolist()))
+def _total(terms: np.ndarray) -> np.ndarray:
+    # plain float addition along the last axis, in order, for every entry of
+    # the leading stack: inf - inf gives nan silently
+    out = np.zeros(terms.shape[:-1])
+    with np.errstate(invalid="ignore"):
+        for i in range(terms.shape[-1]):
+            out = out + terms[..., i]
+    return out
 
 
 def success_moments(coherence, g_a: float, g_b: float) -> SuccessMoments:
@@ -178,7 +213,7 @@ def success_moments(coherence, g_a: float, g_b: float) -> SuccessMoments:
     b1, bx = pointer_matrices(shifts_b)
     # weight pairs (1, 1), (x, 1), (1, x), (x, x) stacked into one kernel call
     terms = branch_terms(_coherence(coherence), np.stack([a1, ax, a1, ax]), np.stack([b1, b1, bx, bx]))
-    return SuccessMoments(*map(_total, terms))
+    return SuccessMoments(*_total(terms.reshape(4, 9)).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,7 +274,8 @@ def _branch_waves(meter, shifts, x: np.ndarray) -> np.ndarray:
     if isinstance(meter, GridMeter):
         if not np.array_equal(x, meter.grid.points):
             raise ValidationError("grid meter branches must be evaluated on the meter's own grid")
-        return np.stack([_shifted(meter, s) for s in shifts])
+        _check_edges(meter, shifts)
+        return _shifted(meter, shifts)
     raise ValidationError(f"expected GaussianMeter or GridMeter, got {type(meter).__name__}")
 
 

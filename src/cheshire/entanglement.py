@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _validate_couplings
+from .dynamics import _branch_shifts, _unstack, _validate_couplings
 from .errors import OrthogonalPostselection, ValidationError
 from .meter import pointer_matrices
 from .qsystem import _coherence
@@ -30,23 +30,25 @@ def gram_orthonormalize(gram: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     with L L^dagger = G; row i holds the coordinates of v_i.  Directions
     with eigenvalue <= tol are dropped, so linearly dependent inputs
     (coincident meter states at zero coupling) reduce the dimension
-    instead of erroring.
+    instead of erroring.  A stack of Gram matrices (..., n, n) gives
+    (..., n, r) with r the largest rank in the stack; an entry of lower
+    rank has zero columns in place of its dropped directions.
     """
     g = np.asarray(gram, dtype=complex)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+    if g.ndim < 2 or g.shape[-2] != g.shape[-1]:
         raise ValidationError("gram matrix must be square")
-    if np.max(np.abs(g - g.conj().T)) > 1e-12:
+    if np.max(np.abs(g - np.conj(g.swapaxes(-2, -1)))) > 1e-12:
         raise ValidationError("gram matrix must be Hermitian")
     eigenvalues, vectors = np.linalg.eigh(g)
     if eigenvalues.min() < -1e-10:
         raise ValidationError(f"gram matrix has negative eigenvalue {eigenvalues.min()!r}")
     keep = eigenvalues > tol
-    if not np.any(keep):
+    if not np.all(np.any(keep, axis=-1)):
         raise ValidationError("gram matrix has no positive directions")
-    order = np.argsort(eigenvalues[keep])[::-1]
-    lam = eigenvalues[keep][order]
-    u = vectors[:, keep][:, order]
-    return u * np.sqrt(lam)
+    # largest eigenvalue first, so the kept directions lead
+    rank = int(keep.sum(axis=-1).max())
+    lam = np.where(keep, eigenvalues, 0.0)[..., ::-1][..., :rank]
+    return vectors[..., ::-1][..., :rank] * np.sqrt(lam)[..., None, :]
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,7 +58,10 @@ class EmbeddedMeterState:
     ``basis_a`` (2 x dim_a) and ``basis_b`` (3 x dim_b) give the meter
     states' coordinates; ``rho`` is the normalized density matrix; and
     ``branch_norm_sq`` is the trace of the raw branch, which equals the
-    postselection success probability for physical inputs.
+    postselection success probability for physical inputs.  A state
+    embedded for a stack of couplings carries the stack as leading axes:
+    each basis that of its own meter's couplings, ``rho`` and
+    ``branch_norm_sq`` the broadcast of both.
     """
 
     basis_a: np.ndarray
@@ -66,47 +71,45 @@ class EmbeddedMeterState:
 
     @property
     def dim_a(self) -> int:
-        return self.basis_a.shape[1]
+        return self.basis_a.shape[-1]
 
     @property
     def dim_b(self) -> int:
-        return self.basis_b.shape[1]
-
-    @property
-    def amplitudes(self) -> np.ndarray:
-        """Pure components w_r, rho = sum_r w_r w_r^dagger, as (dim_a, dim_b, rank)."""
-        lam, vectors = np.linalg.eigh(self.rho)
-        keep = lam > RANK_TOL
-        return (vectors[:, keep] * np.sqrt(lam[keep])).reshape(self.dim_a, self.dim_b, -1)
+        return self.basis_b.shape[-1]
 
     def density(self) -> np.ndarray:
         """Density matrix on the dim_a * dim_b product space."""
         return self.rho
 
 
-def embed(coherence, g_a: float, g_b: float) -> EmbeddedMeterState:
+def embed(coherence, g_a, g_b) -> EmbeddedMeterState:
     """Express the success branch in orthonormal qubit (x) qutrit coordinates.
 
     Takes the branch coherence K (or amplitudes) and accepts any K, so
     limiting configurations (for example Bell-like triples unreachable from
-    normalized photon states) can be embedded directly.
+    normalized photon states) can be embedded directly.  The couplings may
+    be arrays; the state then holds one embedding per coupling pair, in the
+    stack's largest dimensions (see `gram_orthonormalize`).
     """
     _validate_couplings(g_a, g_b)
     # Gram matrices of the distinct meter states: A unshifted and shifted,
     # B unshifted and shifted either way
-    basis_a = gram_orthonormalize(pointer_matrices((0.0, g_a))[0])
-    basis_b = gram_orthonormalize(pointer_matrices((0.0, g_b, -g_b))[0])
+    shifts_a, shifts_b = _branch_shifts(g_a, g_b)
+    basis_a = gram_orthonormalize(pointer_matrices(shifts_a[..., [1, 0]])[0])
+    basis_b = gram_orthonormalize(pointer_matrices(shifts_b)[0])
 
     # branch product states v_k in branch order (L, R+, R-): L shifts meter A
-    v = np.einsum("ka,kb->kab", basis_a[[1, 0, 0]], basis_b).reshape(3, -1)
-    rho = v.T @ _coherence(coherence).T @ v.conj()
+    v = np.einsum("...ka,...kb->...kab", basis_a[..., [1, 0, 0], :], basis_b)
+    v = v.reshape(*v.shape[:-2], -1)
+    rho = v.swapaxes(-2, -1) @ _coherence(coherence).T @ v.conj()
 
-    norm_sq = float(np.trace(rho).real)
-    if norm_sq <= NORM_EPS:
+    norm_sq = np.trace(rho, axis1=-2, axis2=-1).real
+    empty = np.flatnonzero(norm_sq <= NORM_EPS)
+    if empty.size:
         raise OrthogonalPostselection(
-            f"success branch has squared norm {norm_sq!r}; nothing to embed"
+            f"success branch has squared norm {norm_sq.flat[empty[0]].item()!r}; nothing to embed"
         )
-    return EmbeddedMeterState(basis_a, basis_b, rho / norm_sq, norm_sq)
+    return EmbeddedMeterState(basis_a, basis_b, rho / norm_sq[..., None, None], _unstack(norm_sq))
 
 
 @dataclass(frozen=True)
@@ -115,7 +118,11 @@ class NegativityReport:
 
     ``ppt_conclusive`` is True when the dimensions make the criterion
     necessary and sufficient (always here: 2x3 or smaller), so zero
-    negativity certifies separability.
+    negativity certifies separability.  For a stack of states the two
+    numbers are arrays.  The zero columns of a stack entry of lower rank
+    (see `gram_orthonormalize`) add only zero eigenvalues to its partial
+    transpose: its negativity is unchanged, its ``min_pt_eigenvalue`` is
+    then at most 0.
     """
 
     negativity: float
@@ -137,13 +144,15 @@ def negativity(state: EmbeddedMeterState) -> NegativityReport:
     """
     da, db = state.dim_a, state.dim_b
     rho = state.density()
-    pt = rho.reshape(da, db, da, db).transpose(0, 3, 2, 1).reshape(da * db, da * db)
+    stack = rho.shape[:-2]
+    pt = rho.reshape(*stack, da, db, da, db).swapaxes(-3, -1).reshape(*stack, da * db, da * db)
     eigenvalues = np.linalg.eigvalsh(pt)
-    neg = float(-eigenvalues[eigenvalues < -EIGENVALUE_NOISE].sum()) + 0.0
+    # ascending, so the negative eigenvalues are summed in the order they come
+    neg = -np.where(eigenvalues < -EIGENVALUE_NOISE, eigenvalues, 0.0).sum(axis=-1) + 0.0
     conclusive = (min(da, db) <= 2 and max(da, db) <= 3)
-    return NegativityReport(neg, float(eigenvalues[0]), da, db, conclusive)
+    return NegativityReport(_unstack(neg), _unstack(eigenvalues[..., 0]), da, db, conclusive)
 
 
-def meter_negativity(coherence, g_a: float, g_b: float) -> NegativityReport:
+def meter_negativity(coherence, g_a, g_b) -> NegativityReport:
     """Embed the branch coherence K (or amplitudes) and score it in one step."""
     return negativity(embed(coherence, g_a, g_b))

@@ -24,8 +24,8 @@ import numpy as np
 from .dynamics import (
     _branch_shifts,
     _check_weights,
-    _product,
     _total,
+    _unstack,
     _validate_couplings,
     JointMeterState,
     branch_terms,
@@ -79,10 +79,13 @@ class CheshireResult:
     trace_term: complex
 
     def __post_init__(self):
-        bound = indicator_bound(self.g_a, self.g_b)
-        if abs(self.c_value) > bound + 1e-10:
+        value, bound = np.broadcast_arrays(self.c_value, indicator_bound(self.g_a, self.g_b))
+        over = np.flatnonzero(np.abs(value) > bound + 1e-10)
+        if over.size:
+            first = over[0]
             raise ConsistencyError(
-                f"indicator {self.c_value!r} exceeds the state-independent bound {bound!r}"
+                f"indicator {value.flat[first].item()!r} exceeds the state-independent "
+                f"bound {bound.flat[first].item()!r}"
             )
 
     @property
@@ -90,12 +93,27 @@ class CheshireResult:
         return (self.g_a, self.g_b)
 
 
-def indicator_bound(g_a: float, g_b: float) -> float:
-    """Largest |C| over all states: g_A g_B w_A w_B / 4."""
+def indicator_bound(g_a, g_b):
+    """Largest |C| over all states: g_A g_B w_A w_B / 4, elementwise over
+    stacks of couplings."""
     _validate_couplings(g_a, g_b)
-    w_a = gaussian_overlap0(g_a) if math.isfinite(g_a) else 0.0
-    w_b = gaussian_overlap0(g_b) if math.isfinite(g_b) else 0.0
-    return _product(g_a, w_a, g_b, w_b) * MAX_TRACE_TERM
+    return _unstack(_coupling_prefactor(g_a, g_b) * MAX_TRACE_TERM)
+
+
+def _coupling_prefactor(g_a, g_b) -> np.ndarray:
+    """g_A w_A g_B w_B with w = exp(-g^2 / 8), elementwise over stacks of
+    couplings.
+
+    w is the scalar `gaussian_overlap0` per coupling, so every stack entry
+    has the bits of a single evaluation, and it vanishes at infinite
+    coupling.  An exactly-zero factor annihilates even an infinite partner,
+    which keeps the infinite-coupling limit finite where the moment vanishes.
+    """
+    w = np.vectorize(gaussian_overlap0, otypes=[float])
+    factors = np.broadcast_arrays(g_a, w(g_a), g_b, w(g_b))
+    with np.errstate(invalid="ignore"):
+        product = factors[0] * factors[1] * factors[2] * factors[3]
+    return np.where(np.any([f == 0.0 for f in factors], axis=0), 0.0, product)
 
 
 def moment_decomposition(
@@ -104,43 +122,45 @@ def moment_decomposition(
     """Classical / entanglement / local-interference split of the moment.
 
     ``state`` is a `JointMeterState`, or its fields as a tuple with the
-    branch coherence K in place of ``amps``.  The branch-pair terms come
-    from each meter's pointer matrix, so this works for both analytic and
-    grid meters: diagonal pairs are classical, left-right pairs entangling,
-    and the right-right pair local to meter B.
+    branch coherence K in place of ``amps``; in the tuple the couplings may
+    be arrays, which give a decomposition of arrays, one entry per coupling
+    pair.  The branch-pair terms come from each meter's pointer matrix, so
+    this works for both analytic and grid meters: diagonal pairs are
+    classical, left-right pairs entangling, and the right-right pair local
+    to meter B.
     """
     _check_weights(x_weight, y_weight)
     if isinstance(state, JointMeterState):
         state = (state.amps, state.meter_a, state.meter_b, state.g_a, state.g_b)
     coherence, meter_a, meter_b, g_a, g_b = state
     shifts_a, shifts_b = _branch_shifts(g_a, g_b)
-    a = pointer_matrices(shifts_a, meter_a)[("1", "x").index(x_weight)]
-    b = pointer_matrices(shifts_b, meter_b)[("1", "x").index(y_weight)]
+    pick_a, pick_b = ("1", "x").index(x_weight), ("1", "x").index(y_weight)
+    a = pointer_matrices(shifts_a, meter_a)[pick_a]
+    b = pointer_matrices(shifts_b, meter_b)[pick_b]
     terms = branch_terms(_coherence(coherence), a, b)
-    m_cl = _total(np.diag(terms))
-    m_ent = _total(terms[0, 1:]) + _total(terms[1:, 0])
-    m_li = float(terms[1, 2] + terms[2, 1])
-    return MomentDecomposition(m_cl, m_ent, m_li)
+    m_cl = _total(np.diagonal(terms, axis1=-2, axis2=-1))
+    m_ent = _total(terms[..., 0, 1:]) + _total(terms[..., 1:, 0])
+    m_li = terms[..., 1, 2] + terms[..., 2, 1]
+    return MomentDecomposition(*map(_unstack, (m_cl, m_ent, m_li)))
 
 
-def cheshire_analytic(E, rho, g_a: float, g_b: float) -> CheshireResult:
+def cheshire_analytic(E, rho, g_a, g_b) -> CheshireResult:
     """Exact Gaussian-meter indicator for (possibly mixed) E and rho.
 
     Everything follows from the branch coherence K_jk = Tr(E P_k rho P_j):
     the trace factor is K[L, R+] - K[L, R-], and P = sum_jk Re(K_jk
     <M_j|M_k>) over the branch pairs; at infinite coupling the off-diagonal
-    meter overlaps vanish.
+    meter overlaps vanish.  The couplings may be arrays: K is built once and
+    C and P come out as arrays, one entry per coupling pair.
     """
     _validate_couplings(g_a, g_b)
     k = branch_coherence(PhotonEffect(_operator_matrix(E)), PhotonDensity(_operator_matrix(rho)))
     t = complex(k[0, 1] - k[0, 2])
-    w_a = gaussian_overlap0(g_a) if math.isfinite(g_a) else 0.0
-    w_b = gaussian_overlap0(g_b) if math.isfinite(g_b) else 0.0
-    c = _product(g_a, w_a, g_b, w_b) * t.real
+    c = _coupling_prefactor(g_a, g_b) * t.real
     shifts_a, shifts_b = _branch_shifts(g_a, g_b)
-    overlaps = (pointer_matrices(shifts_a)[0], pointer_matrices(shifts_b)[0])
-    p = _total(branch_terms(k, *overlaps))
-    return CheshireResult(c, p, g_a, g_b, t)
+    terms = branch_terms(k, pointer_matrices(shifts_a)[0], pointer_matrices(shifts_b)[0])
+    p = _total(terms.reshape(*terms.shape[:-2], 9))
+    return CheshireResult(_unstack(c), _unstack(p), _unstack(g_a), _unstack(g_b), t)
 
 
 def local_averages(
@@ -214,5 +234,4 @@ def optimize_states(g_a: float, g_b: float, seed: int = 0) -> StateOptimum:
         raise ValidationError("state optimization needs finite positive couplings")
     prep = post = PhotonKet.normalized([1.0, 0.0, 1.0, 0.0])
     t = trace_term(post, prep)
-    prefactor = _product(g_a, gaussian_overlap0(g_a), g_b, gaussian_overlap0(g_b))
-    return StateOptimum(prep, post, prefactor * t.real, t)
+    return StateOptimum(prep, post, _coupling_prefactor(g_a, g_b).item() * t.real, t)

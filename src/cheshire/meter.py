@@ -30,12 +30,25 @@ VARIANCE_TOL = 1e-6
 
 EDGE_AMPLITUDE_TOL = 1e-12
 
+# Samples of shifted waves that `pointer_matrices` may hold at once on a grid
+# meter, counting every shift of a block's rows (128 KiB as real numbers).
+# glibc maps requests of 128 KiB and more afresh by default, so larger blocks
+# pay page faults on every temporary; on the default 4001-point grid a block is
+# one coupling, the three branch shifts of one meter.
+WAVE_SAMPLES_PER_BLOCK = 1 << 14
+
 _GAUSS_NORM = (2.0 * math.pi) ** -0.25
 
 
 def gaussian_ground_state(x):
     """phi0(x) = (2 pi)^{-1/4} exp(-x^2 / 4): zero mean, unit variance."""
-    return _GAUSS_NORM * np.exp(-np.square(x) / 4.0)
+    # in place in one array, the same bits as _GAUSS_NORM * exp(-x^2 / 4):
+    # scaling by 1/4 is exact
+    phi = np.square(x, out=np.empty(np.shape(x)))
+    phi *= -0.25
+    np.exp(phi, out=phi)
+    phi *= _GAUSS_NORM
+    return phi[()]
 
 
 def gaussian_overlap0(g: float) -> float:
@@ -199,50 +212,82 @@ def _trapezoid_weights(grid: Grid) -> np.ndarray:
     return w
 
 
-def _shifted(meter: GridMeter, shift: float) -> np.ndarray:
-    """psi0(x - shift) on the lattice.
-
-    Generator-backed meters evaluate the shifted state exactly; tabulated
-    states use linear interpolation, exact when the shift is a lattice
-    multiple.  Raises when the shifted state would carry significant
-    amplitude beyond the grid edges.
-    """
-    x = meter.grid.points
+def _edge_loss(meter: GridMeter, shift: float) -> float:
+    """Squared amplitude that a shift pushes past the grid edge."""
     psi = meter.psi0
     dx = meter.grid.spacing
-    lost = 0.0
     if shift > 0:
         n_cut = int(math.ceil(shift / dx))
         tail = np.abs(psi[max(len(psi) - n_cut - 1, 0):]) ** 2
-        lost = float(np.trapezoid(tail, dx=dx)) if len(tail) > 1 else 0.0
-    elif shift < 0:
+        return float(np.trapezoid(tail, dx=dx)) if len(tail) > 1 else 0.0
+    if shift < 0:
         n_cut = int(math.ceil(-shift / dx))
         head = np.abs(psi[: n_cut + 1]) ** 2
-        lost = float(np.trapezoid(head, dx=dx)) if len(head) > 1 else 0.0
-    if lost > EDGE_AMPLITUDE_TOL:
-        raise GridTooSmall(
-            f"shift {shift} pushes squared amplitude {lost:.3e} > {EDGE_AMPLITUDE_TOL} off the grid"
-        )
+        return float(np.trapezoid(head, dx=dx)) if len(head) > 1 else 0.0
+    return 0.0
+
+
+def _check_edges(meter: GridMeter, shifts) -> None:
+    """Raise at the first shift, in row-major order, that would push
+    significant amplitude beyond the grid edges."""
+    shifts = np.asarray(shifts, dtype=float)
+    # the loss grows with the shift on each side, so when the two extreme
+    # shifts keep their amplitude every shift does
+    extremes = (shifts.max(initial=0.0), shifts.min(initial=0.0))
+    if all(_edge_loss(meter, shift) <= EDGE_AMPLITUDE_TOL for shift in extremes):
+        return
+    for shift in shifts.ravel().tolist():
+        lost = _edge_loss(meter, shift)
+        if lost > EDGE_AMPLITUDE_TOL:
+            raise GridTooSmall(
+                f"shift {shift} pushes squared amplitude {lost:.3e} > {EDGE_AMPLITUDE_TOL} "
+                "off the grid"
+            )
+
+
+def _shifted(meter: GridMeter, shifts) -> np.ndarray:
+    """psi0(x - s) on the lattice, one row per shift s (see `_check_edges`).
+
+    Generator-backed meters evaluate the shifted state exactly; tabulated
+    states use linear interpolation, exact when the shift is a lattice
+    multiple.  Real states give real waves.
+    """
+    x = meter.grid.points
+    psi = meter.psi0
+    shifts = np.asarray(shifts, dtype=float)
+    # the generator and the interpolation see one flat array of targets
+    target = (x - shifts[:, None]).ravel()
     if meter.generator is not None:
-        return np.asarray(meter.generator(x - shift), dtype=complex)
-    target = x - shift
-    re = np.interp(target, x, psi.real, left=0.0, right=0.0)
-    im = np.interp(target, x, psi.imag, left=0.0, right=0.0)
-    return re + 1j * im
+        waves = np.asarray(meter.generator(target))
+        waves = waves if np.iscomplexobj(waves) else waves.astype(float, copy=False)
+    else:
+        waves = np.interp(target, x, psi.real, left=0.0, right=0.0)
+        if np.any(psi.imag):
+            waves = waves + 1j * np.interp(target, x, psi.imag, left=0.0, right=0.0)
+    return waves.reshape(len(shifts), len(x))
 
 
 def pointer_matrices(shifts, meter=None) -> tuple[np.ndarray, np.ndarray]:
     """The pointer matrices (M_1, M_x) over the branch shifts.
 
-    ``meter`` is None or a `GaussianMeter` for the Gaussian closed forms
+    ``shifts`` has shape (..., n): a leading stack axis (one row of branch
+    shifts per coupling) gives matrices of shape (..., n, n).  ``meter`` is
+    None or a `GaussianMeter` for the Gaussian closed forms
     M_1 = exp(-(s_j - s_k)^2 / 8), M_x = (s_j + s_k) / 2 * M_1, which hold
     for infinite shifts too; a `GridMeter` uses trapezoidal quadrature on
-    its own lattice.
+    its own lattice.  The grid path walks the stack in blocks of
+    `WAVE_SAMPLES_PER_BLOCK` // (n * n_points) rows (at least one), so its
+    memory does not grow with the stack.  A shift column repeated across
+    the stack, like the unshifted branches, is evaluated as one column of
+    waves, and each pair of a row's waves is summed in one fixed order, so
+    a row's matrices do not depend on the block that holds it.
+    Edge errors are raised before any wave is evaluated, at the first
+    failing shift in row-major order (see `_check_edges`).
     """
+    s = np.asarray(shifts, dtype=float)
     if meter is None or isinstance(meter, GaussianMeter):
-        s = np.asarray(shifts, dtype=float)
-        bra, ket = s[:, None], s[None, :]
-        shape = (len(s), len(s))
+        bra, ket = s[..., :, None], s[..., None, :]
+        shape = np.broadcast_shapes(bra.shape, ket.shape)
         # real arithmetic throughout: coincident shifts are one state even at
         # infinite shift, and a vanishing overlap annihilates an infinite mean
         gap = np.subtract(bra, ket, out=np.zeros(shape), where=bra != ket)
@@ -252,7 +297,29 @@ def pointer_matrices(shifts, meter=None) -> tuple[np.ndarray, np.ndarray]:
         mx = np.multiply(mean, m1, out=np.zeros(shape), where=overlapping)
         return m1, mx
     if isinstance(meter, GridMeter):
-        waves = np.stack([_shifted(meter, s) for s in shifts])
-        bras = np.conj(waves) * _trapezoid_weights(meter.grid)
-        return bras @ waves.T, (bras * meter.grid.points) @ waves.T
+        rows = s.reshape(math.prod(s.shape[:-1]), s.shape[-1])
+        n, points = rows.shape[1], meter.grid.n_points
+        _check_edges(meter, rows)
+        block = max(1, WAVE_SAMPLES_PER_BLOCK // max(1, n * points))
+        weights = _trapezoid_weights(meter.grid)
+        keys = [column.tobytes() for column in rows.T]
+        first = [keys.index(key) for key in keys]
+        distinct = sorted(set(first))
+        columns, where = rows[:, distinct], np.searchsorted(distinct, first)
+        shape = columns.shape + columns.shape[-1:]
+        m1 = mx = None
+        for lo in range(0, len(rows), block):
+            chunk = columns[lo:lo + block]
+            waves = _shifted(meter, chunk.ravel()).reshape(chunk.shape + (points,))
+            bras = waves.conj() * weights
+            if m1 is None:
+                m1, mx = np.empty(shape, dtype=waves.dtype), np.empty(shape, dtype=waves.dtype)
+            # one fixed-order sum per pair, the same in any block
+            np.einsum("rin,rjn->rij", bras, waves, out=m1[lo:lo + block])
+            np.einsum("rin,rjn->rij", bras * meter.grid.points, waves, out=mx[lo:lo + block])
+        if m1 is None:
+            # an empty stack: empty matrices of the dtype its waves would have
+            m1 = mx = np.empty(shape, dtype=_shifted(meter, [0.0]).dtype)
+        pair = (slice(None), where[:, None], where[None, :])
+        return m1[pair].reshape(s.shape + (n,)), mx[pair].reshape(s.shape + (n,))
     raise ValidationError(f"expected GaussianMeter or GridMeter, got {type(meter).__name__}")

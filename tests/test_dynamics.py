@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cheshire.dynamics import (
+    REALIZABILITY_TOL,
     BranchWeights,
     JointMeterState,
+    _check_realizable,
     classical_mixture_density,
     failure_density,
     grid_moments,
@@ -205,3 +207,80 @@ class TestFailureDensity:
         p = success_probability(amps, g_a, g_b)
         assert branch.density.min() >= 0.0
         assert abs(branch.total_probability - (1.0 - p)) < 1e-8
+
+
+def coherence_with_spectrum(eigenvalues, weights, rng):
+    """K = D^(1/2) U diag(eigenvalues) U^dagger D^(1/2), D = diag(p), for a
+    random unitary U: the scaled coherence M then has the given spectrum."""
+    unitary, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    m = (unitary * np.asarray(eigenvalues)) @ unitary.conj().T
+    root = np.sqrt(weights.probabilities)
+    k = m * np.outer(root, root)
+    return 0.5 * (k + k.conj().T)
+
+
+class TestRealizability:
+    """`_check_realizable` decides by Cholesky factorization without
+    LAPACK; the eigenvalues of M = D^(-1/2) K D^(-1/2) are the reference."""
+
+    WEIGHTS = [BranchWeights(1 / math.sqrt(3), 1 / math.sqrt(3), 1 / math.sqrt(3)),
+               BranchWeights.from_preparation(PhotonKet.normalized([1.0, 0.5j, 2.0, -0.7]))]
+
+    @pytest.mark.parametrize("weights", WEIGHTS, ids=["uniform", "skewed"])
+    @pytest.mark.parametrize("spectrum, accepted", [
+        ((0.2, 0.6, 1.0 + 5e-10), True),
+        ((-5e-10, 0.3, 0.9), True),
+        ((0.2, 0.6, 1.0 + 2e-9), False),
+        ((-2e-9, 0.3, 0.9), False),
+        ((0.0, 0.0, 1.0), True),
+    ])
+    def test_edges(self, weights, spectrum, accepted):
+        k = coherence_with_spectrum(spectrum, weights, np.random.default_rng(3))
+        if accepted:
+            _check_realizable(k, weights)
+        else:
+            with pytest.raises(ValidationError, match="outside"):
+                _check_realizable(k, weights)
+
+    def test_pure_budget_edge(self):
+        weights = self.WEIGHTS[0]
+        # budget (amp / weight)^2 = 1 + 4e-10, inside REALIZABILITY_TOL
+        _check_realizable(TransitionAmplitudes(1.0000000002 / math.sqrt(3), 0.0, 0.0), weights)
+        with pytest.raises(ValidationError):
+            _check_realizable(TransitionAmplitudes(1.000000002 / math.sqrt(3), 0.0, 0.0), weights)
+
+    def test_agrees_with_eigenvalues_on_random_coherences(self):
+        rng = np.random.default_rng(2026)
+        decided = {True: 0, False: 0}
+        for _ in range(400):
+            amplitudes = rng.normal(size=3) + 1j * rng.normal(size=3)
+            weights = BranchWeights(*amplitudes / np.linalg.norm(amplitudes))
+            spectrum = rng.uniform(-0.2, 1.2, size=3)
+            k = coherence_with_spectrum(spectrum, weights, rng)
+            p = np.array(weights.probabilities)
+            eigenvalues = np.linalg.eigvalsh(k / np.sqrt(np.outer(p, p)))
+            if min(abs(eigenvalues[0] + REALIZABILITY_TOL),
+                   abs(eigenvalues[-1] - 1.0 - REALIZABILITY_TOL)) < 1e-12:
+                continue
+            expected = (eigenvalues[0] >= -REALIZABILITY_TOL
+                        and eigenvalues[-1] <= 1.0 + REALIZABILITY_TOL)
+            try:
+                _check_realizable(k, weights)
+                accepted = True
+            except ValidationError:
+                accepted = False
+            assert accepted == expected
+            decided[accepted] += 1
+        assert min(decided.values()) > 50
+
+    def test_nan_rejected(self):
+        k = np.full((3, 3), np.nan + 0j)
+        with pytest.raises(ValidationError, match="non-finite"):
+            _check_realizable(k, self.WEIGHTS[0])
+
+    def test_passing_check_makes_no_lapack_call(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eigvalsh called on the passing path")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        _check_realizable(EXAMPLE_AMPS, self.WEIGHTS[0])

@@ -70,7 +70,7 @@ class TestEmbed:
         assert state.dim_b == 3
         p = success_probability(EXAMPLE_AMPS, 2.0, 2.0)
         assert abs(state.branch_norm_sq - p) < 1e-10
-        assert np.isclose(np.sum(np.abs(state.amplitudes) ** 2), 1.0, atol=1e-10)
+        assert np.isclose(np.trace(state.rho).real, 1.0, atol=1e-10)
 
     def test_density_is_rank_one(self):
         state = embed(EXAMPLE_AMPS, 2.0, 2.0)

@@ -73,6 +73,12 @@ class TestMomentDecomposition:
             assert abs(dg.m_ent - dn.m_ent) < 1e-8
             assert abs(dg.m_li - dn.m_li) < 1e-8
 
+    @pytest.mark.parametrize("meter", [None, GridMeter.gaussian()], ids=["gaussian", "grid"])
+    def test_empty_coupling_stack(self, meter):
+        empty = np.array([])
+        d = moment_decomposition((EXAMPLE_AMPS.coherence(), meter, meter, empty, empty))
+        assert d.m_cl.shape == d.m_ent.shape == d.m_li.shape == (0,)
+
     @given(
         prep=unit_kets(),
         post=unit_kets(),

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cheshire.errors import GridTooSmall, ValidationError
 from cheshire.meter import (
     DEFAULT_GRID,
+    WAVE_SAMPLES_PER_BLOCK,
     GaussianMeter,
     Grid,
     GridMeter,
@@ -234,6 +235,97 @@ class TestOverlapSet:
     def test_rejects_unknown_meter(self):
         with pytest.raises(ValidationError):
             pointer_matrices((0.0, 1.0), object())
+
+
+def twisted_ground_state(x):
+    """phi0(x) e^{0.7 i x}: complex, but still zero mean and unit variance."""
+    return gaussian_ground_state(x) * np.exp(0.7j * x)
+
+
+def write_state_file(path, meter):
+    lines = [f"{x:.17g} {format_complex(v)}" for x, v in zip(meter.grid.points, meter.psi0)]
+    path.write_text("\n".join(lines) + "\n")
+    return GridMeter.from_file(path)
+
+
+class TestBlockedGridMatrices:
+    """A stack of shift rows against one trapezoid sum per shift pair, each
+    shifted wave evaluated on its own: exactly by the generator, or by
+    linear interpolation of a tabulated state."""
+
+    # one row per block on the default grid, several on the coarse one
+    GRIDS = {"fine": DEFAULT_GRID, "coarse": Grid(-20.0, 20.0, 801)}
+
+    @pytest.fixture(scope="class")
+    def meters(self, tmp_path_factory):
+        out = {}
+        for label, grid in self.GRIDS.items():
+            twisted = GridMeter.from_function(twisted_ground_state, grid)
+            path = tmp_path_factory.mktemp("states") / "twisted.txt"
+            out.update({("gaussian", label): GridMeter.gaussian(grid), ("twisted", label): twisted,
+                        ("tabulated", label): write_state_file(path, twisted)})
+        return out
+
+    @staticmethod
+    def per_shift_loop(meter, row):
+        x = meter.grid.points
+        weights = np.full(len(x), meter.grid.spacing)
+        weights[[0, -1]] *= 0.5
+        if meter.generator is not None:
+            waves = [meter.generator(x - s) for s in row]
+        else:
+            psi = meter.psi0
+            waves = [np.interp(x - s, x, psi.real, left=0.0, right=0.0)
+                     + 1j * np.interp(x - s, x, psi.imag, left=0.0, right=0.0) for s in row]
+        m1 = [[np.einsum("n,n->", np.conj(a) * weights, b) for b in waves] for a in waves]
+        mx = [[np.einsum("n,n->", np.conj(a) * weights * x, b) for b in waves] for a in waves]
+        return np.array(m1), np.array(mx)
+
+    @pytest.mark.parametrize("grid", ["fine", "coarse"])
+    @pytest.mark.parametrize("name", ["gaussian", "twisted", "tabulated"])
+    def test_matches_per_shift_loop(self, meters, name, grid):
+        meter = meters[name, grid]
+        assert (WAVE_SAMPLES_PER_BLOCK // (6 * meter.grid.n_points) > 1) == (grid == "coarse")
+        rng = np.random.default_rng(9)
+        g = np.concatenate([[0.0], rng.uniform(0.0, 8.0, 24)])
+        # both meters' branch shifts side by side, so that repeated columns
+        # (the zeros, and g twice) are evaluated once, across several blocks
+        # of rows
+        shifts = np.stack([g, 0 * g, 0 * g, 0 * g, g, -g], axis=-1).reshape(5, 5, 6)
+        m1, mx = pointer_matrices(shifts, meter)
+        assert m1.shape == mx.shape == (5, 5, 6, 6)
+        for index in np.ndindex(5, 5):
+            r1, rx = self.per_shift_loop(meter, shifts[index])
+            assert np.max(np.abs(m1[index] - r1)) <= 1e-15
+            assert np.max(np.abs(mx[index] - rx)) <= 1e-15
+
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0, 3)])
+    @pytest.mark.parametrize("name", ["gaussian", "tabulated"])
+    def test_empty_stack(self, meters, name, shape):
+        m1, mx = pointer_matrices(np.zeros(shape), meters[name, "fine"])
+        assert m1.shape == mx.shape == shape + (3,)
+        assert m1.dtype == (float if name == "gaussian" else complex)
+
+    def test_real_state_gives_real_matrices(self, meters):
+        assert np.isrealobj(pointer_matrices((0.0, 1.0, -1.0), meters["gaussian", "fine"])[0])
+        assert np.iscomplexobj(pointer_matrices((0.0, 1.0, -1.0), meters["tabulated", "fine"])[0])
+
+    @pytest.mark.parametrize("name", ["gaussian", "tabulated"])
+    def test_edge_error_at_first_failing_shift(self, meters, name):
+        meter = meters[name, "fine"]
+        # later failing shifts are smaller, on either side
+        rows = np.array([[0.0, 1.0], [2.0, 14.0], [0.0, -13.5], [13.2, 0.0], [0.5, 0.25]])
+        expected = None
+        for shift in rows.ravel():
+            try:
+                pointer_matrices((shift,), meter)
+            except GridTooSmall as exc:
+                expected = str(exc)
+                break
+        assert expected is not None and expected.startswith("shift 14.0 ")
+        with pytest.raises(GridTooSmall) as info:
+            pointer_matrices(rows, meter)
+        assert str(info.value) == expected
 
 
 class TestStateFile:
