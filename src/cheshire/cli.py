@@ -53,8 +53,11 @@ def _fmt(value: float) -> str:
 
 def _emit(text: str, out_path) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationError(f"out: cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -204,7 +207,10 @@ def cmd_montecarlo(args) -> int:
                  noise=NoiseModel(config.noise_a, config.noise_b))
     if args.dump_trials:
         trials = sample_trials(*run, **draws)
-        write_trials_csv(trials, args.dump_trials)
+        try:
+            write_trials_csv(trials, args.dump_trials)
+        except OSError as exc:
+            raise ValidationError(f"dump-trials: cannot write {args.dump_trials}: {exc}") from exc
         estimate = estimate_cheshire(trials)
     else:
         # the same estimate, bit for bit, without storing the trials

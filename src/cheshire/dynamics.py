@@ -303,8 +303,8 @@ def grid_moments(
     norm = sx = sy = sxy = 0.0
     for lo in range(0, len(x), block_rows):
         hi = min(lo + block_rows, len(x))
-        f_block = np.einsum("k,kx,ky->xy", coeffs, wa[:, lo:hi], wb)
-        density = np.abs(f_block) ** 2
+        f_block = (coeffs[:, None] * wa[:, lo:hi]).T @ wb
+        density = f_block.real ** 2 + f_block.imag ** 2
         row_mass = density @ tw_b
         row_first = density @ (y * tw_b)
         block_w = tw_a[lo:hi]

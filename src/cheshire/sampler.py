@@ -417,11 +417,22 @@ CSV_HEADER = ("tau", "x", "y")
 
 
 def write_trials_csv(trials: Trials, path) -> None:
-    """Trial stream as CSV with exact lowercase header and 17-digit floats."""
-    rows = zip(trials.tau.tolist(), trials.x.tolist(), trials.y.tolist())
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(CSV_HEADER) + "\n")
-        fh.writelines("%d,%.17g,%.17g\n" % row for row in rows)
+    """Trial stream as CSV: a ``tau,x,y`` header, then one
+    ``%d,%.17g,%.17g`` row per trial, byte for byte.
+
+    The rows are formatted in chunks of `_csvrows.CSV_CHUNK_ROWS`, so the
+    writer's buffers do not grow with the trial count.  Values with
+    1e-4 <= |v| < 1e16 are laid out by vectorized exact arithmetic in the
+    bytes %.17g gives; a row holding any other value (zero, tiny, huge,
+    infinite or nan) is formatted by %-formatting itself.
+    """
+    # imported here: without a bytecode cache every process would otherwise
+    # compile the formatter at import, about 2 ms and 0.4 MB of peak RSS
+    from ._csvrows import write_rows
+
+    with open(path, "wb") as fh:
+        fh.write((",".join(CSV_HEADER) + "\n").encode("ascii"))
+        write_rows(fh, trials.tau, trials.x, trials.y)
 
 
 def read_trials_csv(path) -> Trials:

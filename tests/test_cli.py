@@ -174,6 +174,44 @@ class TestExitCodes:
         assert info.value.code == 2
 
 
+class TestUnwritableOutput:
+    """An output path that cannot be opened is bad input: exit 2, no traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ("analytic", "--config"),
+        ("sweep", "--steps", "3", "--config"),
+        ("montecarlo", "--trials", "200", "--config"),
+        ("optimize", "--config"),
+        ("analytic", "--dump-config", "--config"),
+    ], ids=["analytic", "sweep", "montecarlo", "optimize-config", "dump-config"])
+    def test_out_exits_two(self, capsys, config_path, tmp_path, argv):
+        target = tmp_path / "missing" / "out.txt"
+        code, out, err = run_cli(capsys, *argv, config_path, "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: out: cannot write {target}: ")
+
+    def test_out_exits_two_for_state_optimum(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "out.txt"
+        code, _, err = run_cli(capsys, "optimize", "--g-a", "2", "--g-b", "2", "--out", str(target))
+        assert code == 2
+        assert err.startswith(f"error: out: cannot write {target}: ")
+
+    def test_dump_trials_exits_two(self, capsys, config_path, tmp_path):
+        target = tmp_path / "missing" / "trials.csv"
+        code, out, err = run_cli(capsys, "montecarlo", "--config", config_path,
+                                 "--trials", "200", "--dump-trials", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: dump-trials: cannot write {target}: ")
+
+    def test_directory_as_dump_target_exits_two(self, capsys, config_path, tmp_path):
+        code, _, err = run_cli(capsys, "montecarlo", "--config", config_path,
+                               "--trials", "200", "--dump-trials", str(tmp_path))
+        assert code == 2
+        assert "dump-trials: cannot write" in err
+
+
 class TestDumpConfig:
     def test_round_trip(self, capsys, config_path):
         code, out, _ = run_cli(capsys, "analytic", "--config", config_path, "--dump-config")

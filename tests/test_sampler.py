@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cheshire.dynamics import BranchWeights, success_moments, success_probability
-from cheshire import sampler
+from cheshire import _csvrows, sampler
 from cheshire.errors import PositivityError, ValidationError
 from cheshire.indicator import local_averages
 from cheshire.qsystem import TransitionAmplitudes, transition_amplitudes
@@ -544,6 +544,88 @@ class TestCsv:
         path.write_text("a,b,c\n1,0.0,0.0\n", encoding="utf-8")
         with pytest.raises(ValidationError):
             read_trials_csv(path)
+
+
+def assert_matches_reference(tau, x, y, directory):
+    trials = Trials(np.asarray(tau, dtype=np.int8), x, y)
+    write_trials_csv(trials, directory / "fast.csv")
+    csv_writer_reference(trials, directory / "reference.csv")
+    # compared line by line, so that a failure reports the first wrong row
+    fast = (directory / "fast.csv").read_bytes().split(b"\n")
+    assert fast == (directory / "reference.csv").read_bytes().split(b"\n")
+
+
+def alternating_tau(n):
+    return np.where(np.arange(n) % 3 == 0, -1, 1)
+
+
+# every float64, bit pattern by bit pattern, or one of the special values
+# hypothesis favours (+-0, +-inf, nan, subnormals, extremes)
+float64s = st.one_of(
+    st.integers(0, 2 ** 64 - 1).map(lambda bits: np.array(bits, dtype=np.uint64).view(np.float64).item()),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+
+
+class TestCsvExactBytes:
+    """The trial CSV writer's bytes equal the row-by-row %.17g reference."""
+
+    CHUNK = _csvrows.CSV_CHUNK_ROWS
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.tuples(float64s, float64s, st.booleans()), min_size=1, max_size=40))
+    def test_arbitrary_bit_patterns(self, values, tmp_path_factory):
+        x, y, negative = (np.array(column) for column in zip(*values))
+        tau = np.where(negative, -1, 1)
+        assert_matches_reference(tau, x, y, tmp_path_factory.mktemp("csv"))
+
+    def test_decade_edges(self, tmp_path):
+        edges = []
+        for k in range(-5, 18):
+            power = float(f"1e{k}")  # the double nearest 10^k
+            below = above = power
+            for _ in range(4):
+                below = np.nextafter(below, 0.0)
+                above = np.nextafter(above, math.inf)
+                edges += [below, above]
+            edges.append(power)
+            # the doubles nearest 17-digit decimals just under the next power of ten
+            edges += [float(f"9.99999999999999995e{k}"), float(f"9.99999999999999985e{k}")]
+        x = np.concatenate([edges, np.negative(edges)])
+        assert_matches_reference(alternating_tau(x.size), x, x[::-1].copy(), tmp_path)
+
+    @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1])
+    def test_chunk_boundaries(self, n, tmp_path):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 15, n)
+        y = rng.standard_normal(n)
+        # rows the fast path does not cover, first and last in their chunks
+        for row, value in zip([0, self.CHUNK - 1, self.CHUNK, n - 1], [0.0, math.inf, 1e-300, 1e16]):
+            if row < n:
+                x[row] = value
+        y[n // 2] = math.nan
+        assert_matches_reference(alternating_tau(n), x, y, tmp_path)
+
+    def test_every_row_falls_back(self, tmp_path):
+        n = self.CHUNK + 3
+        specials = np.array([0.0, -0.0, 5e-324, -9.9e-5, 1e16, -1.7976931348623157e308,
+                             math.inf, -math.inf, math.nan])
+        x = np.resize(specials, n)
+        y = np.resize(specials[::-1], n)
+        assert_matches_reference(alternating_tau(n), x, y, tmp_path)
+
+    @pytest.mark.parametrize("n", [1 << 17, 1 << 18])
+    def test_heap_does_not_grow_with_rows(self, n, tmp_path):
+        # per-value Python lists or strings would take about 70 bytes per row
+        trials = Trials(alternating_tau(n), np.linspace(-3.0, 3.0, n), np.linspace(5.0, -5.0, n))
+        tracemalloc.start()
+        try:
+            write_trials_csv(trials, tmp_path / "trials.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
 
 class TestPhysicalPairsProperty:
     @settings(max_examples=15, deadline=None)
