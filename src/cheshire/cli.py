@@ -9,14 +9,18 @@ success, 2 for configuration errors, 3 for numerical-consistency errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import math
+import os
+import stat
 import sys
 
 import numpy as np
 
 from .config import ExperimentConfig, dump_config, load_config
+from .dynamics import JointMeterState
 from .entanglement import meter_negativity
 from .errors import (
     CheshireError,
@@ -82,8 +86,7 @@ def _effective_config(args) -> ExperimentConfig:
 def _handle_dump(args, config: ExperimentConfig) -> bool:
     if args.dump_config:
         _emit(dump_config(config), args.out)
-        return True
-    return False
+    return args.dump_config
 
 
 def analytic_report(config: ExperimentConfig) -> list[tuple[str, str]]:
@@ -157,7 +160,7 @@ def _sweep_stack(config: ExperimentConfig, g: np.ndarray):
     coherence = config.coherence()
     meter = GridMeter.gaussian(config.grid)
     exact = cheshire_analytic(config.postselection, config.prep, g, g)
-    c_grid = 2.0 * moment_decomposition((coherence, meter, meter, g, g), "x", "x").total
+    c_grid = 2.0 * moment_decomposition(JointMeterState(coherence, meter, meter, g, g)).total
     disagree = np.flatnonzero(np.abs(exact.c_value - c_grid) > ORACLE_AGREEMENT_TOL)
     if disagree.size:
         i = disagree[0]
@@ -196,6 +199,26 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _sample_to_csv(path, run, draws):
+    """The trials, written to the trial CSV at ``path``: opened before the first
+    draw, so an unwritable path fails at once; a regular file is emptied once
+    the trials are drawn, and removed if the run fails only if this run made it."""
+    created = not os.path.lexists(path)
+    with open(path, "ab") as fh:
+        try:
+            trials = sample_trials(*run, **draws)
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate(0)
+            write_trials_csv(trials, fh)
+            return trials
+        except BaseException:
+            if created:
+                fh.close()
+                with contextlib.suppress(OSError):
+                    os.remove(path)
+            raise
+
+
 def cmd_montecarlo(args) -> int:
     config = _effective_config(args)
     if _handle_dump(args, config):
@@ -206,9 +229,8 @@ def cmd_montecarlo(args) -> int:
     draws = dict(n=config.n_trials, seed=config.seed,
                  noise=NoiseModel(config.noise_a, config.noise_b))
     if args.dump_trials:
-        trials = sample_trials(*run, **draws)
         try:
-            write_trials_csv(trials, args.dump_trials)
+            trials = _sample_to_csv(args.dump_trials, run, draws)
         except OSError as exc:
             raise ValidationError(f"dump-trials: cannot write {args.dump_trials}: {exc}") from exc
         estimate = estimate_cheshire(trials)
@@ -216,10 +238,7 @@ def cmd_montecarlo(args) -> int:
         # the same estimate, bit for bit, without storing the trials
         estimate = sample_estimate(*run, **draws)
     exact = cheshire_analytic(config.postselection, config.prep, config.g_a, config.g_b)
-    if estimate.std_error > 0.0:
-        z = (estimate.c_hat - exact.c_value) / estimate.std_error
-    else:
-        z = math.nan
+    z = (estimate.c_hat - exact.c_value) / estimate.std_error if estimate.std_error > 0.0 else math.nan
     lines = [
         f"c_hat={_fmt(estimate.c_hat)}",
         f"std_error={_fmt(estimate.std_error)}",

@@ -2,16 +2,22 @@
 
 The preparation splits into three branches: left arm (meter A shifted by
 g_A, meter B untouched) and right arm with either polarization (meter A
-untouched, meter B shifted by +g_B or -g_B).  Postselecting the system
-leaves the meters in the success-branch wavefunction
+untouched, meter B shifted by +g_B or -g_B).  Branch k leaves the meters in
+the product wave w_k(x, y) = phi0(x - s^A_k) phi0(y - s^B_k).  Postselecting
+the system on an effect E leaves the success-branch readout density
+
+    p_s = Re sum_jk K_jk w_j* w_k,    K_jk = Tr(E P_k rho P_j),
+
+which integrates to the success probability P.  For pure E and rho,
+K = conj(c) c^T with c = (l, r+, r-), and p_s = |F|^2 with
 
     F(x, y) = l phi0(x - g_A) phi0(y)
             + r+ phi0(x) phi0(y - g_B)
-            + r- phi0(x) phi0(y + g_B)
+            + r- phi0(x) phi0(y + g_B).
 
-with squared norm equal to the postselection success probability P.  The
-failed branch is mixed; only its pointer-diagonal density is needed, and
-it equals the classically correlated mixture minus |F|^2.
+p_s is linear in K: K = diag(p) gives the classically correlated mixture
+p_cl, and diag(p) - K the pointer-diagonal density p_cl - p_s of the
+failed branch, which is mixed.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from .meter import (
     gaussian_ground_state,
     pointer_matrices,
 )
-from .qsystem import PhotonKet, TransitionAmplitudes, _coherence
+from .qsystem import PhotonKet, _coherence
 
 PROBABILITY_TOL = 1e-10
 POSITIVITY_TOL = 1e-10
@@ -142,10 +148,12 @@ def _validate_couplings(g_a, g_b) -> None:
         raise ValidationError("couplings must be >= 0")
 
 
-def _check_weights(*weights: str) -> None:
+def _weight_indices(*weights: str) -> list[int]:
+    """The index of each pointer observable in ("1", "x")."""
     for w in weights:
         if w not in ("1", "x"):
             raise ValidationError(f"pointer observable must be '1' or 'x', got {w!r}")
+    return [("1", "x").index(w) for w in weights]
 
 
 @dataclass(frozen=True)
@@ -165,7 +173,10 @@ class SuccessMoments:
 def success_probability(coherence, g_a: float, g_b: float) -> float:
     """P = sum_jk Re(K_jk <M_j|M_k>) over the branch pairs; for pure states
     |l|^2 + |r+|^2 + |r-|^2 + 2 w_A w_B Re[l*(r+ + r-)] + 2 exp(-g_B^2/2) Re[r+* r-]."""
-    p = success_moments(coherence, g_a, g_b).norm
+    return _probability(success_moments(coherence, g_a, g_b).norm)
+
+
+def _probability(p: float) -> float:
     if not (-PROBABILITY_TOL <= p <= 1.0 + PROBABILITY_TOL):
         raise ConsistencyError(f"success probability {p!r} outside [0, 1]")
     return min(max(p, 0.0), 1.0)
@@ -216,104 +227,102 @@ def success_moments(coherence, g_a: float, g_b: float) -> SuccessMoments:
     return SuccessMoments(*_total(terms.reshape(4, 9)).tolist())
 
 
+_BLOCK_ROWS = 256  # readout-plane rows per `grid_moments` block of _BLOCK_ROWS * n_y floats
+
+
 @dataclass(frozen=True, eq=False)
 class JointMeterState:
-    """Success-branch meter wavefunction F for a given amplitude triple."""
+    """Success-branch meter state over the branch coherence K (or a
+    `TransitionAmplitudes` triple for its rank-1 K).
 
-    amps: TransitionAmplitudes
-    meter_a: GaussianMeter | GridMeter
-    meter_b: GaussianMeter | GridMeter
+    A meter is a `GaussianMeter`, a `GridMeter`, or None for the Gaussian
+    closed form.  The couplings may be stacks for `moment_decomposition`;
+    the readout plane needs one finite coupling per meter.
+    """
+
+    coherence: np.ndarray
+    meter_a: GaussianMeter | GridMeter | None
+    meter_b: GaussianMeter | GridMeter | None
     g_a: float
     g_b: float
 
     def __post_init__(self):
+        object.__setattr__(self, "coherence", _coherence(self.coherence))
         _validate_couplings(self.g_a, self.g_b)
-        if not (math.isfinite(self.g_a) and math.isfinite(self.g_b)):
-            raise ValidationError("grid evaluation needs finite couplings")
         for meter, g in ((self.meter_a, self.g_a), (self.meter_b, self.g_b)):
-            if isinstance(meter, GaussianMeter) and meter.g != g:
+            if isinstance(meter, GaussianMeter) and np.any(meter.g != g):
                 raise ValidationError("meter coupling disagrees with the joint-state coupling")
 
     @classmethod
-    def gaussian(cls, amps: TransitionAmplitudes, g_a: float, g_b: float) -> "JointMeterState":
-        return cls(amps, GaussianMeter(g_a), GaussianMeter(g_b), g_a, g_b)
+    def gaussian(cls, coherence, g_a: float, g_b: float) -> "JointMeterState":
+        return cls(coherence, GaussianMeter(g_a), GaussianMeter(g_b), g_a, g_b)
 
-    def branch_waves_a(self, x: np.ndarray) -> np.ndarray:
-        shifts, _ = _branch_shifts(self.g_a, self.g_b)
-        return _branch_waves(self.meter_a, shifts, x)
+    def density(self, x, y) -> np.ndarray:
+        """The readout density p_s at every (x_i, y_j) of the flattened
+        coordinates, shape (len(x), len(y)); |F(x, y)|^2 for rank-1 K."""
+        return _block_density(self.coherence, *self._pairs(np.ravel(x), np.ravel(y)))
 
-    def branch_waves_b(self, y: np.ndarray) -> np.ndarray:
-        _, shifts = _branch_shifts(self.g_a, self.g_b)
-        return _branch_waves(self.meter_b, shifts, y)
-
-    def evaluate(self, x, y) -> np.ndarray:
-        """F(x, y) with numpy broadcasting over coordinate arrays."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        wa = self.branch_waves_a(x.ravel()).reshape(3, *x.shape)
-        wb = self.branch_waves_b(y.ravel()).reshape(3, *y.shape)
-        coeffs = np.array([self.amps.l, self.amps.r_plus, self.amps.r_minus])
-        out = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
-        for k in range(3):
-            out = out + coeffs[k] * wa[k] * wb[k]
-        return out
+    def _pairs(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        shifts_a, shifts_b = _branch_shifts(self.g_a, self.g_b)
+        return _branch_pairs(self.meter_a, shifts_a, x), _branch_pairs(self.meter_b, shifts_b, y)
 
     def success_probability(self) -> float:
-        if isinstance(self.meter_a, GaussianMeter) and isinstance(self.meter_b, GaussianMeter):
-            return success_probability(self.amps, self.g_a, self.g_b)
-        moments = grid_moments(self)
-        if not (-PROBABILITY_TOL <= moments.norm <= 1.0 + PROBABILITY_TOL):
-            raise ConsistencyError(f"success probability {moments.norm!r} outside [0, 1]")
-        return min(max(moments.norm, 0.0), 1.0)
+        if all(m is None or isinstance(m, GaussianMeter) for m in (self.meter_a, self.meter_b)):
+            return success_probability(self.coherence, self.g_a, self.g_b)
+        return _probability(grid_moments(self).norm)
 
 
-def _branch_waves(meter, shifts, x: np.ndarray) -> np.ndarray:
-    """Rows are the pointer wavefunction shifted by each branch shift."""
-    if isinstance(meter, GaussianMeter):
-        return np.stack([gaussian_ground_state(x - s).astype(complex) for s in shifts])
-    if isinstance(meter, GridMeter):
+def _branch_pairs(meter, shifts, x: np.ndarray) -> np.ndarray:
+    """conj(w_j(x)) w_k(x) for the branch pairs (j, k), 9 rows in K's row-major
+    order, w_k the meter's wave (None: the Gaussian ground state) shifted by s_k."""
+    if shifts.shape != (3,) or not np.all(np.isfinite(shifts)):
+        raise ValidationError("grid evaluation needs one finite coupling per meter")
+    if meter is None or isinstance(meter, GaussianMeter):
+        waves = gaussian_ground_state(np.asarray(x, dtype=float) - shifts[:, None])
+    elif isinstance(meter, GridMeter):
         if not np.array_equal(x, meter.grid.points):
             raise ValidationError("grid meter branches must be evaluated on the meter's own grid")
         _check_edges(meter, shifts)
-        return _shifted(meter, shifts)
-    raise ValidationError(f"expected GaussianMeter or GridMeter, got {type(meter).__name__}")
+        waves = _shifted(meter, shifts)
+    else:
+        raise ValidationError(f"expected GaussianMeter or GridMeter, got {type(meter).__name__}")
+    return (waves.conj()[:, None] * waves[None, :]).reshape(9, len(x))
+
+
+def _block_density(coherence: np.ndarray, pairs_a: np.ndarray, pairs_b: np.ndarray) -> np.ndarray:
+    """Re sum_jk K_jk (a_j* a_k)(x) (b_j* b_k)(y) over the x of ``pairs_a``
+    (rows) and the y of ``pairs_b``, as one matmul with inner dimension 9:
+    |F|^2 for rank-1 K, p_cl for K = diag(p)."""
+    rows = (coherence.reshape(9, 1) * pairs_a).T
+    if np.isrealobj(pairs_b):
+        # real waves on B: only Re(rows) counts, in under half the complex matmul's time
+        return rows.real @ pairs_b
+    return (rows @ pairs_b).real
+
+
+def _trapezoid_moments(density: np.ndarray, grid_a: Grid, grid_b: Grid, rows=slice(None)):
+    """[[int 1, int y], [int x, int xy]] of a density on grid_a x grid_b (or
+    of its block of ``rows``): trapezoid weights times the functions (1, x)."""
+    w_a, w_b = (_trapezoid_weights(g)[:, None] * np.vander(g.points, 2, increasing=True)
+                for g in (grid_a, grid_b))
+    return w_a[rows].T @ (density @ w_b)
 
 
 def grid_moments(
-    state: JointMeterState,
-    grid_a: Grid | None = None,
-    grid_b: Grid | None = None,
-    block_rows: int = 256,
+    state: JointMeterState, grid_a: Grid | None = None, grid_b: Grid | None = None
 ) -> SuccessMoments:
-    """Trapezoidal quadrature of (1, x, y, xy) against |F|^2.
-
-    Works row-block by row-block so memory stays O(block * n_y) even on
-    fine grids.
-    """
+    """Trapezoidal quadrature of (1, x, y, xy) against the success density,
+    one block of `_BLOCK_ROWS` rows at a time, so memory stays O(block * n_y)
+    even on fine grids."""
     grid_a = grid_a or getattr(state.meter_a, "grid", None) or DEFAULT_GRID
     grid_b = grid_b or getattr(state.meter_b, "grid", None) or DEFAULT_GRID
-    x = grid_a.points
-    y = grid_b.points
-    wa = state.branch_waves_a(x)
-    wb = state.branch_waves_b(y)
-    coeffs = np.array([state.amps.l, state.amps.r_plus, state.amps.r_minus])
-
-    tw_a = _trapezoid_weights(grid_a)
-    tw_b = _trapezoid_weights(grid_b)
-    norm = sx = sy = sxy = 0.0
-    for lo in range(0, len(x), block_rows):
-        hi = min(lo + block_rows, len(x))
-        f_block = (coeffs[:, None] * wa[:, lo:hi]).T @ wb
-        density = f_block.real ** 2 + f_block.imag ** 2
-        row_mass = density @ tw_b
-        row_first = density @ (y * tw_b)
-        block_w = tw_a[lo:hi]
-        block_xw = x[lo:hi] * block_w
-        norm += float(block_w @ row_mass)
-        sx += float(block_xw @ row_mass)
-        sy += float(block_w @ row_first)
-        sxy += float(block_xw @ row_first)
-    return SuccessMoments(norm, sx, sy, sxy)
+    pairs_a, pairs_b = state._pairs(grid_a.points, grid_b.points)
+    total = np.zeros((2, 2))
+    for lo in range(0, grid_a.n_points, _BLOCK_ROWS):
+        rows = slice(lo, lo + _BLOCK_ROWS)
+        density = _block_density(state.coherence, pairs_a[:, rows], pairs_b)
+        total += _trapezoid_moments(density, grid_a, grid_b, rows)
+    return SuccessMoments(*total.T.ravel().tolist())
 
 
 def classical_mixture_density(
@@ -323,21 +332,10 @@ def classical_mixture_density(
     grid_a: Grid = DEFAULT_GRID,
     grid_b: Grid = DEFAULT_GRID,
 ) -> np.ndarray:
-    """p_cl(x, y): the branch-weighted product of shifted pointer densities."""
-    _validate_couplings(g_a, g_b)
-    if not (math.isfinite(g_a) and math.isfinite(g_b)):
-        raise ValidationError("grid evaluation needs finite couplings")
-    x = grid_a.points
-    y = grid_b.points
-    shifts_a, shifts_b = _branch_shifts(g_a, g_b)
-    out = np.zeros((len(x), len(y)))
-    for p, sa, sb in zip(weights.probabilities, shifts_a, shifts_b):
-        if p == 0.0:
-            continue
-        da = gaussian_ground_state(x - sa) ** 2
-        db = gaussian_ground_state(y - sb) ** 2
-        out += p * np.outer(da, db)
-    return out
+    """p_cl(x, y) = sum_k p_k |w_k(x, y)|^2, the readout density over
+    K = diag(p)."""
+    state = JointMeterState(np.diag(weights.probabilities), None, None, g_a, g_b)
+    return state.density(grid_a.points, grid_b.points)
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,46 +349,34 @@ class FailureBranch:
 
     def moment(self, x_weight: str = "1", y_weight: str = "1") -> float:
         """Trapezoidal integral of w_A(x) w_B(y) p_f(x, y)."""
-        _check_weights(x_weight, y_weight)
-        va = _trapezoid_weights(self.grid_a)
-        vb = _trapezoid_weights(self.grid_b)
-        if x_weight == "x":
-            va = va * self.grid_a.points
-        if y_weight == "x":
-            vb = vb * self.grid_b.points
-        return float(va @ self.density @ vb)
+        i, j = _weight_indices(x_weight, y_weight)
+        return float(_trapezoid_moments(self.density, self.grid_a, self.grid_b)[i, j])
 
 
 def failure_density(
-    amps: TransitionAmplitudes,
+    coherence,
     weights: BranchWeights,
     g_a: float,
     g_b: float,
     grid_a: Grid = DEFAULT_GRID,
     grid_b: Grid = DEFAULT_GRID,
 ) -> FailureBranch:
-    """p_f = p_cl - |F|^2, the diagonal of the failed-branch meter state.
+    """p_f = p_cl - p_s, the diagonal of the failed-branch meter state: the
+    readout density over diag(p) - K, from K or amplitudes.
 
-    Non-negative whenever the amplitudes are realizable from the branch
-    weights; a dip below -1e-10 signals inconsistent inputs.
+    Negative values are returned as computed and integrated.  A realizable
+    K is at most (1 + REALIZABILITY_TOL) diag(p) and p_cl <= 1/(2 pi), so a value
+    below -(POSITIVITY_TOL + REALIZABILITY_TOL / (2 pi)) raises `PositivityError`.
     """
-    _check_realizable(amps, weights)
-    p_cl = classical_mixture_density(weights, g_a, g_b, grid_a, grid_b)
-    state = JointMeterState.gaussian(amps, g_a, g_b)
-    f = np.einsum(
-        "k,kx,ky->xy",
-        np.array([amps.l, amps.r_plus, amps.r_minus]),
-        state.branch_waves_a(grid_a.points),
-        state.branch_waves_b(grid_b.points),
-    )
-    p_f = p_cl - np.abs(f) ** 2
+    _check_realizable(coherence, weights)
+    failed = np.diag(weights.probabilities) - _coherence(coherence)
+    p_f = JointMeterState(failed, None, None, g_a, g_b).density(grid_a.points, grid_b.points)
+    floor = -(POSITIVITY_TOL + REALIZABILITY_TOL / (2.0 * math.pi))
     worst = float(p_f.min())
-    if worst < -POSITIVITY_TOL:
+    if worst < floor:
         raise PositivityError(
-            f"failure density reaches {worst!r} < -{POSITIVITY_TOL}; "
-            "amplitudes and branch weights are inconsistent"
+            f"failure density reaches {worst!r} < {floor!r}; "
+            "branch coherence and branch weights are inconsistent"
         )
-    np.clip(p_f, 0.0, None, out=p_f)
-    total = float(_trapezoid_weights(grid_a) @ p_f @ _trapezoid_weights(grid_b))
     p_f.setflags(write=False)
-    return FailureBranch(p_f, grid_a, grid_b, total)
+    return FailureBranch(p_f, grid_a, grid_b, float(_trapezoid_moments(p_f, grid_a, grid_b)[0, 0]))

@@ -23,10 +23,10 @@ import numpy as np
 
 from .dynamics import (
     _branch_shifts,
-    _check_weights,
     _total,
     _unstack,
     _validate_couplings,
+    _weight_indices,
     JointMeterState,
     branch_terms,
     success_moments,
@@ -37,7 +37,6 @@ from .qsystem import (
     PhotonDensity,
     PhotonEffect,
     PhotonKet,
-    _coherence,
     _operator_matrix,
     branch_coherence,
     trace_term,
@@ -117,27 +116,20 @@ def _coupling_prefactor(g_a, g_b) -> np.ndarray:
 
 
 def moment_decomposition(
-    state, x_weight: str = "x", y_weight: str = "x"
+    state: JointMeterState, x_weight: str = "x", y_weight: str = "x"
 ) -> MomentDecomposition:
     """Classical / entanglement / local-interference split of the moment.
 
-    ``state`` is a `JointMeterState`, or its fields as a tuple with the
-    branch coherence K in place of ``amps``; in the tuple the couplings may
-    be arrays, which give a decomposition of arrays, one entry per coupling
-    pair.  The branch-pair terms come from each meter's pointer matrix, so
-    this works for both analytic and grid meters: diagonal pairs are
-    classical, left-right pairs entangling, and the right-right pair local
-    to meter B.
+    The branch-pair terms come from each meter's pointer matrix, so this
+    works for analytic and grid meters: diagonal pairs are classical,
+    left-right pairs entangling, and the right-right pair local to meter B.
+    Stacked couplings give arrays, one entry per coupling pair.
     """
-    _check_weights(x_weight, y_weight)
-    if isinstance(state, JointMeterState):
-        state = (state.amps, state.meter_a, state.meter_b, state.g_a, state.g_b)
-    coherence, meter_a, meter_b, g_a, g_b = state
-    shifts_a, shifts_b = _branch_shifts(g_a, g_b)
-    pick_a, pick_b = ("1", "x").index(x_weight), ("1", "x").index(y_weight)
-    a = pointer_matrices(shifts_a, meter_a)[pick_a]
-    b = pointer_matrices(shifts_b, meter_b)[pick_b]
-    terms = branch_terms(_coherence(coherence), a, b)
+    pick_a, pick_b = _weight_indices(x_weight, y_weight)
+    shifts_a, shifts_b = _branch_shifts(state.g_a, state.g_b)
+    a = pointer_matrices(shifts_a, state.meter_a)[pick_a]
+    b = pointer_matrices(shifts_b, state.meter_b)[pick_b]
+    terms = branch_terms(state.coherence, a, b)
     m_cl = _total(np.diagonal(terms, axis1=-2, axis2=-1))
     m_ent = _total(terms[..., 0, 1:]) + _total(terms[..., 1:, 0])
     m_li = terms[..., 1, 2] + terms[..., 2, 1]

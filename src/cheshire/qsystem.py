@@ -122,7 +122,7 @@ class PhotonDensity:
     def __post_init__(self):
         m = _validated_hermitian(self.matrix, "density matrix")
         if abs(np.trace(m).real - 1.0) > NORM_TOL:
-            raise ValidationError("density matrix trace must be 1 within 1e-12")
+            raise ValidationError(f"density matrix trace must be 1 within {NORM_TOL}")
         if np.linalg.eigvalsh(m).min() < -EIGENVALUE_TOL:
             raise ValidationError("density matrix has a negative eigenvalue")
         object.__setattr__(self, "matrix", m)
@@ -232,10 +232,10 @@ def branch_coherence(E, rho) -> np.ndarray:
 
 
 def _coherence(source) -> np.ndarray:
-    """K itself, or the pure special case `TransitionAmplitudes.coherence`."""
+    """A copy of K, or the pure special case `TransitionAmplitudes.coherence`."""
     if isinstance(source, TransitionAmplitudes):
         return source.coherence()
-    k = np.asarray(source, dtype=complex)
+    k = np.array(source, dtype=complex)
     if k.shape != (3, 3) or np.max(np.abs(k - k.conj().T)) > HERMITIAN_TOL:
         raise ValidationError(f"branch coherence must be a Hermitian 3x3 matrix, got {k!r}")
     return k

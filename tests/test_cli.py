@@ -13,6 +13,7 @@ import pytest
 
 import cheshire
 from cheshire.cli import locate_max, main
+from cheshire.errors import ValidationError
 from cheshire.meter import format_complex, parse_complex
 from cheshire.sampler import read_trials_csv
 
@@ -204,6 +205,65 @@ class TestUnwritableOutput:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: dump-trials: cannot write {target}: ")
+
+    def test_unwritable_dump_target_fails_before_sampling(self, capsys, config_path, tmp_path,
+                                                          monkeypatch):
+        def sample_trials(*args, **kwargs):
+            raise AssertionError("trials drawn before the dump target was opened")
+
+        monkeypatch.setattr(cheshire.cli, "sample_trials", sample_trials)
+        target = tmp_path / "missing" / "trials.csv"
+        code, _, err = run_cli(capsys, "montecarlo", "--config", config_path,
+                               "--trials", "1000000", "--dump-trials", str(target))
+        assert code == 2
+        assert err.startswith(f"error: dump-trials: cannot write {target}: ")
+
+    def test_failed_sampling_leaves_no_dump_file(self, capsys, config_path, tmp_path, monkeypatch):
+        def sample_trials(*args, **kwargs):
+            raise ValidationError("sampling failed")
+
+        monkeypatch.setattr(cheshire.cli, "sample_trials", sample_trials)
+        target = tmp_path / "trials.csv"
+        code, _, err = run_cli(capsys, "montecarlo", "--config", config_path,
+                               "--trials", "200", "--dump-trials", str(target))
+        assert code == 2
+        assert "sampling failed" in err
+        assert not target.exists()
+
+    def test_failed_sampling_keeps_an_existing_file(self, capsys, config_path, tmp_path,
+                                                    monkeypatch):
+        def sample_trials(*args, **kwargs):
+            raise ValidationError("sampling failed")
+
+        monkeypatch.setattr(cheshire.cli, "sample_trials", sample_trials)
+        target = tmp_path / "trials.csv"
+        target.write_bytes(b"kept\n")
+        code, _, _ = run_cli(capsys, "montecarlo", "--config", config_path,
+                             "--trials", "200", "--dump-trials", str(target))
+        assert code == 2
+        assert target.read_bytes() == b"kept\n"
+
+    def test_failed_sampling_never_removes_a_device(self, capsys, config_path, monkeypatch):
+        removed = []
+
+        def sample_trials(*args, **kwargs):
+            raise ValidationError("sampling failed")
+
+        monkeypatch.setattr(cheshire.cli, "sample_trials", sample_trials)
+        monkeypatch.setattr(os, "remove", removed.append)
+        code, _, _ = run_cli(capsys, "montecarlo", "--config", config_path,
+                             "--trials", "200", "--dump-trials", os.devnull)
+        assert code == 2
+        assert removed == []
+
+    def test_existing_file_is_replaced(self, capsys, config_path, tmp_path):
+        fresh, existing = tmp_path / "fresh.csv", tmp_path / "existing.csv"
+        existing.write_bytes(b"x" * 100_000)
+        for target in (fresh, existing):
+            code, _, _ = run_cli(capsys, "montecarlo", "--config", config_path,
+                                 "--trials", "200", "--dump-trials", str(target))
+            assert code == 0
+        assert existing.read_bytes() == fresh.read_bytes()
 
     def test_directory_as_dump_target_exits_two(self, capsys, config_path, tmp_path):
         code, _, err = run_cli(capsys, "montecarlo", "--config", config_path,

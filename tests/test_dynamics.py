@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cheshire import dynamics
 from cheshire.dynamics import (
+    POSITIVITY_TOL,
     REALIZABILITY_TOL,
     BranchWeights,
     JointMeterState,
@@ -18,7 +20,7 @@ from cheshire.dynamics import (
     success_moments,
     success_probability,
 )
-from cheshire.errors import ConsistencyError, ValidationError
+from cheshire.errors import ConsistencyError, PositivityError, ValidationError
 from cheshire.meter import Grid, GridMeter, gaussian_ground_state
 from cheshire.qsystem import PhotonKet, TransitionAmplitudes, transition_amplitudes
 
@@ -117,9 +119,9 @@ class TestJointMeterState:
         amps = transition_amplitudes(example_prep, example_post)
         state = JointMeterState.gaussian(amps, 0.0, 0.0)
         x = np.linspace(-3, 3, 7)
-        f = state.evaluate(x[:, None], x[None, :])
+        density = state.density(x, x)
         expected = amps.total * np.outer(gaussian_ground_state(x), gaussian_ground_state(x))
-        assert np.allclose(f, expected, atol=1e-15)
+        assert np.allclose(density, np.abs(expected) ** 2, atol=1e-15)
 
     def test_pointwise_formula(self):
         state = JointMeterState.gaussian(EXAMPLE_AMPS, 2.0, 1.0)
@@ -129,7 +131,7 @@ class TestJointMeterState:
             + EXAMPLE_AMPS.r_plus * gaussian_ground_state(x) * gaussian_ground_state(y - 1.0)
             + EXAMPLE_AMPS.r_minus * gaussian_ground_state(x) * gaussian_ground_state(y + 1.0)
         )
-        assert np.isclose(complex(state.evaluate(x, y)[0]), expected, atol=1e-15)
+        assert np.isclose(state.density(x, y)[0, 0], abs(expected) ** 2, atol=1e-15)
 
     def test_success_probability_method(self):
         state = JointMeterState.gaussian(EXAMPLE_AMPS, 2.0, 2.0)
@@ -161,7 +163,7 @@ class TestFailureDensity:
         weights = BranchWeights.from_preparation(example_prep)
         branch = failure_density(amps, weights, 2.0, 2.0, SMALL_GRID, SMALL_GRID)
         assert abs(branch.total_probability - (1.0 - P_EXAMPLE_G2)) < 1e-8
-        assert branch.density.min() >= 0.0
+        assert branch.density.min() >= -POSITIVITY_TOL
 
     def test_cross_moment_antisymmetry(self, example_prep, example_post):
         amps = transition_amplitudes(example_prep, example_post)
@@ -186,6 +188,28 @@ class TestFailureDensity:
         branch = failure_density(amps, weights, 0.01, 0.01, SMALL_GRID, SMALL_GRID)
         assert branch.total_probability < 1e-4
 
+    @pytest.mark.parametrize("delta", [3e-10, 8e-10, 0.99 * REALIZABILITY_TOL])
+    def test_negative_values_of_realizable_coherence_are_returned(self, example_prep, delta):
+        # K = (1 + delta) diag(p) passes the realizability check for delta <
+        # REALIZABILITY_TOL, and its failure density -delta p_cl dips below 0,
+        # past -POSITIVITY_TOL for the larger delta: the values come back as
+        # computed
+        weights = BranchWeights.from_preparation(example_prep)
+        k = (1.0 + delta) * np.diag(weights.probabilities)
+        branch = failure_density(k, weights, 0.0, 0.0, SMALL_GRID, SMALL_GRID)
+        p_cl = classical_mixture_density(weights, 0.0, 0.0, SMALL_GRID, SMALL_GRID)
+        assert branch.density.min() < 0.0
+        assert np.allclose(branch.density, -delta * p_cl, rtol=1e-6, atol=0.0)
+        assert abs(branch.total_probability + delta) < 1e-15
+
+    def test_negative_values_beyond_realizability_slack_raise(self, example_prep, monkeypatch):
+        # the check stops such K first; without it the density check still fires
+        monkeypatch.setattr(dynamics, "_check_realizable", lambda coherence, weights: None)
+        weights = BranchWeights.from_preparation(example_prep)
+        k = (1.0 + 2.0 * REALIZABILITY_TOL) * np.diag(weights.probabilities)
+        with pytest.raises(PositivityError):
+            failure_density(k, weights, 0.0, 0.0, SMALL_GRID, SMALL_GRID)
+
     def test_unrealizable_amplitudes_rejected(self):
         weights = BranchWeights.from_preparation(PhotonKet.normalized([1.0, 0.0, 1.0, 1.0]))
         with pytest.raises(ValidationError):
@@ -205,7 +229,7 @@ class TestFailureDensity:
         weights = BranchWeights.from_preparation(prep)
         branch = failure_density(amps, weights, g_a, g_b, SMALL_GRID, SMALL_GRID)
         p = success_probability(amps, g_a, g_b)
-        assert branch.density.min() >= 0.0
+        assert branch.density.min() >= -POSITIVITY_TOL
         assert abs(branch.total_probability - (1.0 - p)) < 1e-8
 
 

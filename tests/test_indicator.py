@@ -20,7 +20,13 @@ from cheshire.indicator import (
     optimize_couplings,
     optimize_states,
 )
-from cheshire.meter import Grid, GridMeter, gaussian_overlap0, gaussian_overlap1
+from cheshire.meter import (
+    Grid,
+    GridMeter,
+    gaussian_ground_state,
+    gaussian_overlap0,
+    gaussian_overlap1,
+)
 from cheshire.qsystem import (
     PhotonDensity,
     PhotonEffect,
@@ -76,7 +82,7 @@ class TestMomentDecomposition:
     @pytest.mark.parametrize("meter", [None, GridMeter.gaussian()], ids=["gaussian", "grid"])
     def test_empty_coupling_stack(self, meter):
         empty = np.array([])
-        d = moment_decomposition((EXAMPLE_AMPS.coherence(), meter, meter, empty, empty))
+        d = moment_decomposition(JointMeterState(EXAMPLE_AMPS.coherence(), meter, meter, empty, empty))
         assert d.m_cl.shape == d.m_ent.shape == d.m_li.shape == (0,)
 
     @given(
@@ -95,6 +101,18 @@ class TestMomentDecomposition:
         m = grid_moments(state, SMALL_GRID, SMALL_GRID)
         direct = {"11": m.norm, "x1": m.x, "1x": m.y, "xx": m.xy}[wx + wy]
         assert abs(d.total - direct) < 1e-8
+
+    def test_complex_pointer_waves_match_grid_moments(self):
+        # a chirped Gaussian has complex shifted waves and the Gaussian's
+        # |psi|^2; the pointer matrices and the 2-D quadrature must agree
+        chirped = GridMeter.from_function(
+            lambda x: gaussian_ground_state(x) * np.exp(0.3j * x * x), SMALL_GRID)
+        for meter_a, meter_b in ((chirped, chirped), (chirped, None), (None, chirped)):
+            state = JointMeterState(EXAMPLE_AMPS, meter_a, meter_b, 2.0, 1.5)
+            m = grid_moments(state, SMALL_GRID, SMALL_GRID)
+            for (wx, wy), direct in {("1", "1"): m.norm, ("x", "1"): m.x,
+                                     ("1", "x"): m.y, ("x", "x"): m.xy}.items():
+                assert abs(moment_decomposition(state, wx, wy).total - direct) < 1e-8
 
 
 class TestCrossMoment:

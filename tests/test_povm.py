@@ -2,7 +2,7 @@
 
 A random effect 0 <= E <= 1 with a random eigenbasis reaches every route
 through its branch coherence K_jk = Tr(E P_k rho P_j).  The closed form,
-the grid oracle and the Monte Carlo trials must then agree as they do for
+the grid oracles and the Monte Carlo trials must then agree as they do for
 a pure postselection, and the 2x3 negativity must be non-negative and
 vanish when K is diagonal, where the meter state is a mixture of products.
 """
@@ -15,7 +15,13 @@ from hypothesis import strategies as st
 
 import pytest
 
-from cheshire.dynamics import BranchWeights, success_moments
+from cheshire.dynamics import (
+    BranchWeights,
+    JointMeterState,
+    failure_density,
+    grid_moments,
+    success_moments,
+)
 from cheshire.entanglement import meter_negativity
 from cheshire.errors import ValidationError
 from cheshire.indicator import cheshire_analytic, moment_decomposition
@@ -53,11 +59,26 @@ def test_analytic_matches_grid_oracle(effect, prep, g_a, g_b):
     k = branch_coherence(effect, prep)
     exact = cheshire_analytic(effect, prep, g_a, g_b)
     moments = success_moments(k, g_a, g_b)
-    state = (k, METER, METER, g_a, g_b)
+    state = JointMeterState(k, METER, METER, g_a, g_b)
     assert abs(exact.c_value - 2.0 * moment_decomposition(state, "x", "x").total) < 1e-6
     assert abs(exact.p_success - moment_decomposition(state, "1", "1").total) < 1e-6
     assert abs(moments.x - moment_decomposition(state, "x", "1").total) < 1e-6
     assert abs(moments.y - moment_decomposition(state, "1", "x").total) < 1e-6
+    # the 2-D readout-plane quadrature
+    plane = grid_moments(state)
+    assert abs(exact.p_success - plane.norm) < 1e-6
+    assert abs(exact.c_value - 2.0 * plane.xy) < 1e-6
+
+
+@given(effect=effects(), prep=unit_kets(), g_a=couplings, g_b=couplings)
+@settings(max_examples=30)
+def test_failure_partition_and_sign_flip(effect, prep, g_a, g_b):
+    k, weights = branch_coherence(effect, prep), BranchWeights.from_preparation(prep)
+    grid = METER.grid
+    failure = failure_density(k, weights, g_a, g_b, grid, grid)
+    success = grid_moments(JointMeterState(k, None, None, g_a, g_b), grid, grid)
+    assert abs(success_moments(k, g_a, g_b).norm + failure.total_probability - 1.0) < 1e-8
+    assert abs(failure.moment("x", "x") + success.xy) < 1e-8
 
 
 @given(effect=effects(), prep=unit_kets())

@@ -9,6 +9,7 @@ import pytest
 from cheshire import cli
 from cheshire.cli import sweep_rows
 from cheshire.config import ExperimentConfig, parse_config_text
+from cheshire.dynamics import JointMeterState
 from cheshire.entanglement import meter_negativity
 from cheshire.errors import (
     CheshireError,
@@ -57,7 +58,7 @@ def row_loop(config, g_min, g_max, steps):
     rows = []
     for g in np.linspace(g_min, g_max, steps).tolist():
         exact = cheshire_analytic(config.postselection, config.prep, g, g)
-        c_grid = 2.0 * moment_decomposition((coherence, meter, meter, g, g), "x", "x").total
+        c_grid = 2.0 * moment_decomposition(JointMeterState(coherence, meter, meter, g, g), "x", "x").total
         if abs(exact.c_value - c_grid) > cli.ORACLE_AGREEMENT_TOL:
             raise ConsistencyError(
                 f"analytic and grid indicators disagree at g={g}: "
