@@ -15,17 +15,27 @@ for any effect E <= 1.  A ratio above the budget's cap raises
 `PositivityError` rather than being clipped.  The ratio is summed term by
 term in real arithmetic, without complex arrays or a BLAS call.
 
-Optional zero-mean Gaussian readout noise is added to both branches (same
-apparatus either way).  The indicator is estimated as the average of
+Optional zero-mean Gaussian readout noise of standard deviations nu_A,
+nu_B blurs both outcomes alike (same apparatus either way).  It is sampled
+directly rather than added to each trial: with s = hypot(1, nu) per meter
+the noisy classical mixture is sum_k p_k N(a_k, s^2) on each axis, and each
+pair term of |F|^2 stays a Gaussian of variance s^2, with its overlap damped
+by exp(-(a_j - a_k)^2 (nu / s)^2 / 8).  So the proposal draws x / s_A and
+y / s_B around the shifts a_k / s_A and b_k / s_B, the ratio is the
+noiseless one there with K replaced by K o W (W_jk the product of both
+meters' damping factors, which keeps the same budget), and the readouts are
+scaled back by s_A and s_B.  At zero noise s = 1 and W = 1, so that is the
+noiseless arithmetic exactly.  The indicator is estimated as the average of
 tau * x * y over all trials; independent zero-mean noise leaves that
 average unbiased and only inflates the per-trial variance.
 
 Randomness is counter-based: trials are generated in fixed-size batches
-of 2^16, batch b using the Philox stream `Philox(key=seed).jumped(b)`
-with a fixed draw budget per batch.  The trial stream is therefore
+of 2^16, batch b using the Philox stream `Philox(key=seed).jumped(b)`.
+Every batch draws 2 uniforms (branch pick, acceptance) and 2 normals
+(x, y) per trial, at any noise level.  The trial stream is therefore
 bit-identical for a given seed regardless of how batches are scheduled
 across threads.  Each worker thread of a call draws and evaluates its
-batches in one set of batch-sized buffers (about 7 MB), made on its first
+batches in one set of batch-sized buffers (about 6 MB), made on its first
 batch and freed when the call returns; drawing a batch allocates nothing
 larger than a boolean mask.
 
@@ -181,8 +191,25 @@ def _batch_kernel(
     _check_realizable(coherence, weights)
     shifts_a, shifts_b = (np.array(s) for s in _branch_shifts(g_a, g_b))
     probabilities = np.array(weights.probabilities)
-    # e^T K e over real e: K_ii e_i^2, and 2 Re K_ij e_i e_j for each pair i < j
-    terms = [(i, j, (2.0 - (i == j)) * coherence[i, j].real) for i in range(3) for j in range(i, 3)]
+    # Readout noise folded into the proposal (see the module docstring): the
+    # rescaled shifts a / s_A, b / s_B and K o W with
+    # W_jk = prod_axes exp(-(a_j - a_k)^2 (nu / s)^2 / 8).  W is a
+    # Gaussian-kernel matrix, positive semidefinite with unit diagonal, so
+    # diag(p) - K o W = (diag(p) - K) o W stays positive semidefinite (Schur
+    # product theorem) and the ratio keeps ACCEPTANCE_BOUND.  hypot and nu / s
+    # stay finite for any finite nu, where 1 + nu^2 may overflow.
+    scales = math.hypot(1.0, noise.nu_a), math.hypot(1.0, noise.nu_b)
+    damping = np.ones((3, 3))
+    for shifts, nu, scale in zip((shifts_a, shifts_b), (noise.nu_a, noise.nu_b), scales):
+        # scaled before the difference, so zero noise gives W = 1 even where
+        # a shift gap overflows
+        blurred = shifts * (nu / scale)
+        damping *= np.exp(np.square(np.subtract.outer(blurred, blurred)) / -8.0)
+        shifts /= scale
+    # e^T (K o W) e over real e: K_ii e_i^2, and 2 Re K_ij W_ij e_i e_j for
+    # each pair i < j
+    terms = [(i, j, (2.0 - (i == j)) * coherence[i, j].real * damping[i, j])
+             for i in range(3) for j in range(i, 3)]
     size = min(TRIALS_PER_BATCH, n)
     # one set of buffers per worker thread, freed when the call's last
     # reference to _batch goes
@@ -193,20 +220,24 @@ def _batch_kernel(
         buffers = getattr(workspace, "buffers", None)
         if buffers is None:
             buffers = workspace.buffers = (
-                np.empty((size, 2)), np.empty((size, 4)), np.empty(size, dtype=np.intp),
+                np.empty(2 * size), np.empty(2 * size), np.empty(size, dtype=np.intp),
                 np.empty(size, dtype=bool), np.empty((7, size)),
             )
-        u, z, branch, accept = (buf[:rows] for buf in buffers[:4])
+        # two uniforms and two normals per trial, each kind drawn as two
+        # contiguous rows
+        u, z = (buf[:2 * rows].reshape(2, rows) for buf in buffers[:2])
+        branch, accept = (buf[:rows] for buf in buffers[2:4])
         bx, by, *e, num, den = buffers[4][:, :rows]
         gen = np.random.Generator(np.random.Philox(key=seed).jumped(b))
         gen.random(out=u)
         gen.standard_normal(out=z)
-        _pick_branches(probabilities, u[:, 0], out=branch)
-        np.add(np.take(shifts_a, branch, out=bx), z[:, 0], out=bx)
-        np.add(np.take(shifts_b, branch, out=by), z[:, 1], out=by)
-        # |F|^2 / p_cl = Re(e^T K e) / den with e_k = exp(-((x - a_k)^2 +
-        # (y - b_k)^2) / 4) and den = sum_k p_k e_k^2: the phi0 normalisation
-        # cancels, and the drawn branch's own factor keeps den positive
+        _pick_branches(probabilities, u[0], out=branch)
+        np.add(np.take(shifts_a, branch, out=bx), z[0], out=bx)
+        np.add(np.take(shifts_b, branch, out=by), z[1], out=by)
+        # |F|^2 / p_cl = Re(e^T (K o W) e) / den with e_k = exp(-((x - a_k)^2
+        # + (y - b_k)^2) / 4) over the rescaled readouts and shifts, and
+        # den = sum_k p_k e_k^2: the phi0 normalisation cancels, and the drawn
+        # branch's own factor keeps den positive
         for e_k, a_k, b_k in zip(e, shifts_a, shifts_b):
             np.square(np.subtract(bx, a_k, out=e_k), out=e_k)
             e_k += np.square(np.subtract(by, b_k, out=num), out=num)
@@ -227,9 +258,10 @@ def _batch_kernel(
                 f"acceptance ratio |F|^2 / p_cl reaches {worst!r} > {ACCEPTANCE_BOUND!r}; "
                 "branch coherence and branch weights are inconsistent"
             )
-        bx += np.multiply(z[:, 2], noise.nu_a, out=den)
-        by += np.multiply(z[:, 3], noise.nu_b, out=den)
-        return np.less(u[:, 1], ratio, out=accept), bx, by
+        # from the rescaled readouts back to x and y
+        bx *= scales[0]
+        by *= scales[1]
+        return np.less(u[1], ratio, out=accept), bx, by
 
     return _batch
 
@@ -399,8 +431,9 @@ def noise_robustness(
     """Noise sweep: empirical estimate plus the exact trial count needed
     for a z-sigma detection of C != 0 at each noise level.
 
-    The same seed is reused across rows (common random numbers), so rows
-    differ only through the injected noise.
+    The same seed is reused across rows (common random numbers): every row
+    uses the same uniforms and normals, so rows differ only through the
+    noise level that scales them.
     """
     c = 2.0 * success_moments(coherence, g_a, g_b).xy
     rows: list[NoiseStudyRow] = []

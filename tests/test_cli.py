@@ -56,15 +56,15 @@ seed   = 0
 grid   = -20, 20, 4001
 """
 README_MONTECARLO = (
-    "c_hat=0.322237736984263\n"
-    "std_error=0.0058977703282270351\n"
-    "p_hat=0.30425714285714284\n"
+    "c_hat=0.32166039355910836\n"
+    "std_error=0.0059150404820524768\n"
+    "p_hat=0.30409999999999998\n"
     "n_trials=140000\n"
     "c_analytic=0.32700394770794872\n"
-    "z_score=-0.80813772975769904\n"
+    "z_score=-0.90338420591606539\n"
     "seed=0\n"
 )
-README_TRIALS_SHA256 = "6f8e2b2354c2bf6c90778f050457b595a91da1bc536ee161c20bd6e3d28c4ea9"
+README_TRIALS_SHA256 = "5f8aec6de224055bc7ae32ba0d5a83c039ee70ed2d2491993c38bffa8e45f3af"
 
 
 @pytest.fixture()

@@ -75,7 +75,7 @@ def stream_digest(trials):
     return digest.hexdigest()
 
 
-MULTI_BATCH_DIGEST = "9a94b32639d72f977d4131e460f6e5443b5f11d6cb1371cb4d23cb22f467cbea"
+MULTI_BATCH_DIGEST = "33a4f3bcfad386aff9f69fb34b98d915c6ad945a1bf149ee9d241099e4b59c90"
 
 
 class TestDeterminism:
@@ -83,13 +83,13 @@ class TestDeterminism:
     # change of the trial stream and must be announced as one
     @pytest.mark.parametrize("make, expected", [
         (lambda: example_trials(100, seed=7),
-         "384bcf75419041220dd7d03b68cdad4611532d37f3e17e69db9acb83ddad8033"),
+         "bbd12572c87ce672cc16ea47d1baa4c896c07bc5231ca0571bf0ecd0913f387a"),
         (lambda: example_trials(3 * TRIALS_PER_BATCH - 7, seed=3, threads=1), MULTI_BATCH_DIGEST),
         (lambda: example_trials(3 * TRIALS_PER_BATCH - 7, seed=3, threads=2), MULTI_BATCH_DIGEST),
         (lambda: example_trials(TRIALS_PER_BATCH + 1, seed=5, noise=NoiseModel(0.5, 2.0)),
-         "3c0c8e0a61665022145a907328246f5648235c72933647e64c7088b86ff34b5c"),
+         "3c4d6bc2a342c01cd68871f82979934345e49c20c3b6c540aaa0fe47932ed059"),
         (lambda: sample_trials(ZERO_WEIGHT_AMPS, ZERO_WEIGHT_WEIGHTS, 2.0, 2.0, n=1000, seed=0),
-         "7163914c05160b1d2eac3ea98cb074f02b1f5097674cea21b6afc64da0b5a362"),
+         "02664306d62a0e2cb58ab9a2f51d1a34a3cf7c9515c16372f4570121b6c9797f"),
     ], ids=["n100", "multi-batch-threads1", "multi-batch-threads2", "noise", "zero-weight"])
     def test_stream_matches_recorded_digest(self, make, expected):
         assert stream_digest(make()) == expected
@@ -276,9 +276,9 @@ class TestStreamedEstimate:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
 
-    # each worker's buffers: two uniforms, four normals, a branch index and
+    # each worker's buffers: two uniforms, two normals, a branch index and
     # seven reals per trial (8 bytes each) plus a one-byte acceptance flag
-    WORKSPACE_BYTES = TRIALS_PER_BATCH * (8 * (2 + 4 + 1 + 7) + 1)
+    WORKSPACE_BYTES = TRIALS_PER_BATCH * (8 * (2 + 2 + 1 + 7) + 1)
 
     @pytest.mark.parametrize("threads", [1, 4])
     def test_heap_bounded_by_workspaces_and_freed_after_call(self, threads):
@@ -477,11 +477,20 @@ class TestValidation:
 
 class TestAcceptanceBound:
     def test_realizability_edge_samples(self):
-        # budget (amp/weight)^2 = 1 + 4e-10: inside REALIZABILITY_TOL, so the
-        # ratio near the separated left branch may exceed 1 by as much
-        amps = TransitionAmplitudes(1.0000000002 / math.sqrt(3), 0.0, 0.0)
-        trials = sample_trials(amps, EXAMPLE_WEIGHTS, 8.0, 8.0, n=TRIALS_PER_BATCH, seed=0)
-        assert len(trials) == TRIALS_PER_BATCH
+        # budget sum_k |amp_k|^2 / p_k = 1 + 4e-10: inside REALIZABILITY_TOL,
+        # so the ratio near the separated left branch, or where all three
+        # coherent branches meet, may exceed 1 by as much.  Noise damps the
+        # pair terms by a positive semidefinite matrix with unit diagonal,
+        # which keeps that budget; at 1e200, 1 + nu^2 overflows.
+        edge = 1.0000000002
+        for amps in (TransitionAmplitudes(edge / math.sqrt(3), 0.0, 0.0),
+                     TransitionAmplitudes(edge / 3, edge / 3, edge / 3)):
+            for nu_a, nu_b in [(0.0, 0.0), (0.3, 0.3), (1.0, 0.2), (5.0, 5.0), (1e200, 0.5),
+                               (1e200, 1e200)]:
+                trials = sample_trials(amps, EXAMPLE_WEIGHTS, 8.0, 8.0, n=TRIALS_PER_BATCH,
+                                       seed=0, noise=NoiseModel(nu_a, nu_b))
+                assert len(trials) == TRIALS_PER_BATCH
+                assert np.all(np.isfinite(trials.x)) and np.all(np.isfinite(trials.y))
 
     @pytest.mark.parametrize("threads", [1, 2])
     @ROUTES
