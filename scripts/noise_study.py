@@ -13,7 +13,8 @@ import csv
 import math
 import sys
 
-from cheshire import BranchWeights, PhotonKet, noise_robustness, transition_amplitudes
+from cheshire import (BranchWeights, PhotonKet, ValidationError, noise_robustness,
+                      transition_amplitudes)
 
 
 def main(argv=None) -> int:
@@ -38,8 +39,12 @@ def main(argv=None) -> int:
         parser.error("--levels must be >= 1")
     step = args.nu_max / max(args.levels - 1, 1)
     nu_grid = [(k * step, k * step) for k in range(args.levels)]
-    rows = noise_robustness(amps, weights, args.g, args.g, nu_grid,
-                            n=args.trials, seed=args.seed)
+    try:
+        rows = noise_robustness(amps, weights, args.g, args.g, nu_grid,
+                                n=args.trials, seed=args.seed)
+    except ValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:

@@ -54,7 +54,6 @@ from .indicator import (
 )
 from .meter import (
     DEFAULT_GRID,
-    GaussianMeter,
     Grid,
     GridMeter,
     format_complex,
@@ -104,7 +103,6 @@ __all__ = [
     "ExperimentConfig",
     "FailureBranch",
     "FlatObjective",
-    "GaussianMeter",
     "Grid",
     "GridMeter",
     "GridTooSmall",

@@ -10,14 +10,13 @@ commas, so a dumped config re-parses to the identical experiment.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .dynamics import BranchWeights
 from .errors import ValidationError
-from .meter import DEFAULT_GRID, Grid, format_complex, parse_complex
+from .meter import DEFAULT_GRID, MAX_READOUT_SCALE, Grid, format_complex, parse_complex
 from .qsystem import (
     PhotonEffect,
     PhotonKet,
@@ -73,8 +72,9 @@ class ExperimentConfig:
             raise ValidationError("post: state must be normalized")
         for name in ("g_a", "g_b", "noise_a", "noise_b"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0.0):
-                raise ValidationError(f"{name}: must be a finite non-negative real, got {value!r}")
+            if not (isinstance(value, (int, float)) and 0.0 <= value <= MAX_READOUT_SCALE):
+                raise ValidationError(
+                    f"{name}: must be a finite real in [0, {MAX_READOUT_SCALE:g}], got {value!r}")
             object.__setattr__(self, name, float(value))
         if not (isinstance(self.n_trials, int) and self.n_trials >= 1):
             raise ValidationError(f"n_trials: must be a positive integer, got {self.n_trials!r}")

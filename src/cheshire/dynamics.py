@@ -30,12 +30,12 @@ import numpy as np
 from .errors import ConsistencyError, PositivityError, ValidationError
 from .meter import (
     DEFAULT_GRID,
-    GaussianMeter,
     Grid,
     GridMeter,
     _check_edges,
     _shifted,
     _trapezoid_weights,
+    _validate_couplings,
     gaussian_ground_state,
     pointer_matrices,
 )
@@ -134,18 +134,7 @@ def _positive_definite(a: list[list[complex]]) -> bool:
 def _branch_shifts(g_a, g_b) -> tuple[np.ndarray, np.ndarray]:
     """Per-branch pointer shifts of each meter, shape (..., 3) over a stack
     of couplings."""
-    def shifts(g, units):
-        g = np.asarray(g, dtype=float)
-        # an unshifted branch stays at 0 even for infinite coupling
-        return np.stack([s * g if s != 0.0 else np.zeros_like(g) for s in units], axis=-1)
-
-    return shifts(g_a, BRANCH_SHIFTS_A), shifts(g_b, BRANCH_SHIFTS_B)
-
-
-def _validate_couplings(g_a, g_b) -> None:
-    # +inf is allowed: it models perfectly distinguishable pointer states
-    if not (np.all(np.asarray(g_a) >= 0.0) and np.all(np.asarray(g_b) >= 0.0)):
-        raise ValidationError("couplings must be >= 0")
+    return np.multiply.outer(g_a, BRANCH_SHIFTS_A), np.multiply.outer(g_b, BRANCH_SHIFTS_B)
 
 
 def _weight_indices(*weights: str) -> list[int]:
@@ -191,28 +180,19 @@ def _unstack(values):
 def branch_terms(coherence: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Re(K_jk A_jk B_jk) for every branch pair (j, k).
 
-    Every exact success-branch quantity is a sum of these terms: K holds the
-    branch coherences, A and B one pointer matrix of each meter (or stacks
-    of them, broadcast against K).  An exactly-zero factor annihilates even
-    an infinite partner.
+    Every exact success-branch quantity is a sum of these terms (see
+    `_total`): K holds the branch coherences, A and B one pointer matrix of
+    each meter (or stacks of them, broadcast against K).
     """
-    if np.isrealobj(a) and np.isrealobj(b):
-        # real pointer matrices stay real: complex times inf gives nan
-        coherence = coherence.real
-    live = (coherence != 0.0) & (a != 0.0) & (b != 0.0)
-    terms = np.zeros(live.shape, dtype=np.result_type(coherence, a, b))
-    np.multiply(coherence, a, out=terms, where=live)
-    np.multiply(terms, b, out=terms, where=live)
-    return terms.real
+    return (coherence * a * b).real
 
 
 def _total(terms: np.ndarray) -> np.ndarray:
     # plain float addition along the last axis, in order, for every entry of
-    # the leading stack: inf - inf gives nan silently
+    # the leading stack; starting from +0.0 makes a sum of signed zeros +0.0
     out = np.zeros(terms.shape[:-1])
-    with np.errstate(invalid="ignore"):
-        for i in range(terms.shape[-1]):
-            out = out + terms[..., i]
+    for i in range(terms.shape[-1]):
+        out = out + terms[..., i]
     return out
 
 
@@ -235,27 +215,20 @@ class JointMeterState:
     """Success-branch meter state over the branch coherence K (or a
     `TransitionAmplitudes` triple for its rank-1 K).
 
-    A meter is a `GaussianMeter`, a `GridMeter`, or None for the Gaussian
-    closed form.  The couplings may be stacks for `moment_decomposition`;
-    the readout plane needs one finite coupling per meter.
+    A meter is a `GridMeter`, or None for the Gaussian closed form.  The
+    couplings may be stacks for `moment_decomposition`; the readout plane
+    needs one coupling per meter.
     """
 
     coherence: np.ndarray
-    meter_a: GaussianMeter | GridMeter | None
-    meter_b: GaussianMeter | GridMeter | None
+    meter_a: GridMeter | None
+    meter_b: GridMeter | None
     g_a: float
     g_b: float
 
     def __post_init__(self):
         object.__setattr__(self, "coherence", _coherence(self.coherence))
         _validate_couplings(self.g_a, self.g_b)
-        for meter, g in ((self.meter_a, self.g_a), (self.meter_b, self.g_b)):
-            if isinstance(meter, GaussianMeter) and np.any(meter.g != g):
-                raise ValidationError("meter coupling disagrees with the joint-state coupling")
-
-    @classmethod
-    def gaussian(cls, coherence, g_a: float, g_b: float) -> "JointMeterState":
-        return cls(coherence, GaussianMeter(g_a), GaussianMeter(g_b), g_a, g_b)
 
     def density(self, x, y) -> np.ndarray:
         """The readout density p_s at every (x_i, y_j) of the flattened
@@ -267,7 +240,7 @@ class JointMeterState:
         return _branch_pairs(self.meter_a, shifts_a, x), _branch_pairs(self.meter_b, shifts_b, y)
 
     def success_probability(self) -> float:
-        if all(m is None or isinstance(m, GaussianMeter) for m in (self.meter_a, self.meter_b)):
+        if self.meter_a is None and self.meter_b is None:
             return success_probability(self.coherence, self.g_a, self.g_b)
         return _probability(grid_moments(self).norm)
 
@@ -275,9 +248,9 @@ class JointMeterState:
 def _branch_pairs(meter, shifts, x: np.ndarray) -> np.ndarray:
     """conj(w_j(x)) w_k(x) for the branch pairs (j, k), 9 rows in K's row-major
     order, w_k the meter's wave (None: the Gaussian ground state) shifted by s_k."""
-    if shifts.shape != (3,) or not np.all(np.isfinite(shifts)):
-        raise ValidationError("grid evaluation needs one finite coupling per meter")
-    if meter is None or isinstance(meter, GaussianMeter):
+    if shifts.shape != (3,):
+        raise ValidationError("grid evaluation needs one coupling per meter")
+    if meter is None:
         waves = gaussian_ground_state(np.asarray(x, dtype=float) - shifts[:, None])
     elif isinstance(meter, GridMeter):
         if not np.array_equal(x, meter.grid.points):
@@ -285,7 +258,7 @@ def _branch_pairs(meter, shifts, x: np.ndarray) -> np.ndarray:
         _check_edges(meter, shifts)
         waves = _shifted(meter, shifts)
     else:
-        raise ValidationError(f"expected GaussianMeter or GridMeter, got {type(meter).__name__}")
+        raise ValidationError(f"expected None or a GridMeter, got {type(meter).__name__}")
     return (waves.conj()[:, None] * waves[None, :]).reshape(9, len(x))
 
 

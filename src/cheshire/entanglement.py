@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _branch_shifts, _unstack, _validate_couplings
+from .dynamics import _branch_shifts, _unstack
 from .errors import OrthogonalPostselection, ValidationError
-from .meter import pointer_matrices
+from .meter import _validate_couplings, pointer_matrices
 from .qsystem import _coherence
 
 RANK_TOL = 1e-12
@@ -23,12 +23,12 @@ NORM_EPS = 1e-12
 EIGENVALUE_NOISE = 1e-14
 
 
-def gram_orthonormalize(gram: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
+def gram_orthonormalize(gram: np.ndarray) -> np.ndarray:
     """Coordinates of the input vectors in an orthonormal basis of their span.
 
     Given the Gram matrix G_ij = <v_i|v_j>, returns L of shape (n, rank)
     with L L^dagger = G; row i holds the coordinates of v_i.  Directions
-    with eigenvalue <= tol are dropped, so linearly dependent inputs
+    with eigenvalue <= `RANK_TOL` are dropped, so linearly dependent inputs
     (coincident meter states at zero coupling) reduce the dimension
     instead of erroring.  A stack of Gram matrices (..., n, n) gives
     (..., n, r) with r the largest rank in the stack; an entry of lower
@@ -42,7 +42,7 @@ def gram_orthonormalize(gram: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     eigenvalues, vectors = np.linalg.eigh(g)
     if eigenvalues.min() < -1e-10:
         raise ValidationError(f"gram matrix has negative eigenvalue {eigenvalues.min()!r}")
-    keep = eigenvalues > tol
+    keep = eigenvalues > RANK_TOL
     if not np.all(np.any(keep, axis=-1)):
         raise ValidationError("gram matrix has no positive directions")
     # largest eigenvalue first, so the kept directions lead

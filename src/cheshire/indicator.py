@@ -16,7 +16,6 @@ C = 1/e at g_A = g_B = 2.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,14 +24,13 @@ from .dynamics import (
     _branch_shifts,
     _total,
     _unstack,
-    _validate_couplings,
     _weight_indices,
     JointMeterState,
     branch_terms,
     success_moments,
 )
 from .errors import ConsistencyError, FlatObjective, OrthogonalPostselection, ValidationError
-from .meter import gaussian_overlap0, pointer_matrices
+from .meter import _overlap0, _validate_couplings, gaussian_overlap0, pointer_matrices
 from .qsystem import (
     PhotonDensity,
     PhotonEffect,
@@ -103,16 +101,13 @@ def _coupling_prefactor(g_a, g_b) -> np.ndarray:
     """g_A w_A g_B w_B with w = exp(-g^2 / 8), elementwise over stacks of
     couplings.
 
-    w is the scalar `gaussian_overlap0` per coupling, so every stack entry
-    has the bits of a single evaluation, and it vanishes at infinite
-    coupling.  An exactly-zero factor annihilates even an infinite partner,
-    which keeps the infinite-coupling limit finite where the moment vanishes.
+    w is the scalar `gaussian_overlap0` formula per coupling, so every stack
+    entry has the bits of a single evaluation; the caller validates the
+    couplings.  No factor is negative, and adding +0.0 turns the product's
+    -0.0 at a -0.0 coupling into 0.0.
     """
-    w = np.vectorize(gaussian_overlap0, otypes=[float])
-    factors = np.broadcast_arrays(g_a, w(g_a), g_b, w(g_b))
-    with np.errstate(invalid="ignore"):
-        product = factors[0] * factors[1] * factors[2] * factors[3]
-    return np.where(np.any([f == 0.0 for f in factors], axis=0), 0.0, product)
+    w = np.vectorize(_overlap0, otypes=[float])
+    return g_a * w(g_a) * g_b * w(g_b) + 0.0
 
 
 def moment_decomposition(
@@ -132,7 +127,7 @@ def moment_decomposition(
     terms = branch_terms(state.coherence, a, b)
     m_cl = _total(np.diagonal(terms, axis1=-2, axis2=-1))
     m_ent = _total(terms[..., 0, 1:]) + _total(terms[..., 1:, 0])
-    m_li = terms[..., 1, 2] + terms[..., 2, 1]
+    m_li = _total(terms[..., [1, 2], [2, 1]])
     return MomentDecomposition(*map(_unstack, (m_cl, m_ent, m_li)))
 
 
@@ -141,9 +136,10 @@ def cheshire_analytic(E, rho, g_a, g_b) -> CheshireResult:
 
     Everything follows from the branch coherence K_jk = Tr(E P_k rho P_j):
     the trace factor is K[L, R+] - K[L, R-], and P = sum_jk Re(K_jk
-    <M_j|M_k>) over the branch pairs; at infinite coupling the off-diagonal
-    meter overlaps vanish.  The couplings may be arrays: K is built once and
-    C and P come out as arrays, one entry per coupling pair.
+    <M_j|M_k>) over the branch pairs.  The couplings may be arrays: K is
+    built once and C and P come out as arrays, one entry per coupling pair.
+    A meter coupled at 78 or more has off-diagonal overlaps of exactly 0.0,
+    and C is 0.0: the strong-measurement limit, with no infinite coupling.
     """
     _validate_couplings(g_a, g_b)
     k = branch_coherence(PhotonEffect(_operator_matrix(E)), PhotonDensity(_operator_matrix(rho)))
@@ -155,26 +151,21 @@ def cheshire_analytic(E, rho, g_a, g_b) -> CheshireResult:
     return CheshireResult(_unstack(c), _unstack(p), _unstack(g_a), _unstack(g_b), t)
 
 
-def local_averages(
-    coherence, g_a: float, g_b: float, eps: float = POSTSELECTION_EPS
-) -> tuple[float, float, float]:
+def local_averages(coherence, g_a: float, g_b: float) -> tuple[float, float, float]:
     """Postselected single-pointer means (<x>, <y>, P) from the branch
     coherence K or a pure amplitude triple.
 
-    In the weak limit <x>/g_A -> Re L_w and <y>/g_B -> Re Sigma_w.  At
-    infinite coupling a mean is +-inf when the success branch runs off to
-    one side only; running off to both sides leaves it undefined.
+    In the weak limit <x>/g_A -> Re L_w and <y>/g_B -> Re Sigma_w.  Both
+    means are undefined, and raise `OrthogonalPostselection`, when P is at
+    most `POSTSELECTION_EPS`.
     """
     m = success_moments(coherence, g_a, g_b)
-    if m.norm <= eps:
+    if m.norm <= POSTSELECTION_EPS:
         raise OrthogonalPostselection(
-            f"success probability {m.norm!r} <= {eps!r}; pointer averages are undefined"
+            f"success probability {m.norm!r} <= {POSTSELECTION_EPS!r}; "
+            "pointer averages are undefined"
         )
-    x_mean, y_mean = m.x / m.norm, m.y / m.norm
-    if math.isnan(x_mean) or math.isnan(y_mean):
-        raise ValidationError(f"pointer means undefined at couplings ({g_a!r}, {g_b!r}): "
-                              "the success branch runs off to both +inf and -inf")
-    return (x_mean, y_mean, m.norm)
+    return (m.x / m.norm, m.y / m.norm, m.norm)
 
 
 @dataclass(frozen=True)
@@ -222,8 +213,8 @@ def optimize_states(g_a: float, g_b: float, seed: int = 0) -> StateOptimum:
     backward compatibility and has no effect.
     """
     _validate_couplings(g_a, g_b)
-    if not (g_a > 0.0 and g_b > 0.0 and math.isfinite(g_a) and math.isfinite(g_b)):
-        raise ValidationError("state optimization needs finite positive couplings")
+    if not (g_a > 0.0 and g_b > 0.0):
+        raise ValidationError("state optimization needs positive couplings")
     prep = post = PhotonKet.normalized([1.0, 0.0, 1.0, 0.0])
     t = trace_term(post, prep)
     return StateOptimum(prep, post, _coupling_prefactor(g_a, g_b).item() * t.real, t)

@@ -8,9 +8,13 @@ amount s_j, so every exact result needs only the two pointer matrices
     M_x[j, k] = int x psi0*(x - s_j) psi0(x - s_k) dx
 
 over the branch shifts (`pointer_matrices`).  For the Gaussian ground state
-phi0(x) = (2 pi)^{-1/4} exp(-x^2/4) they have closed forms, valid for
-infinite shifts too; `GridMeter` evaluates them by quadrature for arbitrary
-pointer states and serves as the numeric oracle.
+phi0(x) = (2 pi)^{-1/4} exp(-x^2/4) they have closed forms; `GridMeter`
+evaluates them by quadrature for arbitrary pointer states and serves as the
+numeric oracle.
+
+Every coupling and readout-noise width is a finite real in [0, MAX_READOUT_SCALE].
+exp(-g^2 / 8) underflows to 0.0 from g = 78 on, so the strong-measurement
+limit is exact there and needs no infinite coupling.
 """
 
 from __future__ import annotations
@@ -37,7 +41,22 @@ EDGE_AMPLITUDE_TOL = 1e-12
 # one coupling, the three branch shifts of one meter.
 WAVE_SAMPLES_PER_BLOCK = 1 << 14
 
+# The largest coupling or readout-noise width: readouts then stay below about
+# 1e51, so the estimator's sums of squared x * y (below 1e204 per trial), the
+# squared shift gaps and nu_A^2 nu_B^2 stay finite at any trial count.  From
+# g = 78 on, every coupling already gives the strong-measurement limit.
+MAX_READOUT_SCALE = 1e50
+
 _GAUSS_NORM = (2.0 * math.pi) ** -0.25
+
+
+def _validate_couplings(*couplings) -> None:
+    """Each coupling, a scalar or a stack, must lie in [0, MAX_READOUT_SCALE]:
+    nan and +-inf fail the comparison."""
+    for g in couplings:
+        g = np.asarray(g)
+        if not np.all((g >= 0.0) & (g <= MAX_READOUT_SCALE)):
+            raise ValidationError(f"couplings must be finite reals in [0, {MAX_READOUT_SCALE:g}]")
 
 
 def gaussian_ground_state(x):
@@ -53,31 +72,19 @@ def gaussian_ground_state(x):
 
 def gaussian_overlap0(g: float) -> float:
     """int phi0(x) phi0(x - g) dx = exp(-g^2 / 8)."""
-    if g < 0.0:
-        raise ValidationError("coupling must be non-negative")
-    return math.exp(-g * g / 8.0)
+    _validate_couplings(g)
+    return _overlap0(g)
 
 
 def gaussian_overlap1(g: float) -> float:
     """int x phi0(x) phi0(x - g) dx = (g / 2) exp(-g^2 / 8)."""
-    if g < 0.0:
-        raise ValidationError("coupling must be non-negative")
-    return 0.5 * g * math.exp(-g * g / 8.0)
+    _validate_couplings(g)
+    return 0.5 * g * _overlap0(g)
 
 
-@dataclass(frozen=True)
-class GaussianMeter:
-    """Pointer in the Gaussian ground state, coupled with strength ``g``.
-
-    ``g`` is stored unsigned; any branch-dependent sign of the shift is
-    applied by the dynamics layer.
-    """
-
-    g: float
-
-    def __post_init__(self):
-        if not (self.g >= 0.0) or not math.isfinite(self.g):
-            raise ValidationError("coupling g must be finite and >= 0")
+def _overlap0(g: float) -> float:
+    # unchecked, for the entries of a stack of couplings validated as a whole
+    return math.exp(-g * g / 8.0)
 
 
 @dataclass(frozen=True)
@@ -272,30 +279,22 @@ def pointer_matrices(shifts, meter=None) -> tuple[np.ndarray, np.ndarray]:
 
     ``shifts`` has shape (..., n): a leading stack axis (one row of branch
     shifts per coupling) gives matrices of shape (..., n, n).  ``meter`` is
-    None or a `GaussianMeter` for the Gaussian closed forms
-    M_1 = exp(-(s_j - s_k)^2 / 8), M_x = (s_j + s_k) / 2 * M_1, which hold
-    for infinite shifts too; a `GridMeter` uses trapezoidal quadrature on
-    its own lattice.  The grid path walks the stack in blocks of
-    `WAVE_SAMPLES_PER_BLOCK` // (n * n_points) rows (at least one), so its
-    memory does not grow with the stack.  A shift column repeated across
-    the stack, like the unshifted branches, is evaluated as one column of
-    waves, and each pair of a row's waves is summed in one fixed order, so
-    a row's matrices do not depend on the block that holds it.
-    Edge errors are raised before any wave is evaluated, at the first
+    None for the Gaussian closed forms M_1 = exp(-(s_j - s_k)^2 / 8),
+    M_x = (s_j + s_k) / 2 * M_1, over finite shifts; a `GridMeter` uses
+    trapezoidal quadrature on its own lattice.  The grid path walks the
+    stack in blocks of `WAVE_SAMPLES_PER_BLOCK` // (n * n_points) rows (at
+    least one), so its memory does not grow with the stack.  A shift column
+    repeated across the stack, like the unshifted branches, is evaluated as
+    one column of waves, and each pair of a row's waves is summed in one
+    fixed order, so a row's matrices do not depend on the block that holds
+    it.  Edge errors are raised before any wave is evaluated, at the first
     failing shift in row-major order (see `_check_edges`).
     """
     s = np.asarray(shifts, dtype=float)
-    if meter is None or isinstance(meter, GaussianMeter):
+    if meter is None:
         bra, ket = s[..., :, None], s[..., None, :]
-        shape = np.broadcast_shapes(bra.shape, ket.shape)
-        # real arithmetic throughout: coincident shifts are one state even at
-        # infinite shift, and a vanishing overlap annihilates an infinite mean
-        gap = np.subtract(bra, ket, out=np.zeros(shape), where=bra != ket)
-        m1 = np.exp(-(gap ** 2) / 8.0)
-        overlapping = m1 != 0.0
-        mean = 0.5 * np.add(bra, ket, out=np.zeros(shape), where=overlapping)
-        mx = np.multiply(mean, m1, out=np.zeros(shape), where=overlapping)
-        return m1, mx
+        m1 = np.exp(-((bra - ket) ** 2) / 8.0)
+        return m1, 0.5 * (bra + ket) * m1
     if isinstance(meter, GridMeter):
         rows = s.reshape(math.prod(s.shape[:-1]), s.shape[-1])
         n, points = rows.shape[1], meter.grid.n_points
@@ -322,4 +321,4 @@ def pointer_matrices(shifts, meter=None) -> tuple[np.ndarray, np.ndarray]:
             m1 = mx = np.empty(shape, dtype=_shifted(meter, [0.0]).dtype)
         pair = (slice(None), where[:, None], where[None, :])
         return m1[pair].reshape(s.shape + (n,)), mx[pair].reshape(s.shape + (n,))
-    raise ValidationError(f"expected GaussianMeter or GridMeter, got {type(meter).__name__}")
+    raise ValidationError(f"expected None or a GridMeter, got {type(meter).__name__}")

@@ -188,15 +188,15 @@ def transition_amplitudes(prep: PhotonKet, post: PhotonKet) -> TransitionAmplitu
     return TransitionAmplitudes(l, r_plus, r_minus)
 
 
-def weak_values(coherence, eps: float = WEAK_VALUE_EPS) -> WeakValues:
+def weak_values(coherence) -> WeakValues:
     """Weak values Tr(E A rho) / Tr(E rho) of A = Pi_L and sigma_R from the
     branch coherence K (or amplitudes): branch k has sum_j K_jk / sum_jk K_jk,
-    l / (l + r+ + r-) if pure.  Undefined when Tr(E rho) <= ``eps``."""
+    l / (l + r+ + r-) if pure.  Undefined when |Tr(E rho)| <= `WEAK_VALUE_EPS`."""
     branch = _coherence(coherence).sum(axis=0)
     denom = complex(branch.sum())
-    if abs(denom) <= eps:
+    if abs(denom) <= WEAK_VALUE_EPS:
         raise OrthogonalPostselection(
-            f"Tr(E rho) = {abs(denom):.3e} <= {eps:.1e}; weak values are undefined"
+            f"Tr(E rho) = {abs(denom):.3e} <= {WEAK_VALUE_EPS:.1e}; weak values are undefined"
         )
     return WeakValues(complex(branch[0] / denom), complex((branch[1] - branch[2]) / denom))
 

@@ -65,11 +65,11 @@ from .dynamics import (
     REALIZABILITY_TOL,
     _branch_shifts,
     _check_realizable,
-    _validate_couplings,
     BranchWeights,
     success_moments,
 )
 from .errors import PositivityError, ValidationError
+from .meter import MAX_READOUT_SCALE, _validate_couplings
 from .qsystem import _coherence
 
 TRIALS_PER_BATCH = 1 << 16
@@ -84,15 +84,17 @@ ACCEPTANCE_BOUND = 1.0 + REALIZABILITY_TOL + 1e-12
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Standard deviations of independent zero-mean Gaussian readout noise."""
+    """Standard deviations of independent zero-mean Gaussian readout noise,
+    each a finite real in [0, `meter.MAX_READOUT_SCALE`]."""
 
     nu_a: float = 0.0
     nu_b: float = 0.0
 
     def __post_init__(self):
         for name, nu in (("nu_a", self.nu_a), ("nu_b", self.nu_b)):
-            if not (nu >= 0.0 and math.isfinite(nu)):
-                raise ValidationError(f"{name} must be finite and >= 0, got {nu!r}")
+            if not 0.0 <= nu <= MAX_READOUT_SCALE:
+                raise ValidationError(
+                    f"{name} must be a finite real in [0, {MAX_READOUT_SCALE:g}], got {nu!r}")
 
 
 NO_NOISE = NoiseModel(0.0, 0.0)
@@ -185,8 +187,6 @@ def _batch_kernel(
     if n < 1:
         raise ValidationError("need at least one trial")
     _validate_couplings(g_a, g_b)
-    if not (math.isfinite(g_a) and math.isfinite(g_b)):
-        raise ValidationError("Monte Carlo sampling needs finite couplings")
     coherence = _coherence(coherence)
     _check_realizable(coherence, weights)
     shifts_a, shifts_b = (np.array(s) for s in _branch_shifts(g_a, g_b))
@@ -196,13 +196,10 @@ def _batch_kernel(
     # W_jk = prod_axes exp(-(a_j - a_k)^2 (nu / s)^2 / 8).  W is a
     # Gaussian-kernel matrix, positive semidefinite with unit diagonal, so
     # diag(p) - K o W = (diag(p) - K) o W stays positive semidefinite (Schur
-    # product theorem) and the ratio keeps ACCEPTANCE_BOUND.  hypot and nu / s
-    # stay finite for any finite nu, where 1 + nu^2 may overflow.
+    # product theorem) and the ratio keeps ACCEPTANCE_BOUND.
     scales = math.hypot(1.0, noise.nu_a), math.hypot(1.0, noise.nu_b)
     damping = np.ones((3, 3))
     for shifts, nu, scale in zip((shifts_a, shifts_b), (noise.nu_a, noise.nu_b), scales):
-        # scaled before the difference, so zero noise gives W = 1 even where
-        # a shift gap overflows
         blurred = shifts * (nu / scale)
         damping *= np.exp(np.square(np.subtract.outer(blurred, blurred)) / -8.0)
         shifts /= scale
@@ -395,11 +392,11 @@ def trial_variance(
     branches factorize, so every second moment is in closed form:
     var = E[x^2 y^2] + nu_B^2 E[x^2] + nu_A^2 E[y^2] + nu_A^2 nu_B^2 - C^2.
     """
+    c = 2.0 * success_moments(coherence, g_a, g_b).xy
     pa, pb, pc = weights.probabilities
     ex2 = pa * (1.0 + g_a * g_a) + (pb + pc)
     ey2 = pa + (pb + pc) * (1.0 + g_b * g_b)
     ex2y2 = pa * (1.0 + g_a * g_a) + (pb + pc) * (1.0 + g_b * g_b)
-    c = 2.0 * success_moments(coherence, g_a, g_b).xy
     return (
         ex2y2
         + noise.nu_b ** 2 * ex2
@@ -426,22 +423,23 @@ def noise_robustness(
     nu_grid,
     n: int = 20000,
     seed: int = 0,
-    z: float = DETECTION_Z,
 ) -> list[NoiseStudyRow]:
     """Noise sweep: empirical estimate plus the exact trial count needed
-    for a z-sigma detection of C != 0 at each noise level.
+    for a `DETECTION_Z`-sigma detection of C != 0 at each noise level.
 
     The same seed is reused across rows (common random numbers): every row
     uses the same uniforms and normals, so rows differ only through the
-    noise level that scales them.
+    noise level that scales them.  Every level is validated before the
+    first row is sampled.
     """
     c = 2.0 * success_moments(coherence, g_a, g_b).xy
     rows: list[NoiseStudyRow] = []
-    for nu_a, nu_b in nu_grid:
-        noise = NoiseModel(float(nu_a), float(nu_b))
+    for noise in [NoiseModel(float(nu_a), float(nu_b)) for nu_a, nu_b in nu_grid]:
         estimate = sample_estimate(coherence, weights, g_a, g_b, n=n, seed=seed, noise=noise)
         variance = trial_variance(coherence, weights, g_a, g_b, noise)
-        n_required = math.inf if c == 0.0 else math.ceil(z * z * variance / (c * c))
+        # C^2 may underflow to 0.0, or be too small for any finite count
+        needed = DETECTION_Z * DETECTION_Z * variance / (c * c) if c * c > 0.0 else math.inf
+        n_required = math.ceil(needed) if math.isfinite(needed) else math.inf
         rows.append(NoiseStudyRow(noise.nu_a, noise.nu_b, estimate.c_hat,
                                   estimate.std_error, n_required))
     return rows

@@ -103,7 +103,7 @@ def test_criterion_4_oracle_equivalence():
         g = float(g)
         o0, o1 = (m[0, 1] for m in pointer_matrices((0.0, g), meter))
         worst = max(worst, abs(o0 - gaussian_overlap0(g)), abs(o1 - gaussian_overlap1(g)))
-        state = JointMeterState.gaussian(EXAMPLE_AMPS, g, g)
+        state = JointMeterState(EXAMPLE_AMPS, None, None, g, g)
         numeric = grid_moments(state, DEFAULT_GRID, DEFAULT_GRID)
         exact = success_moments(EXAMPLE_AMPS, g, g)
         worst = max(worst, abs(numeric.norm - success_probability(EXAMPLE_AMPS, g, g)))
@@ -145,7 +145,7 @@ def test_criterion_6_partition_and_sign_flip():
         failure = failure_density(amps, weights, g_a, g_b, grid, grid)
         p = success_probability(amps, g_a, g_b)
         worst_partition = max(worst_partition, abs(p + failure.total_probability - 1.0))
-        state = JointMeterState.gaussian(amps, g_a, g_b)
+        state = JointMeterState(amps, None, None, g_a, g_b)
         success_xy = grid_moments(state, grid, grid).xy
         worst_flip = max(worst_flip, abs(failure.moment("x", "x") + success_xy))
     ok = worst_partition < 1e-8 and worst_flip < 1e-8

@@ -169,6 +169,17 @@ class TestExitCodes:
         assert code == 2
         assert "g_a" in err
 
+    @pytest.mark.parametrize("line", ["noise_a = 1e100", "noise_b = 1e200", "g_a = 1e60"])
+    def test_scale_beyond_the_readout_bound_exits_two(self, capsys, tmp_path, line):
+        # squared readout products would overflow: nan or an infinite
+        # standard error, printed with exit 0, if the run went ahead
+        key = line.split(" = ")[0]
+        path = tmp_path / "big.cfg"
+        path.write_text(README_TEXT.replace(f"{key} ", f"# {key} ") + line + "\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "montecarlo", "--config", str(path), "--trials", "1000")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {key}: ") and err.count("\n") == 1
+
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["transmogrify"])

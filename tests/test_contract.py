@@ -1,0 +1,119 @@
+"""One input contract: the config parser and every library entry point that
+takes a coupling or a noise level reject the same values, with
+`ValidationError`."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from cheshire import (
+    JointMeterState,
+    NoiseModel,
+    cheshire_analytic,
+    classical_mixture_density,
+    embed,
+    failure_density,
+    gaussian_overlap0,
+    gaussian_overlap1,
+    grid_moments,
+    indicator_bound,
+    local_averages,
+    meter_negativity,
+    moment_decomposition,
+    noise_robustness,
+    optimize_states,
+    parse_config_text,
+    sample_estimate,
+    sample_trials,
+    success_moments,
+    success_probability,
+    trial_variance,
+)
+from cheshire.errors import ValidationError
+from cheshire.meter import MAX_READOUT_SCALE, Grid
+
+CONFIG = """
+prep = 0.57735026918962573+0i, 0+0i, 0.57735026918962573+0i, 0.57735026918962573+0i
+post = 0.57735026918962573+0i, 0+0i, 0.57735026918962573+0i, -0.57735026918962573+0i
+"""
+CONFIG_CASE = parse_config_text(CONFIG)
+K = CONFIG_CASE.coherence()
+WEIGHTS = CONFIG_CASE.weights()
+TINY_GRID = Grid(-6.0, 6.0, 25)
+
+# every special float, and both sides of the bound, beside hypothesis's own
+# choice of floats (which favours the same kinds of values)
+SPECIALS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e3,
+            MAX_READOUT_SCALE, math.nextafter(MAX_READOUT_SCALE, math.inf), 1.7976931348623157e308]
+values = st.one_of(st.sampled_from(SPECIALS), st.floats())
+
+
+def rejects(compute) -> bool:
+    """Whether compute() raises ValidationError; any other error propagates."""
+    try:
+        compute()
+    except ValidationError:
+        return True
+    return False
+
+
+def coupling_entry_points(g_a, g_b):
+    """Every public call that takes the couplings, with (g_a, g_b)."""
+    p = (K, WEIGHTS)
+    return {
+        "gaussian_overlap0": lambda: (gaussian_overlap0(g_a), gaussian_overlap0(g_b)),
+        "gaussian_overlap1": lambda: (gaussian_overlap1(g_a), gaussian_overlap1(g_b)),
+        "cheshire_analytic": lambda: cheshire_analytic(CONFIG_CASE.post, CONFIG_CASE.prep, g_a, g_b),
+        "indicator_bound": lambda: indicator_bound(g_a, g_b),
+        "success_moments": lambda: success_moments(K, g_a, g_b),
+        "success_probability": lambda: success_probability(K, g_a, g_b),
+        "local_averages": lambda: local_averages(K, g_a, g_b),
+        "moment_decomposition": lambda: moment_decomposition(JointMeterState(K, None, None, g_a, g_b)),
+        "grid_moments": lambda: grid_moments(JointMeterState(K, None, None, g_a, g_b),
+                                             TINY_GRID, TINY_GRID),
+        "classical_mixture_density": lambda: classical_mixture_density(WEIGHTS, g_a, g_b,
+                                                                       TINY_GRID, TINY_GRID),
+        "failure_density": lambda: failure_density(*p, g_a, g_b, TINY_GRID, TINY_GRID),
+        "embed": lambda: embed(K, g_a, g_b),
+        "meter_negativity": lambda: meter_negativity(K, g_a, g_b),
+        "sample_trials": lambda: sample_trials(*p, g_a, g_b, n=64, seed=0),
+        "sample_estimate": lambda: sample_estimate(*p, g_a, g_b, n=64, seed=0),
+        "trial_variance": lambda: trial_variance(*p, g_a, g_b),
+        "noise_robustness": lambda: noise_robustness(*p, g_a, g_b, [(0.0, 0.0)], n=64),
+        "optimize_states": lambda: optimize_states(g_a, g_b),
+    }
+
+
+@pytest.mark.parametrize("field", ["g_a", "g_b"])
+@given(value=values)
+def test_couplings_rejected_alike(field, value):
+    config_rejects = rejects(lambda: parse_config_text(CONFIG + f"{field} = {value!r}\n"))
+    couplings = (value, 2.0) if field == "g_a" else (2.0, value)
+    for name, compute in coupling_entry_points(*couplings).items():
+        # at zero coupling C vanishes for every state, so the state
+        # optimizer also refuses it
+        expected = config_rejects or (name == "optimize_states" and value == 0.0)
+        assert rejects(compute) == expected, name
+
+
+@pytest.mark.parametrize("field", ["noise_a", "noise_b"])
+@given(value=values)
+def test_noise_levels_rejected_alike(field, value):
+    config_rejects = rejects(lambda: parse_config_text(CONFIG + f"{field} = {value!r}\n"))
+    levels = (value, 0.0) if field == "noise_a" else (0.0, value)
+    assert rejects(lambda: NoiseModel(*levels)) == config_rejects
+    assert rejects(lambda: noise_robustness(K, WEIGHTS, 2.0, 2.0, [levels], n=64)) == config_rejects
+
+
+def test_largest_scales_stay_finite():
+    # at the bound on every scale at once the readouts, the estimate and the
+    # exact variance are finite, with no overflow on the way
+    top = MAX_READOUT_SCALE
+    noise = NoiseModel(top, top)
+    estimate = sample_estimate(K, WEIGHTS, top, top, n=1 << 12, seed=0, noise=noise)
+    assert all(map(math.isfinite, (estimate.c_hat, estimate.std_error)))
+    assert math.isfinite(trial_variance(K, WEIGHTS, top, top, noise))
+    assert np.isfinite(local_averages(K, top, top)).all()

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from cheshire.errors import GridTooSmall, ValidationError
 from cheshire.meter import (
     DEFAULT_GRID,
+    MAX_READOUT_SCALE,
     WAVE_SAMPLES_PER_BLOCK,
-    GaussianMeter,
     Grid,
     GridMeter,
     format_complex,
@@ -77,26 +77,16 @@ class TestClosedForms:
         assert np.array_equal(m1, m1.T) and np.array_equal(mx, mx.T)
         assert m1[0, 0] == 1.0 and mx[0, 0] == a and mx[1, 1] == b
 
-    def test_infinite_shifts(self):
-        m1, mx = pointer_matrices((0.0, math.inf, -math.inf))
-        assert np.array_equal(m1, np.eye(3))
-        assert np.array_equal(mx, np.diag([0.0, math.inf, -math.inf]))
-
 
 class TestGaussianMeter:
-    def test_stores_coupling(self):
-        m = GaussianMeter(2.0)
-        assert m.g == 2.0
-        # the meter selects the closed forms; the shifts come from the dynamics
-        m1, mx = pointer_matrices((0.0, m.g), m)
-        assert m1[0, 1] == gaussian_overlap0(2.0)
-        assert mx[0, 1] == gaussian_overlap1(2.0)
+    """The Gaussian pointer, which a meter of None stands for."""
 
     def test_rejects_negative_or_nan(self):
-        with pytest.raises(ValidationError):
-            GaussianMeter(-0.1)
-        with pytest.raises(ValidationError):
-            GaussianMeter(float("nan"))
+        # the closed forms take only finite couplings in [0, MAX_READOUT_SCALE]
+        for g in (-0.1, math.nan, math.inf, -math.inf, 2.0 * MAX_READOUT_SCALE):
+            for overlap in (gaussian_overlap0, gaussian_overlap1):
+                with pytest.raises(ValidationError):
+                    overlap(g)
 
     def test_ground_state_moments(self):
         x = DEFAULT_GRID.points
@@ -220,9 +210,8 @@ class TestOverlapSet:
 
     def test_gaussian_dispatch(self):
         closed = pointer_matrices((2.0, 0.0, 0.0))
-        for meter in (None, GaussianMeter(2.0)):
-            m1, mx = pointer_matrices((2.0, 0.0, 0.0), meter)
-            assert np.array_equal(m1, closed[0]) and np.array_equal(mx, closed[1])
+        m1, mx = pointer_matrices((2.0, 0.0, 0.0), None)
+        assert np.array_equal(m1, closed[0]) and np.array_equal(mx, closed[1])
         assert np.isclose(closed[0][0, 1], gaussian_overlap0(2.0))
         assert np.isclose(closed[1][0, 1], gaussian_overlap1(2.0))
 

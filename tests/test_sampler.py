@@ -21,6 +21,7 @@ from cheshire.dynamics import BranchWeights, success_moments, success_probabilit
 from cheshire import _csvrows, sampler
 from cheshire.errors import PositivityError, ValidationError
 from cheshire.indicator import local_averages
+from cheshire.meter import MAX_READOUT_SCALE
 from cheshire.qsystem import TransitionAmplitudes, transition_amplitudes
 from cheshire.sampler import (
     CSV_HEADER,
@@ -396,6 +397,11 @@ class TestNoiseRobustness:
         weights = BranchWeights(0.0, math.sqrt(0.5), math.sqrt(0.5))
         rows = noise_robustness(amps, weights, 2.0, 2.0, nu_grid=[(0.0, 0.0)], n=500, seed=2)
         assert rows[0].n_required == math.inf
+        # C != 0 whose square is 0.0, or too small for any finite count
+        for g_a in (1e-200, 1e-160):
+            rows = noise_robustness(EXAMPLE_AMPS, EXAMPLE_WEIGHTS, g_a, 2.0, nu_grid=[(0.0, 0.0)],
+                                    n=500, seed=2)
+            assert rows[0].n_required == math.inf
 
 
 class TestValidation:
@@ -481,12 +487,12 @@ class TestAcceptanceBound:
         # so the ratio near the separated left branch, or where all three
         # coherent branches meet, may exceed 1 by as much.  Noise damps the
         # pair terms by a positive semidefinite matrix with unit diagonal,
-        # which keeps that budget; at 1e200, 1 + nu^2 overflows.
+        # which keeps that budget, up to the largest noise the model takes.
         edge = 1.0000000002
         for amps in (TransitionAmplitudes(edge / math.sqrt(3), 0.0, 0.0),
                      TransitionAmplitudes(edge / 3, edge / 3, edge / 3)):
-            for nu_a, nu_b in [(0.0, 0.0), (0.3, 0.3), (1.0, 0.2), (5.0, 5.0), (1e200, 0.5),
-                               (1e200, 1e200)]:
+            for nu_a, nu_b in [(0.0, 0.0), (0.3, 0.3), (1.0, 0.2), (5.0, 5.0),
+                               (MAX_READOUT_SCALE, 0.5), (MAX_READOUT_SCALE, MAX_READOUT_SCALE)]:
                 trials = sample_trials(amps, EXAMPLE_WEIGHTS, 8.0, 8.0, n=TRIALS_PER_BATCH,
                                        seed=0, noise=NoiseModel(nu_a, nu_b))
                 assert len(trials) == TRIALS_PER_BATCH

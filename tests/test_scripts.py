@@ -33,3 +33,13 @@ def test_noise_study_writes_one_row_per_level(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["nu_a", "nu_b", "c_hat", "std_error", "n_required"]
     assert [row[:2] for row in rows[1:]] == [["0", "0"], ["4", "4"]]
+
+
+def test_noise_study_rejects_noise_beyond_the_readout_bound(capsys, tmp_path):
+    # nu^2 would overflow in the exact variance: a traceback, before the bound
+    out = tmp_path / "noise.csv"
+    argv = ["--nu-max", "1e200", "--levels", "2", "--trials", "1000", "--out", str(out)]
+    assert load_script("noise_study").main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: nu_a ") and err.count("\n") == 1
+    assert not out.exists()
