@@ -39,11 +39,10 @@ from .meter import (
     gaussian_ground_state,
     pointer_matrices,
 )
-from .qsystem import PhotonKet, _coherence
+from .qsystem import NORM_TOL, PhotonKet, _coherence
 
 PROBABILITY_TOL = 1e-10
 POSITIVITY_TOL = 1e-10
-WEIGHT_NORM_TOL = 1e-12
 REALIZABILITY_TOL = 1e-9
 
 # Per-branch pointer shifts in units of (g_A, g_B): branch order (L, R+, R-).
@@ -62,13 +61,11 @@ class BranchWeights:
 
     def __post_init__(self):
         total = abs(self.a) ** 2 + abs(self.b) ** 2 + abs(self.c) ** 2
-        if abs(total - 1.0) > WEIGHT_NORM_TOL:
-            raise ValidationError(f"branch weights norm^2 = {total!r}, expected 1 within {WEIGHT_NORM_TOL}")
+        if abs(total - 1.0) > NORM_TOL:
+            raise ValidationError(f"branch weights norm^2 = {total!r}, expected 1 within {NORM_TOL}")
 
     @classmethod
     def from_preparation(cls, prep: PhotonKet) -> "BranchWeights":
-        if not prep.is_normalized:
-            raise ValidationError("preparation ket must be normalized")
         amps = prep.amplitudes
         a = math.sqrt(float(abs(amps[0]) ** 2 + abs(amps[1]) ** 2))
         return cls(a, complex(amps[2]), complex(amps[3]))
@@ -162,10 +159,7 @@ class SuccessMoments:
 def success_probability(coherence, g_a: float, g_b: float) -> float:
     """P = sum_jk Re(K_jk <M_j|M_k>) over the branch pairs; for pure states
     |l|^2 + |r+|^2 + |r-|^2 + 2 w_A w_B Re[l*(r+ + r-)] + 2 exp(-g_B^2/2) Re[r+* r-]."""
-    return _probability(success_moments(coherence, g_a, g_b).norm)
-
-
-def _probability(p: float) -> float:
+    p = success_moments(coherence, g_a, g_b).norm
     if not (-PROBABILITY_TOL <= p <= 1.0 + PROBABILITY_TOL):
         raise ConsistencyError(f"success probability {p!r} outside [0, 1]")
     return min(max(p, 0.0), 1.0)
@@ -196,15 +190,18 @@ def _total(terms: np.ndarray) -> np.ndarray:
     return out
 
 
-def success_moments(coherence, g_a: float, g_b: float) -> SuccessMoments:
-    """Closed-form branch-pair sums over K for P and the first success moments."""
+def success_moments(coherence, g_a, g_b) -> SuccessMoments:
+    """Closed-form branch-pair sums over K for P and the first success
+    moments, elementwise over stacked couplings with the bits of scalar calls."""
     _validate_couplings(g_a, g_b)
     shifts_a, shifts_b = _branch_shifts(g_a, g_b)
     a1, ax = pointer_matrices(shifts_a)
     b1, bx = pointer_matrices(shifts_b)
-    # weight pairs (1, 1), (x, 1), (1, x), (x, x) stacked into one kernel call
-    terms = branch_terms(_coherence(coherence), np.stack([a1, ax, a1, ax]), np.stack([b1, b1, bx, bx]))
-    return SuccessMoments(*_total(terms.reshape(4, 9)).tolist())
+    # weight pairs (1, 1), (x, 1), (1, x), (x, x) on an axis after the coupling stacks
+    terms = branch_terms(_coherence(coherence), np.stack([a1, ax, a1, ax], axis=-3),
+                         np.stack([b1, b1, bx, bx], axis=-3))
+    sums = _total(terms.reshape(*terms.shape[:-2], 9))
+    return SuccessMoments(*(_unstack(sums[..., i]) for i in range(4)))
 
 
 _BLOCK_ROWS = 256  # readout-plane rows per `grid_moments` block of _BLOCK_ROWS * n_y floats
@@ -238,11 +235,6 @@ class JointMeterState:
     def _pairs(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         shifts_a, shifts_b = _branch_shifts(self.g_a, self.g_b)
         return _branch_pairs(self.meter_a, shifts_a, x), _branch_pairs(self.meter_b, shifts_b, y)
-
-    def success_probability(self) -> float:
-        if self.meter_a is None and self.meter_b is None:
-            return success_probability(self.coherence, self.g_a, self.g_b)
-        return _probability(grid_moments(self).norm)
 
 
 def _branch_pairs(meter, shifts, x: np.ndarray) -> np.ndarray:

@@ -16,10 +16,9 @@ import numpy as np
 from .dynamics import _branch_shifts, _unstack
 from .errors import OrthogonalPostselection, ValidationError
 from .meter import _validate_couplings, pointer_matrices
-from .qsystem import _coherence
+from .qsystem import EIGENVALUE_TOL, HERMITIAN_TOL, POSTSELECTION_EPS, _coherence
 
 RANK_TOL = 1e-12
-NORM_EPS = 1e-12
 EIGENVALUE_NOISE = 1e-14
 
 
@@ -37,10 +36,10 @@ def gram_orthonormalize(gram: np.ndarray) -> np.ndarray:
     g = np.asarray(gram, dtype=complex)
     if g.ndim < 2 or g.shape[-2] != g.shape[-1]:
         raise ValidationError("gram matrix must be square")
-    if np.max(np.abs(g - np.conj(g.swapaxes(-2, -1)))) > 1e-12:
+    if np.max(np.abs(g - np.conj(g.swapaxes(-2, -1)))) > HERMITIAN_TOL:
         raise ValidationError("gram matrix must be Hermitian")
     eigenvalues, vectors = np.linalg.eigh(g)
-    if eigenvalues.min() < -1e-10:
+    if eigenvalues.min() < -EIGENVALUE_TOL:
         raise ValidationError(f"gram matrix has negative eigenvalue {eigenvalues.min()!r}")
     keep = eigenvalues > RANK_TOL
     if not np.all(np.any(keep, axis=-1)):
@@ -104,7 +103,7 @@ def embed(coherence, g_a, g_b) -> EmbeddedMeterState:
     rho = v.swapaxes(-2, -1) @ _coherence(coherence).T @ v.conj()
 
     norm_sq = np.trace(rho, axis1=-2, axis2=-1).real
-    empty = np.flatnonzero(norm_sq <= NORM_EPS)
+    empty = np.flatnonzero(norm_sq <= POSTSELECTION_EPS)
     if empty.size:
         raise OrthogonalPostselection(
             f"success branch has squared norm {norm_sq.flat[empty[0]].item()!r}; nothing to embed"

@@ -30,8 +30,9 @@ from .dynamics import (
     success_moments,
 )
 from .errors import ConsistencyError, FlatObjective, OrthogonalPostselection, ValidationError
-from .meter import _overlap0, _validate_couplings, gaussian_overlap0, pointer_matrices
+from .meter import _overlap0, _validate_couplings, pointer_matrices
 from .qsystem import (
+    POSTSELECTION_EPS,
     PhotonDensity,
     PhotonEffect,
     PhotonKet,
@@ -39,8 +40,6 @@ from .qsystem import (
     branch_coherence,
     trace_term,
 )
-
-POSTSELECTION_EPS = 1e-12
 
 OPTIMAL_COUPLING = 2.0
 MAX_TRACE_TERM = 0.25
@@ -74,16 +73,6 @@ class CheshireResult:
     g_a: float
     g_b: float
     trace_term: complex
-
-    def __post_init__(self):
-        value, bound = np.broadcast_arrays(self.c_value, indicator_bound(self.g_a, self.g_b))
-        over = np.flatnonzero(np.abs(value) > bound + 1e-10)
-        if over.size:
-            first = over[0]
-            raise ConsistencyError(
-                f"indicator {value.flat[first].item()!r} exceeds the state-independent "
-                f"bound {bound.flat[first].item()!r}"
-            )
 
     @property
     def couplings(self) -> tuple[float, float]:
@@ -135,20 +124,25 @@ def cheshire_analytic(E, rho, g_a, g_b) -> CheshireResult:
     """Exact Gaussian-meter indicator for (possibly mixed) E and rho.
 
     Everything follows from the branch coherence K_jk = Tr(E P_k rho P_j):
-    the trace factor is K[L, R+] - K[L, R-], and P = sum_jk Re(K_jk
-    <M_j|M_k>) over the branch pairs.  The couplings may be arrays: K is
-    built once and C and P come out as arrays, one entry per coupling pair.
-    A meter coupled at 78 or more has off-diagonal overlaps of exactly 0.0,
-    and C is 0.0: the strong-measurement limit, with no infinite coupling.
+    the trace factor is K[L, R+] - K[L, R-], and P is `success_moments`'s
+    norm.  The couplings may be arrays, with one entry of C and P per
+    coupling pair.  From g = 78 on, C is 0.0: the strong-measurement limit.
+    A |C| above `indicator_bound` raises `ConsistencyError`.
     """
-    _validate_couplings(g_a, g_b)
     k = branch_coherence(PhotonEffect(_operator_matrix(E)), PhotonDensity(_operator_matrix(rho)))
+    p = success_moments(k, g_a, g_b).norm
     t = complex(k[0, 1] - k[0, 2])
-    c = _coupling_prefactor(g_a, g_b) * t.real
-    shifts_a, shifts_b = _branch_shifts(g_a, g_b)
-    terms = branch_terms(k, pointer_matrices(shifts_a)[0], pointer_matrices(shifts_b)[0])
-    p = _total(terms.reshape(*terms.shape[:-2], 9))
-    return CheshireResult(_unstack(c), _unstack(p), _unstack(g_a), _unstack(g_b), t)
+    prefactor = _coupling_prefactor(g_a, g_b)
+    c = prefactor * t.real
+    bound = prefactor * MAX_TRACE_TERM
+    over = np.flatnonzero(np.abs(c) > bound + 1e-10)
+    if over.size:
+        first = over[0]
+        raise ConsistencyError(
+            f"indicator {c.flat[first].item()!r} exceeds the state-independent "
+            f"bound {bound.flat[first].item()!r}"
+        )
+    return CheshireResult(_unstack(c), p, _unstack(g_a), _unstack(g_b), t)
 
 
 def local_averages(coherence, g_a: float, g_b: float) -> tuple[float, float, float]:
@@ -184,12 +178,11 @@ def optimize_couplings(E, rho, g_max: float = 8.0) -> CouplingOptimum:
     """
     if not g_max >= 0.0:
         raise ValidationError(f"coupling search bound must be >= 0, got {g_max!r}")
-    t = cheshire_analytic(E, rho, 0.0, 0.0).trace_term  # the same at every coupling
-    if t.real == 0.0:
-        raise FlatObjective("Re Tr(E sigma_R rho Pi_L) = 0; the indicator vanishes identically")
     g_star = min(OPTIMAL_COUPLING, g_max)
-    c_star = (g_star * gaussian_overlap0(g_star)) ** 2 * t.real
-    return CouplingOptimum(g_star, g_star, c_star)
+    result = cheshire_analytic(E, rho, g_star, g_star)
+    if result.trace_term.real == 0.0:
+        raise FlatObjective("Re Tr(E sigma_R rho Pi_L) = 0; the indicator vanishes identically")
+    return CouplingOptimum(g_star, g_star, result.c_value)
 
 
 @dataclass(frozen=True)
@@ -210,11 +203,16 @@ def optimize_states(g_a: float, g_b: float, seed: int = 0) -> StateOptimum:
     1/4.  prep = post = (|L,+> + |R,+>)/sqrt(2) attains it; it is one
     optimum of a family whose members differ by phases and polarizations,
     and this function always returns it.  ``seed`` is accepted for
-    backward compatibility and has no effect.
+    backward compatibility and has no effect.  `FlatObjective` is raised
+    where `indicator_bound` is 0.0, as C is then 0.0 for every state.
     """
     _validate_couplings(g_a, g_b)
-    if not (g_a > 0.0 and g_b > 0.0):
-        raise ValidationError("state optimization needs positive couplings")
+    prefactor = _coupling_prefactor(g_a, g_b).item()
+    if prefactor * MAX_TRACE_TERM == 0.0:
+        raise FlatObjective(
+            f"coupling prefactor g_A w_A g_B w_B = {prefactor!r}; "
+            "the indicator vanishes for every state"
+        )
     prep = post = PhotonKet.normalized([1.0, 0.0, 1.0, 0.0])
     t = trace_term(post, prep)
-    return StateOptimum(prep, post, _coupling_prefactor(g_a, g_b).item() * t.real, t)
+    return StateOptimum(prep, post, prefactor * t.real, t)

@@ -21,7 +21,9 @@ NORM_TOL = 1e-12
 HERMITIAN_TOL = 1e-12
 EIGENVALUE_TOL = 1e-10
 
-WEAK_VALUE_EPS = 1e-12
+# A success probability, Tr(E rho) or success-branch norm at most this is
+# zero: the postselection is orthogonal and what it conditions is undefined.
+POSTSELECTION_EPS = 1e-12
 
 
 def _projector(*indices: int) -> np.ndarray:
@@ -44,14 +46,11 @@ _BRANCH_OF_BASIS = np.array([[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=
 
 @dataclass(frozen=True, eq=False)
 class PhotonKet:
-    """Pure photon state as a complex 4-vector over ``BASIS_LABELS``.
-
-    ``is_normalized`` records whether the squared norm is 1 within
-    ``NORM_TOL``; preparation and postselection states must be normalized.
-    """
+    """Pure photon state as a complex 4-vector over ``BASIS_LABELS``,
+    normalized by construction: a squared norm further than ``NORM_TOL``
+    from 1 is rejected (`normalized` rescales other vectors)."""
 
     amplitudes: np.ndarray
-    is_normalized: bool = True
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1).copy()
@@ -59,10 +58,11 @@ class PhotonKet:
             raise ValidationError(f"expected {DIM} amplitudes, got shape {amps.shape}")
         if not np.all(np.isfinite(amps.view(float))):
             raise ValidationError("amplitudes must be finite")
+        norm_sq = float(np.sum(np.abs(amps) ** 2))
+        if abs(norm_sq - 1.0) > NORM_TOL:
+            raise ValidationError(f"ket norm^2 = {norm_sq!r}, expected 1 within {NORM_TOL}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        object.__setattr__(self, "is_normalized", abs(norm_sq - 1.0) <= NORM_TOL)
 
     @classmethod
     def normalized(cls, amplitudes) -> "PhotonKet":
@@ -90,13 +90,9 @@ class PhotonKet:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
     def density(self) -> "PhotonDensity":
-        if not self.is_normalized:
-            raise ValidationError("only a normalized ket defines a density matrix")
         return PhotonDensity(self.outer())
 
     def effect(self) -> "PhotonEffect":
-        if not self.is_normalized:
-            raise ValidationError("only a normalized ket defines a rank-1 effect")
         return PhotonEffect(self.outer())
 
 
@@ -177,9 +173,6 @@ class WeakValues:
 
 def transition_amplitudes(prep: PhotonKet, post: PhotonKet) -> TransitionAmplitudes:
     """Amplitudes l = <post|Pi_L|prep>, r+- = <post|Pi_R,+-|prep>."""
-    for name, ket in (("prep", prep), ("post", post)):
-        if not ket.is_normalized:
-            raise ValidationError(f"{name} ket must be normalized")
     phi = post.amplitudes
     psi = prep.amplitudes
     l = complex(np.conj(phi[0]) * psi[0] + np.conj(phi[1]) * psi[1])
@@ -191,20 +184,18 @@ def transition_amplitudes(prep: PhotonKet, post: PhotonKet) -> TransitionAmplitu
 def weak_values(coherence) -> WeakValues:
     """Weak values Tr(E A rho) / Tr(E rho) of A = Pi_L and sigma_R from the
     branch coherence K (or amplitudes): branch k has sum_j K_jk / sum_jk K_jk,
-    l / (l + r+ + r-) if pure.  Undefined when |Tr(E rho)| <= `WEAK_VALUE_EPS`."""
+    l / (l + r+ + r-) if pure.  Undefined when |Tr(E rho)| <= `POSTSELECTION_EPS`."""
     branch = _coherence(coherence).sum(axis=0)
     denom = complex(branch.sum())
-    if abs(denom) <= WEAK_VALUE_EPS:
+    if abs(denom) <= POSTSELECTION_EPS:
         raise OrthogonalPostselection(
-            f"Tr(E rho) = {abs(denom):.3e} <= {WEAK_VALUE_EPS:.1e}; weak values are undefined"
+            f"Tr(E rho) = {abs(denom):.3e} <= {POSTSELECTION_EPS:.1e}; weak values are undefined"
         )
     return WeakValues(complex(branch[0] / denom), complex((branch[1] - branch[2]) / denom))
 
 
 def _operator_matrix(op) -> np.ndarray:
     if isinstance(op, PhotonKet):
-        if not op.is_normalized:
-            raise ValidationError("pure-state operand must be a normalized ket")
         return op.outer()
     if isinstance(op, (PhotonDensity, PhotonEffect)):
         return op.matrix

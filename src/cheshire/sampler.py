@@ -263,14 +263,14 @@ def _batch_kernel(
     return _batch
 
 
-def _map_batches(fn, n: int, threads: int | None):
+def _map_batches(fn, n: int):
     """fn(b) for every batch b of n trials, yielded in batch order.
 
     With more than one worker thread the batches run concurrently, at most
     one per worker at a time; the order of the results never changes.
     """
     n_batches = (n + TRIALS_PER_BATCH - 1) // TRIALS_PER_BATCH
-    workers = threads if threads is not None else max_threads()
+    workers = max_threads()
     if workers > 1 and n_batches > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(fn, range(n_batches))
@@ -322,7 +322,6 @@ def sample_trials(
     n: int,
     seed: int,
     noise: NoiseModel = NO_NOISE,
-    threads: int | None = None,
 ) -> Trials:
     """Simulate n independent trials; bit-identical for a given seed.
 
@@ -341,7 +340,7 @@ def sample_trials(
         accepted, x[sl], y[sl] = batch(b)
         tau[sl] = np.where(accepted, np.int8(1), np.int8(-1))
 
-    for _ in _map_batches(fill, n, threads):
+    for _ in _map_batches(fill, n):
         pass
     return Trials(tau, x, y)
 
@@ -354,7 +353,6 @@ def sample_estimate(
     n: int,
     seed: int,
     noise: NoiseModel = NO_NOISE,
-    threads: int | None = None,
 ) -> EstimatorOutput:
     """The estimate of `estimate_cheshire(sample_trials(...))`, bit for bit,
     without keeping the trials: each batch is reduced by the worker that drew
@@ -362,7 +360,7 @@ def sample_estimate(
     for large n.
     """
     batch = _batch_kernel(coherence, weights, g_a, g_b, n, seed, noise)
-    return _estimate(n, _map_batches(lambda b: _moments(*batch(b)), n, threads))
+    return _estimate(n, _map_batches(lambda b: _moments(*batch(b)), n))
 
 
 def estimate_cheshire(trials: Trials) -> EstimatorOutput:

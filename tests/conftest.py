@@ -16,6 +16,18 @@ settings.load_profile("pkg")
 
 
 @pytest.fixture
+def no_eigensolver(monkeypatch):
+    """numpy's eigensolvers raise.  The first LAPACK call of a process costs
+    about 1 MB of peak RSS and some 20 ms, so the paths that need no
+    eigenvalues must not make one."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigensolver was called")
+
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+
+
+@pytest.fixture
 def example_prep() -> PhotonKet:
     """(|L,+> + |R,+> + |R,->)/sqrt(3)."""
     return PhotonKet(np.array([1.0, 0.0, 1.0, 1.0]) / np.sqrt(3.0))

@@ -117,10 +117,10 @@ def test_criterion_4_oracle_equivalence():
             f"worst diff={worst:.2e}, {elapsed:.1f} s")
 
 
-def test_criterion_5_monte_carlo_consistency():
+def test_criterion_5_monte_carlo_consistency(monkeypatch):
+    monkeypatch.setenv("CHESHIRE_THREADS", "1")
     start = time.perf_counter()
-    trials = sample_trials(EXAMPLE_AMPS, EXAMPLE_WEIGHTS, 2.0, 2.0,
-                           n=1_000_000, seed=42, threads=1)
+    trials = sample_trials(EXAMPLE_AMPS, EXAMPLE_WEIGHTS, 2.0, 2.0, n=1_000_000, seed=42)
     estimate = estimate_cheshire(trials)
     elapsed = time.perf_counter() - start
     ok = (abs(estimate.c_hat - 0.327005) < 4.0 * estimate.std_error

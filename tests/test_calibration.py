@@ -80,7 +80,8 @@ class TestCalibration:
     VARIANCE_BOUND = 4.5 * math.sqrt(2.0 / (SEEDS - 1))
 
     @pytest.mark.parametrize("name", list(CONFIGS))
-    def test_standardized_errors_are_standard_normal(self, name):
+    def test_standardized_errors_are_standard_normal(self, name, monkeypatch):
+        monkeypatch.setenv("CHESHIRE_THREADS", "1")
         coherence, g_a, g_b, noise, first_seed = CONFIGS[name]
         c = 2.0 * success_moments(coherence, g_a, g_b).xy
         p = success_probability(coherence, g_a, g_b)
@@ -89,7 +90,7 @@ class TestCalibration:
         z_c, z_p = np.array([
             ((out.c_hat - c) / se_c, (out.p_hat - p) / se_p)
             for out in (sample_estimate(coherence, WEIGHTS, g_a, g_b, n=self.N, seed=seed,
-                                        noise=noise, threads=1)
+                                        noise=noise)
                         for seed in range(first_seed, first_seed + self.SEEDS))
         ]).T
         for label, z in (("c_hat", z_c), ("p_hat", z_p)):

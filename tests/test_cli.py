@@ -498,6 +498,20 @@ class TestOptimize:
         report = key_values(out)
         assert report["g_a_optimal"] == report["g_b_optimal"] == g_star
 
+    @pytest.mark.parametrize("g_a", ["0", "1e3"])
+    def test_flat_state_objective_exits_two(self, capsys, g_a):
+        # the coupling prefactor is 0.0, so C is 0.0 for every state
+        code, out, err = run_cli(capsys, "optimize", "--g-a", g_a, "--g-b", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "vanishes for every state" in err
+
+    def test_state_optimum_needs_no_eigensolver(self, capsys, no_eigensolver):
+        code, out, err = run_cli(capsys, "optimize", "--g-a", "2", "--g-b", "3")
+        assert code == 0, err
+        assert "c_optimal=" in out
+
     @pytest.mark.parametrize("search_max", ["nan", "-1"])
     def test_invalid_search_max_exits_two(self, capsys, config_path, search_max):
         code, out, err = run_cli(capsys, "optimize", "--config", config_path,

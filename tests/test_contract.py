@@ -1,6 +1,7 @@
 """One input contract: the config parser and every library entry point that
 takes a coupling or a noise level reject the same values, with
-`ValidationError`."""
+`ValidationError`; the state optimizer meets a flat objective exactly where
+the indicator bound is 0.0."""
 
 import math
 
@@ -32,7 +33,7 @@ from cheshire import (
     success_probability,
     trial_variance,
 )
-from cheshire.errors import ValidationError
+from cheshire.errors import FlatObjective, ValidationError
 from cheshire.meter import MAX_READOUT_SCALE, Grid
 
 CONFIG = """
@@ -58,6 +59,15 @@ def rejects(compute) -> bool:
     except ValidationError:
         return True
     return False
+
+
+def outcome(compute):
+    """The type of the typed error compute() raises, or None."""
+    try:
+        compute()
+    except (ValidationError, FlatObjective) as exc:
+        return type(exc)
+    return None
 
 
 def coupling_entry_points(g_a, g_b):
@@ -93,10 +103,11 @@ def test_couplings_rejected_alike(field, value):
     config_rejects = rejects(lambda: parse_config_text(CONFIG + f"{field} = {value!r}\n"))
     couplings = (value, 2.0) if field == "g_a" else (2.0, value)
     for name, compute in coupling_entry_points(*couplings).items():
-        # at zero coupling C vanishes for every state, so the state
-        # optimizer also refuses it
-        expected = config_rejects or (name == "optimize_states" and value == 0.0)
-        assert rejects(compute) == expected, name
+        expected = ValidationError if config_rejects else None
+        if name == "optimize_states" and not config_rejects and indicator_bound(*couplings) == 0.0:
+            # C is 0.0 for every state there: a flat objective, not bad input
+            expected = FlatObjective
+        assert outcome(compute) is expected, name
 
 
 @pytest.mark.parametrize("field", ["noise_a", "noise_b"])

@@ -114,6 +114,26 @@ class TestSuccessMoments:
         assert abs(grid.norm - closed.norm) < 1e-8
         assert abs(grid.xy - closed.xy) < 1e-8
 
+    @pytest.mark.parametrize("shape_a, shape_b", [((0,), (0,)), ((7,), (7,)), ((), (7,)),
+                                                  ((2, 3), (3,)), ((4, 1), (1, 5))])
+    def test_stack_matches_scalar_calls(self, shape_a, shape_b):
+        # each entry of a stacked call is the scalar call at its couplings,
+        # repr for repr, on a random Hermitian K that need not be realizable
+        rng = np.random.default_rng(len(shape_a) + len(shape_b))
+        m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        k = m @ m.conj().T
+        specials = [0.0, -0.0, 0.3, 2.0, 77.5, 78.0, 1e3]
+        g_a = rng.choice(specials, size=shape_a)
+        g_b = rng.uniform(0.0, 8.0, size=shape_b)
+        stacked = success_moments(k, g_a, g_b)
+        shape = np.broadcast_shapes(shape_a, shape_b)
+        for field in ("norm", "x", "y", "xy"):
+            values = np.asarray(getattr(stacked, field))
+            assert values.shape == shape
+            for i in np.ndindex(shape):
+                a, b = np.broadcast_to(g_a, shape)[i].item(), np.broadcast_to(g_b, shape)[i].item()
+                assert repr(values[i].item()) == repr(getattr(success_moments(k, a, b), field))
+
 
 class TestJointMeterState:
     def test_zero_coupling_factorizes(self, example_prep, example_post):
@@ -134,14 +154,10 @@ class TestJointMeterState:
         )
         assert np.isclose(state.density(x, y)[0, 0], abs(expected) ** 2, atol=1e-15)
 
-    def test_success_probability_method(self):
-        state = JointMeterState(EXAMPLE_AMPS, None, None, 2.0, 2.0)
-        assert np.isclose(state.success_probability(), P_EXAMPLE_G2, atol=1e-15)
-
     def test_grid_meter_state_matches_gaussian(self):
         meter = GridMeter.gaussian()
         state = JointMeterState(EXAMPLE_AMPS, meter, meter, 2.0, 2.0)
-        assert abs(state.success_probability() - P_EXAMPLE_G2) < 1e-8
+        assert abs(grid_moments(state).norm - P_EXAMPLE_G2) < 1e-8
 
 
 class TestClassicalMixture:

@@ -5,14 +5,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cheshire import indicator
 from cheshire.dynamics import JointMeterState, grid_moments, success_moments, success_probability
 from cheshire.errors import ConsistencyError, FlatObjective, OrthogonalPostselection, ValidationError
 from cheshire.indicator import (
     MAX_TRACE_TERM,
-    CheshireResult,
     cheshire_analytic,
     indicator_bound,
     local_averages,
@@ -226,10 +226,13 @@ class TestCheshireAnalytic:
         )
         assert abs(cheshire_analytic(effect, rho, g_a, g_b).p_success - expected) < 1e-12
 
-    def test_bound_violation_rejected(self):
-        # a bound breach is an internal inconsistency, not bad input
-        with pytest.raises(ConsistencyError):
-            CheshireResult(1.0, 0.5, 2.0, 2.0, 0.25)
+    def test_bound_violation_rejected(self, example_prep, example_post, monkeypatch):
+        # a bound breach is an internal inconsistency, not bad input; with no
+        # room under the bound, the g = 2 entry of a stack breaches it
+        monkeypatch.setattr(indicator, "MAX_TRACE_TERM", 0.0)
+        for g in (2.0, np.array([0.0, 2.0])):
+            with pytest.raises(ConsistencyError, match="exceeds the state-independent bound 0.0"):
+                cheshire_analytic(example_post, example_prep, g, 2.0)
 
     def test_rejects_raw_matrices(self, example_prep):
         with pytest.raises(ValidationError):
@@ -318,6 +321,14 @@ class TestOptimizeCouplings:
         opt = optimize_couplings(example_post, rho)
         assert abs(opt.g_a - 2.0) < 1e-6
 
+    @given(prep=unit_kets(), post=unit_kets(),
+           g_max=st.sampled_from([0.0, -0.0, 0.5, 2.0, 8.0, math.inf]))
+    def test_value_is_cheshire_analytic_at_optimum(self, prep, post, g_max):
+        assume(trace_term(post, prep).real != 0.0)
+        opt = optimize_couplings(post, prep, g_max)
+        exact = cheshire_analytic(post, prep, opt.g_a, opt.g_b)
+        assert repr(opt.c_value) == repr(exact.c_value)
+
 
 class TestOptimizeStates:
     def test_brute_force_family_oracle(self):
@@ -372,8 +383,11 @@ class TestOptimizeStates:
         assert a.c_value == b.c_value
 
     def test_rejects_zero_coupling(self):
-        with pytest.raises(ValidationError):
-            optimize_states(0.0, 2.0)
+        # the prefactor g_A w_A g_B w_B is 0.0 at a zero coupling and from
+        # g = 78 on, and C is then 0.0 for every state
+        for g_a, g_b in [(0.0, 2.0), (2.0, -0.0), (78.0, 2.0), (1e3, 1e3)]:
+            with pytest.raises(FlatObjective, match="vanishes for every state"):
+                optimize_states(g_a, g_b)
 
 
 class TestUnimodality:

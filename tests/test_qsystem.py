@@ -7,6 +7,7 @@ from hypothesis import given
 from cheshire.errors import OrthogonalPostselection, ValidationError
 from cheshire.qsystem import (
     DIM,
+    NORM_TOL,
     PI_L,
     PI_R_MINUS,
     PI_R_PLUS,
@@ -54,20 +55,22 @@ class TestPhotonKet:
     def test_basis_kets(self):
         ket = PhotonKet.basis("R+")
         assert ket.amplitudes[2] == 1.0
-        assert ket.is_normalized
         with pytest.raises(ValidationError):
             PhotonKet.basis("X+")
 
     def test_normalized_factory(self):
         ket = PhotonKet.normalized([3.0, 0.0, 4.0, 0.0])
-        assert ket.is_normalized
         assert np.isclose(abs(ket.amplitudes[0]), 0.6)
         with pytest.raises(ValidationError):
             PhotonKet.normalized([0.0, 0.0, 0.0, 0.0])
 
     def test_unnormalized_flagged(self):
-        ket = PhotonKet([1.0, 1.0, 0.0, 0.0])
-        assert not ket.is_normalized
+        # normalized by construction: norm^2 further than NORM_TOL from 1 fails
+        with pytest.raises(ValidationError, match="norm"):
+            PhotonKet([1.0, 1.0, 0.0, 0.0])
+        with pytest.raises(ValidationError, match="norm"):
+            PhotonKet([np.sqrt(1.0 + 2.0 * NORM_TOL), 0.0, 0.0, 0.0])
+        PhotonKet([np.sqrt(1.0 + 0.5 * NORM_TOL), 0.0, 0.0, 0.0])
 
     def test_amplitudes_read_only(self):
         ket = PhotonKet.basis("L+")
@@ -132,11 +135,11 @@ class TestTransitionAmplitudes:
         assert np.isclose(amps.polarization_difference, 2.0 / 3.0)
 
     def test_requires_normalized_kets(self, example_prep):
-        bad = PhotonKet([1.0, 1.0, 0.0, 0.0])
+        # an unnormalized ket fails before any amplitude is formed
         with pytest.raises(ValidationError):
-            transition_amplitudes(bad, example_prep)
+            transition_amplitudes(PhotonKet([1.0, 1.0, 0.0, 0.0]), example_prep)
         with pytest.raises(ValidationError):
-            transition_amplitudes(example_prep, bad)
+            transition_amplitudes(example_prep, PhotonKet([1.0, 1.0, 0.0, 0.0]))
 
     @given(prep=unit_kets(), post=unit_kets())
     def test_completeness_identity(self, prep, post):

@@ -27,6 +27,7 @@ from cheshire.sampler import (
     CSV_HEADER,
     NO_NOISE,
     NoiseModel,
+    THREADS_ENV_VAR,
     TRIALS_PER_BATCH,
     Trials,
     _pick_branches,
@@ -51,10 +52,11 @@ ZERO_WEIGHT_WEIGHTS = BranchWeights(math.sqrt(0.1), math.sqrt(0.9), 0.0)
 
 
 def example_trials(n, seed, noise=NO_NOISE, threads=None):
-    return sample_trials(
-        EXAMPLE_AMPS, EXAMPLE_WEIGHTS, 2.0, 2.0,
-        n=n, seed=seed, noise=noise, threads=threads,
-    )
+    """The example's trials, at ``threads`` worker threads if given."""
+    with pytest.MonkeyPatch.context() as patch:
+        if threads is not None:
+            patch.setenv(THREADS_ENV_VAR, str(threads))
+        return sample_trials(EXAMPLE_AMPS, EXAMPLE_WEIGHTS, 2.0, 2.0, n=n, seed=seed, noise=noise)
 
 
 def retry_once(check, seeds=(42, 43)):
@@ -253,12 +255,21 @@ class TestEstimator:
 
 
 class TestStreamedEstimate:
+    def test_valid_coherence_needs_no_eigensolver(self, no_eigensolver):
+        # the realizability check of a K it accepts makes no LAPACK call
+        mixed = 0.5 * EXAMPLE_AMPS.coherence() + 0.5 * np.diag(EXAMPLE_WEIGHTS.probabilities)
+        for k in (EXAMPLE_AMPS, mixed):
+            out = sample_estimate(k, EXAMPLE_WEIGHTS, 2.0, 2.0, n=1000, seed=0,
+                                  noise=NoiseModel(0.5, 0.5))
+            assert out.n_trials == 1000
+
     @pytest.mark.parametrize("threads", [1, 4])
     @pytest.mark.parametrize("n", [2, 100, TRIALS_PER_BATCH, TRIALS_PER_BATCH + 1,
                                    3 * TRIALS_PER_BATCH - 7])
-    def test_equals_estimate_of_stored_trials(self, n, threads):
+    def test_equals_estimate_of_stored_trials(self, n, threads, monkeypatch):
+        monkeypatch.setenv(THREADS_ENV_VAR, str(threads))
         args = (EXAMPLE_AMPS, EXAMPLE_WEIGHTS, 2.0, 1.5)
-        draws = dict(n=n, seed=5, noise=NoiseModel(0.5, 1.0), threads=threads)
+        draws = dict(n=n, seed=5, noise=NoiseModel(0.5, 1.0))
         streamed = sample_estimate(*args, **draws)
         stored = estimate_cheshire(sample_trials(*args, **draws))
         assert streamed.c_hat == stored.c_hat
@@ -266,12 +277,12 @@ class TestStreamedEstimate:
         assert streamed.p_hat == stored.p_hat
         assert streamed.n_trials == stored.n_trials == n
 
-    def test_heap_does_not_grow_with_trials(self):
+    def test_heap_does_not_grow_with_trials(self, monkeypatch):
         # storing 2^21 trials and their products would take about 70 MB
+        monkeypatch.setenv(THREADS_ENV_VAR, "1")
         tracemalloc.start()
         try:
-            sample_estimate(EXAMPLE_AMPS, EXAMPLE_WEIGHTS, 2.0, 2.0, n=1 << 21, seed=0,
-                            threads=1)
+            sample_estimate(EXAMPLE_AMPS, EXAMPLE_WEIGHTS, 2.0, 2.0, n=1 << 21, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -282,12 +293,12 @@ class TestStreamedEstimate:
     WORKSPACE_BYTES = TRIALS_PER_BATCH * (8 * (2 + 2 + 1 + 7) + 1)
 
     @pytest.mark.parametrize("threads", [1, 4])
-    def test_heap_bounded_by_workspaces_and_freed_after_call(self, threads):
+    def test_heap_bounded_by_workspaces_and_freed_after_call(self, threads, monkeypatch):
+        monkeypatch.setenv(THREADS_ENV_VAR, str(threads))
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            sample_estimate(EXAMPLE_AMPS, EXAMPLE_WEIGHTS, 2.0, 2.0, n=1 << 20, seed=0,
-                            threads=threads)
+            sample_estimate(EXAMPLE_AMPS, EXAMPLE_WEIGHTS, 2.0, 2.0, n=1 << 20, seed=0)
             after, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -307,9 +318,10 @@ class TestWorkspace:
         return a == b
 
     @ROUTES
-    def test_concurrent_calls_equal_sequential_calls(self, route):
-        draws = [dict(n=3 * TRIALS_PER_BATCH - 7, seed=seed, noise=NoiseModel(0.5, 2.0),
-                      threads=2) for seed in (21, 22)]
+    def test_concurrent_calls_equal_sequential_calls(self, route, monkeypatch):
+        monkeypatch.setenv(THREADS_ENV_VAR, "2")
+        draws = [dict(n=3 * TRIALS_PER_BATCH - 7, seed=seed, noise=NoiseModel(0.5, 2.0))
+                 for seed in (21, 22)]
         expected = [route(*self.ARGS, **d) for d in draws]
         results = [None, None]
 
@@ -331,19 +343,21 @@ class TestWorkspace:
         assert all(self.same_result(r, e) for r, e in zip(results, expected))
 
     @ROUTES
-    def test_short_batch_after_full_batches_matches_fresh_run(self, route):
-        draws = dict(n=TRIALS_PER_BATCH + 5, seed=4, threads=1)
+    def test_short_batch_after_full_batches_matches_fresh_run(self, route, monkeypatch):
+        monkeypatch.setenv(THREADS_ENV_VAR, "1")
+        draws = dict(n=TRIALS_PER_BATCH + 5, seed=4)
         fresh = []
         caller = threading.Thread(target=lambda: fresh.append(route(*self.ARGS, **draws)))
         caller.start()
         caller.join(timeout=60)
         assert not caller.is_alive() and len(fresh) == 1
-        route(*self.ARGS, n=2 * TRIALS_PER_BATCH, seed=9, threads=1)
+        route(*self.ARGS, n=2 * TRIALS_PER_BATCH, seed=9)
         assert self.same_result(route(*self.ARGS, **draws), fresh[0])
 
     @ROUTES
     def test_call_after_positivity_error_matches_fresh_run(self, route, monkeypatch):
-        draws = dict(n=2 * TRIALS_PER_BATCH + 3, seed=8, threads=2)
+        monkeypatch.setenv(THREADS_ENV_VAR, "2")
+        draws = dict(n=2 * TRIALS_PER_BATCH + 3, seed=8)
         fresh = route(*self.ARGS, **draws)
         monkeypatch.setattr(sampler, "_check_realizable", lambda amps, weights: None)
         with pytest.raises(PositivityError):
@@ -443,10 +457,11 @@ class TestValidation:
             expected = np.searchsorted(edges, u, side="right")
             assert np.array_equal(_pick_branches(probabilities, u), expected)
 
-    def test_heap_stays_small(self):
+    def test_heap_stays_small(self, monkeypatch):
+        monkeypatch.setenv(THREADS_ENV_VAR, "1")
         tracemalloc.start()
         try:
-            sample_trials(EXAMPLE_AMPS, EXAMPLE_WEIGHTS, 2.0, 2.0, n=1 << 17, seed=0, threads=1)
+            sample_trials(EXAMPLE_AMPS, EXAMPLE_WEIGHTS, 2.0, 2.0, n=1 << 17, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -502,9 +517,10 @@ class TestAcceptanceBound:
     @ROUTES
     def test_over_budget_ratio_raises(self, route, threads, monkeypatch):
         monkeypatch.setattr(sampler, "_check_realizable", lambda amps, weights: None)
+        monkeypatch.setenv(THREADS_ENV_VAR, str(threads))
         amps = TransitionAmplitudes(1.0, 0.0, 0.0)
         with pytest.raises(PositivityError):
-            route(amps, EXAMPLE_WEIGHTS, 2.0, 2.0, n=1000, seed=0, threads=threads)
+            route(amps, EXAMPLE_WEIGHTS, 2.0, 2.0, n=1000, seed=0)
 
     @ROUTES
     def test_nan_ratio_raises(self, route, monkeypatch):
@@ -514,7 +530,7 @@ class TestAcceptanceBound:
         weights = SimpleNamespace(probabilities=(1.0, -1.0, 0.0))
         amps = TransitionAmplitudes(0.0, 0.0, 0.0)
         with np.errstate(invalid="ignore"), pytest.raises(PositivityError, match="nan"):
-            route(amps, weights, 0.0, 0.0, n=1000, seed=0, threads=1)
+            route(amps, weights, 0.0, 0.0, n=1000, seed=0)
 
 
 def csv_writer_reference(trials, path):
