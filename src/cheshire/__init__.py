@@ -20,7 +20,6 @@ from .dynamics import (
     failure_density,
     grid_moments,
     success_moments,
-    success_probability,
 )
 from .entanglement import (
     EmbeddedMeterState,
@@ -58,8 +57,6 @@ from .meter import (
     GridMeter,
     format_complex,
     gaussian_ground_state,
-    gaussian_overlap0,
-    gaussian_overlap1,
     parse_complex,
 )
 from .qsystem import (
@@ -81,7 +78,6 @@ from .sampler import (
     estimate_cheshire,
     max_threads,
     noise_robustness,
-    read_trials_csv,
     sample_estimate,
     sample_trials,
     trial_variance,
@@ -131,8 +127,6 @@ __all__ = [
     "failure_density",
     "format_complex",
     "gaussian_ground_state",
-    "gaussian_overlap0",
-    "gaussian_overlap1",
     "gram_orthonormalize",
     "grid_moments",
     "indicator_bound",
@@ -147,11 +141,9 @@ __all__ = [
     "optimize_states",
     "parse_complex",
     "parse_config_text",
-    "read_trials_csv",
     "sample_estimate",
     "sample_trials",
     "success_moments",
-    "success_probability",
     "trace_term",
     "transition_amplitudes",
     "trial_variance",

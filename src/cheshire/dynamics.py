@@ -27,12 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, PositivityError, ValidationError
+from .errors import PositivityError, ValidationError
 from .meter import (
     DEFAULT_GRID,
     Grid,
     GridMeter,
     _check_edges,
+    _one_coupling_per_meter,
     _shifted,
     _trapezoid_weights,
     _validate_couplings,
@@ -41,7 +42,6 @@ from .meter import (
 )
 from .qsystem import NORM_TOL, PhotonKet, _coherence
 
-PROBABILITY_TOL = 1e-10
 POSITIVITY_TOL = 1e-10
 REALIZABILITY_TOL = 1e-9
 
@@ -156,15 +156,6 @@ class SuccessMoments:
     xy: float
 
 
-def success_probability(coherence, g_a: float, g_b: float) -> float:
-    """P = sum_jk Re(K_jk <M_j|M_k>) over the branch pairs; for pure states
-    |l|^2 + |r+|^2 + |r-|^2 + 2 w_A w_B Re[l*(r+ + r-)] + 2 exp(-g_B^2/2) Re[r+* r-]."""
-    p = success_moments(coherence, g_a, g_b).norm
-    if not (-PROBABILITY_TOL <= p <= 1.0 + PROBABILITY_TOL):
-        raise ConsistencyError(f"success probability {p!r} outside [0, 1]")
-    return min(max(p, 0.0), 1.0)
-
-
 def _unstack(values):
     """A stack of values as an array; a 0-d stack as its one Python scalar."""
     values = np.asarray(values)
@@ -233,6 +224,7 @@ class JointMeterState:
         return _block_density(self.coherence, *self._pairs(np.ravel(x), np.ravel(y)))
 
     def _pairs(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        _one_coupling_per_meter("grid evaluation", self.g_a, self.g_b)
         shifts_a, shifts_b = _branch_shifts(self.g_a, self.g_b)
         return _branch_pairs(self.meter_a, shifts_a, x), _branch_pairs(self.meter_b, shifts_b, y)
 
@@ -240,8 +232,6 @@ class JointMeterState:
 def _branch_pairs(meter, shifts, x: np.ndarray) -> np.ndarray:
     """conj(w_j(x)) w_k(x) for the branch pairs (j, k), 9 rows in K's row-major
     order, w_k the meter's wave (None: the Gaussian ground state) shifted by s_k."""
-    if shifts.shape != (3,):
-        raise ValidationError("grid evaluation needs one coupling per meter")
     if meter is None:
         waves = gaussian_ground_state(np.asarray(x, dtype=float) - shifts[:, None])
     elif isinstance(meter, GridMeter):

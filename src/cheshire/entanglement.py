@@ -76,10 +76,6 @@ class EmbeddedMeterState:
     def dim_b(self) -> int:
         return self.basis_b.shape[-1]
 
-    def density(self) -> np.ndarray:
-        """Density matrix on the dim_a * dim_b product space."""
-        return self.rho
-
 
 def embed(coherence, g_a, g_b) -> EmbeddedMeterState:
     """Express the success branch in orthonormal qubit (x) qutrit coordinates.
@@ -115,9 +111,8 @@ def embed(coherence, g_a, g_b) -> EmbeddedMeterState:
 class NegativityReport:
     """Partial-transpose entanglement summary for the embedded state.
 
-    ``ppt_conclusive`` is True when the dimensions make the criterion
-    necessary and sufficient (always here: 2x3 or smaller), so zero
-    negativity certifies separability.  For a stack of states the two
+    In 2x3 or smaller, as here, the criterion is necessary and sufficient,
+    so zero negativity certifies separability.  For a stack of states the two
     numbers are arrays.  The zero columns of a stack entry of lower rank
     (see `gram_orthonormalize`) add only zero eigenvalues to its partial
     transpose: its negativity is unchanged, its ``min_pt_eigenvalue`` is
@@ -128,7 +123,6 @@ class NegativityReport:
     min_pt_eigenvalue: float
     dim_a: int
     dim_b: int
-    ppt_conclusive: bool
 
     @property
     def entangled(self) -> bool:
@@ -142,14 +136,13 @@ def negativity(state: EmbeddedMeterState) -> NegativityReport:
     separable states report exactly 0.
     """
     da, db = state.dim_a, state.dim_b
-    rho = state.density()
+    rho = state.rho
     stack = rho.shape[:-2]
     pt = rho.reshape(*stack, da, db, da, db).swapaxes(-3, -1).reshape(*stack, da * db, da * db)
     eigenvalues = np.linalg.eigvalsh(pt)
     # ascending, so the negative eigenvalues are summed in the order they come
     neg = -np.where(eigenvalues < -EIGENVALUE_NOISE, eigenvalues, 0.0).sum(axis=-1) + 0.0
-    conclusive = (min(da, db) <= 2 and max(da, db) <= 3)
-    return NegativityReport(_unstack(neg), _unstack(eigenvalues[..., 0]), da, db, conclusive)
+    return NegativityReport(_unstack(neg), _unstack(eigenvalues[..., 0]), da, db)
 
 
 def meter_negativity(coherence, g_a, g_b) -> NegativityReport:

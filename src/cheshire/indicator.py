@@ -30,7 +30,7 @@ from .dynamics import (
     success_moments,
 )
 from .errors import ConsistencyError, FlatObjective, OrthogonalPostselection, ValidationError
-from .meter import _overlap0, _validate_couplings, pointer_matrices
+from .meter import _one_coupling_per_meter, _overlap0, _validate_couplings, pointer_matrices
 from .qsystem import (
     POSTSELECTION_EPS,
     PhotonDensity,
@@ -74,10 +74,6 @@ class CheshireResult:
     g_b: float
     trace_term: complex
 
-    @property
-    def couplings(self) -> tuple[float, float]:
-        return (self.g_a, self.g_b)
-
 
 def indicator_bound(g_a, g_b):
     """Largest |C| over all states: g_A g_B w_A w_B / 4, elementwise over
@@ -90,7 +86,7 @@ def _coupling_prefactor(g_a, g_b) -> np.ndarray:
     """g_A w_A g_B w_B with w = exp(-g^2 / 8), elementwise over stacks of
     couplings.
 
-    w is the scalar `gaussian_overlap0` formula per coupling, so every stack
+    w is the scalar `meter._overlap0` formula per coupling, so every stack
     entry has the bits of a single evaluation; the caller validates the
     couplings.  No factor is negative, and adding +0.0 turns the product's
     -0.0 at a -0.0 coupling into 0.0.
@@ -153,6 +149,7 @@ def local_averages(coherence, g_a: float, g_b: float) -> tuple[float, float, flo
     means are undefined, and raise `OrthogonalPostselection`, when P is at
     most `POSTSELECTION_EPS`.
     """
+    _one_coupling_per_meter("local_averages", g_a, g_b)
     m = success_moments(coherence, g_a, g_b)
     if m.norm <= POSTSELECTION_EPS:
         raise OrthogonalPostselection(
@@ -207,6 +204,7 @@ def optimize_states(g_a: float, g_b: float, seed: int = 0) -> StateOptimum:
     where `indicator_bound` is 0.0, as C is then 0.0 for every state.
     """
     _validate_couplings(g_a, g_b)
+    _one_coupling_per_meter("optimize_states", g_a, g_b)
     prefactor = _coupling_prefactor(g_a, g_b).item()
     if prefactor * MAX_TRACE_TERM == 0.0:
         raise FlatObjective(

@@ -52,11 +52,21 @@ _GAUSS_NORM = (2.0 * math.pi) ** -0.25
 
 def _validate_couplings(*couplings) -> None:
     """Each coupling, a scalar or a stack, must lie in [0, MAX_READOUT_SCALE]:
-    nan and +-inf fail the comparison."""
+    nan and +-inf fail the comparison.  Stacks must broadcast together."""
+    couplings = [np.asarray(g) for g in couplings]
     for g in couplings:
-        g = np.asarray(g)
         if not np.all((g >= 0.0) & (g <= MAX_READOUT_SCALE)):
             raise ValidationError(f"couplings must be finite reals in [0, {MAX_READOUT_SCALE:g}]")
+    try:
+        np.broadcast(*couplings)
+    except ValueError:
+        raise ValidationError("coupling stacks do not broadcast together") from None
+
+
+def _one_coupling_per_meter(what: str, *couplings) -> None:
+    """Reject a stack of couplings where ``what`` takes scalar couplings."""
+    if any(np.ndim(g) for g in couplings):
+        raise ValidationError(f"{what} needs one coupling per meter")
 
 
 def gaussian_ground_state(x):
@@ -68,18 +78,6 @@ def gaussian_ground_state(x):
     np.exp(phi, out=phi)
     phi *= _GAUSS_NORM
     return phi[()]
-
-
-def gaussian_overlap0(g: float) -> float:
-    """int phi0(x) phi0(x - g) dx = exp(-g^2 / 8)."""
-    _validate_couplings(g)
-    return _overlap0(g)
-
-
-def gaussian_overlap1(g: float) -> float:
-    """int x phi0(x) phi0(x - g) dx = (g / 2) exp(-g^2 / 8)."""
-    _validate_couplings(g)
-    return 0.5 * g * _overlap0(g)
 
 
 def _overlap0(g: float) -> float:

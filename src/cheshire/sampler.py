@@ -51,7 +51,6 @@ stored trial stream and returns the identical result.
 from __future__ import annotations
 
 import contextlib
-import csv
 import functools
 import math
 import os
@@ -69,7 +68,7 @@ from .dynamics import (
     success_moments,
 )
 from .errors import PositivityError, ValidationError
-from .meter import MAX_READOUT_SCALE, _validate_couplings
+from .meter import MAX_READOUT_SCALE, _one_coupling_per_meter, _validate_couplings
 from .qsystem import _coherence
 
 TRIALS_PER_BATCH = 1 << 16
@@ -127,10 +126,6 @@ class Trials:
     def __len__(self) -> int:
         return self.tau.size
 
-    def products(self) -> np.ndarray:
-        """The per-trial signed products tau * x * y."""
-        return self.tau.astype(float) * self.x * self.y
-
 
 @dataclass(frozen=True)
 class EstimatorOutput:
@@ -187,6 +182,7 @@ def _batch_kernel(
     if n < 1:
         raise ValidationError("need at least one trial")
     _validate_couplings(g_a, g_b)
+    _one_coupling_per_meter("sampling", g_a, g_b)
     coherence = _coherence(coherence)
     _check_realizable(coherence, weights)
     shifts_a, shifts_b = (np.array(s) for s in _branch_shifts(g_a, g_b))
@@ -430,6 +426,7 @@ def noise_robustness(
     noise level that scales them.  Every level is validated before the
     first row is sampled.
     """
+    _one_coupling_per_meter("noise_robustness", g_a, g_b)
     c = 2.0 * success_moments(coherence, g_a, g_b).xy
     rows: list[NoiseStudyRow] = []
     for noise in [NoiseModel(float(nu_a), float(nu_b)) for nu_a, nu_b in nu_grid]:
@@ -464,23 +461,3 @@ def write_trials_csv(trials: Trials, path) -> None:
     with contextlib.nullcontext(path) if hasattr(path, "write") else open(path, "wb") as fh:
         fh.write((",".join(CSV_HEADER) + "\n").encode("ascii"))
         write_rows(fh, trials.tau, trials.x, trials.y)
-
-
-def read_trials_csv(path) -> Trials:
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(CSV_HEADER):
-            raise ValidationError(f"expected header {','.join(CSV_HEADER)!r}, got {header!r}")
-        taus: list[int] = []
-        xs: list[float] = []
-        ys: list[float] = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValidationError(f"expected 3 columns, got {row!r}")
-            taus.append(int(row[0]))
-            xs.append(float(row[1]))
-            ys.append(float(row[2]))
-    return Trials(np.array(taus), np.array(xs), np.array(ys))

@@ -12,6 +12,7 @@ import math
 import os
 import sys
 
+import numpy as np
 import pytest
 
 from cheshire import cli, config, indicator, sampler
@@ -58,7 +59,7 @@ def test_probe_and_check_calls_run_on_example_config(tmp_path):
     head = slice(0, 100)
     sampler.write_trials_csv(type(trials)(trials.tau[head], trials.x[head], trials.y[head]),
                              tmp_path / "trials.csv")
-    assert len(sampler.read_trials_csv(tmp_path / "trials.csv")) == 100
+    assert np.loadtxt(tmp_path / "trials.csv", delimiter=",", skiprows=1, ndmin=2).shape == (100, 3)
     assert sampler.trial_variance(amps, weights, cfg.g_a, cfg.g_b, noise) > 0.0
 
     assert len(cli.sweep_rows(cfg, 0.0, 8.0, 5)) == 5

@@ -25,7 +25,6 @@ from cheshire.dynamics import (
     BRANCH_SHIFTS_B,
     BranchWeights,
     success_moments,
-    success_probability,
 )
 from cheshire.qsystem import PhotonEffect, PhotonKet, TransitionAmplitudes, branch_coherence
 from cheshire.sampler import NoiseModel, sample_estimate, sample_trials, trial_variance
@@ -84,7 +83,7 @@ class TestCalibration:
         monkeypatch.setenv("CHESHIRE_THREADS", "1")
         coherence, g_a, g_b, noise, first_seed = CONFIGS[name]
         c = 2.0 * success_moments(coherence, g_a, g_b).xy
-        p = success_probability(coherence, g_a, g_b)
+        p = success_moments(coherence, g_a, g_b).norm
         se_c = math.sqrt(trial_variance(coherence, WEIGHTS, g_a, g_b, noise) / self.N)
         se_p = math.sqrt(p * (1.0 - p) / self.N)
         z_c, z_p = np.array([

@@ -1,7 +1,8 @@
 """One input contract: the config parser and every library entry point that
 takes a coupling or a noise level reject the same values, with
 `ValidationError`; the state optimizer meets a flat objective exactly where
-the indicator bound is 0.0."""
+the indicator bound is 0.0; an entry point that needs one coupling per meter
+rejects a coupling stack with `ValidationError`."""
 
 import math
 
@@ -17,8 +18,6 @@ from cheshire import (
     classical_mixture_density,
     embed,
     failure_density,
-    gaussian_overlap0,
-    gaussian_overlap1,
     grid_moments,
     indicator_bound,
     local_averages,
@@ -30,7 +29,6 @@ from cheshire import (
     sample_estimate,
     sample_trials,
     success_moments,
-    success_probability,
     trial_variance,
 )
 from cheshire.errors import FlatObjective, ValidationError
@@ -74,12 +72,9 @@ def coupling_entry_points(g_a, g_b):
     """Every public call that takes the couplings, with (g_a, g_b)."""
     p = (K, WEIGHTS)
     return {
-        "gaussian_overlap0": lambda: (gaussian_overlap0(g_a), gaussian_overlap0(g_b)),
-        "gaussian_overlap1": lambda: (gaussian_overlap1(g_a), gaussian_overlap1(g_b)),
         "cheshire_analytic": lambda: cheshire_analytic(CONFIG_CASE.post, CONFIG_CASE.prep, g_a, g_b),
         "indicator_bound": lambda: indicator_bound(g_a, g_b),
         "success_moments": lambda: success_moments(K, g_a, g_b),
-        "success_probability": lambda: success_probability(K, g_a, g_b),
         "local_averages": lambda: local_averages(K, g_a, g_b),
         "moment_decomposition": lambda: moment_decomposition(JointMeterState(K, None, None, g_a, g_b)),
         "grid_moments": lambda: grid_moments(JointMeterState(K, None, None, g_a, g_b),
@@ -128,3 +123,40 @@ def test_largest_scales_stay_finite():
     assert all(map(math.isfinite, (estimate.c_hat, estimate.std_error)))
     assert math.isfinite(trial_variance(K, WEIGHTS, top, top, noise))
     assert np.isfinite(local_averages(K, top, top)).all()
+
+
+SCALAR_ONLY = ["local_averages", "grid_moments", "classical_mixture_density", "failure_density",
+               "sample_trials", "sample_estimate", "noise_robustness", "optimize_states"]
+
+
+@pytest.mark.parametrize("name", SCALAR_ONLY)
+@pytest.mark.parametrize("couplings", [(np.array([1.0, 2.0]), 2.0), (2.0, np.array([[2.0]]))],
+                         ids=["stacked-g_a", "stacked-g_b"])
+def test_coupling_stacks_rejected_where_one_per_meter_is_needed(name, couplings):
+    with pytest.raises(ValidationError, match="needs one coupling per meter"):
+        coupling_entry_points(*couplings)[name]()
+
+
+STACKED = ["cheshire_analytic", "indicator_bound", "success_moments", "moment_decomposition",
+           "embed", "meter_negativity", "trial_variance"]
+
+
+@pytest.mark.parametrize("name", STACKED)
+def test_stacks_that_do_not_broadcast_rejected(name):
+    with pytest.raises(ValidationError, match="do not broadcast"):
+        coupling_entry_points(np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0]))[name]()
+
+
+def test_noise_study_rejects_a_stack_before_any_row():
+    with pytest.raises(ValidationError, match="needs one coupling per meter"):
+        noise_robustness(K, WEIGHTS, np.array([1.0, 2.0]), 2.0, [], n=64)
+
+
+def test_trial_variance_is_elementwise_over_stacks():
+    noise = NoiseModel(0.7, 0.3)
+    g_a, g_b = np.array([[0.0, 1.0, 2.0]]), np.array([[0.5], [3.0]])
+    stacked = trial_variance(K, WEIGHTS, g_a, g_b, noise)
+    a, b = np.broadcast_arrays(g_a, g_b)
+    scalar = [trial_variance(K, WEIGHTS, float(x), float(y), noise) for x, y in zip(a.flat, b.flat)]
+    assert stacked.shape == (2, 3)
+    assert stacked.ravel().tolist() == scalar

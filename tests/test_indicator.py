@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cheshire import indicator
-from cheshire.dynamics import JointMeterState, grid_moments, success_moments, success_probability
+from cheshire.dynamics import JointMeterState, grid_moments, success_moments
 from cheshire.errors import ConsistencyError, FlatObjective, OrthogonalPostselection, ValidationError
 from cheshire.indicator import (
     MAX_TRACE_TERM,
@@ -24,8 +24,6 @@ from cheshire.meter import (
     Grid,
     GridMeter,
     gaussian_ground_state,
-    gaussian_overlap0,
-    gaussian_overlap1,
 )
 from cheshire.qsystem import (
     PhotonDensity,
@@ -59,7 +57,7 @@ class TestMomentDecomposition:
     def test_unit_weights_recover_success_probability(self):
         state = JointMeterState(EXAMPLE_AMPS, None, None, 2.0, 2.0)
         d = moment_decomposition(state, "1", "1")
-        assert np.isclose(d.total, success_probability(EXAMPLE_AMPS, 2.0, 2.0), atol=1e-12)
+        assert np.isclose(d.total, success_moments(EXAMPLE_AMPS, 2.0, 2.0).norm, atol=1e-12)
 
     def test_entanglement_term_dies_in_strong_limit(self):
         state = JointMeterState(EXAMPLE_AMPS, None, None, 40.0, 40.0)
@@ -135,7 +133,8 @@ class TestCrossMoment:
     def test_equals_xy_success_moment(self, prep, post, g_a, g_b):
         # only the left-right terms survive: 2 o1(g_A) o1(g_B) Re[l* (r+ - r-)]
         amps = transition_amplitudes(prep, post)
-        closed_form = 2.0 * gaussian_overlap1(g_a) * gaussian_overlap1(g_b) * (
+        o1_a, o1_b = (0.5 * g * math.exp(-g * g / 8.0) for g in (g_a, g_b))
+        closed_form = 2.0 * o1_a * o1_b * (
             complex(amps.l).conjugate() * complex(amps.polarization_difference)
         ).real
         assert np.isclose(success_moments(amps, g_a, g_b).xy, closed_form, atol=1e-12)
@@ -164,8 +163,8 @@ class TestCheshireAnalytic:
     def test_example_states(self, example_prep, example_post):
         result = cheshire_analytic(example_post, example_prep, 2.0, 2.0)
         assert np.isclose(result.c_value, C_EXAMPLE_G2, atol=1e-15)
-        assert np.isclose(result.p_success, success_probability(EXAMPLE_AMPS, 2.0, 2.0), atol=1e-12)
-        assert result.couplings == (2.0, 2.0)
+        assert np.isclose(result.p_success, success_moments(EXAMPLE_AMPS, 2.0, 2.0).norm, atol=1e-12)
+        assert (result.g_a, result.g_b) == (2.0, 2.0)
 
     def test_effect_scaling_is_linear(self, example_prep, example_post):
         half = PhotonEffect(0.5 * example_post.outer())
@@ -194,7 +193,7 @@ class TestCheshireAnalytic:
         amps = transition_amplitudes(prep, post)
         result = cheshire_analytic(post, prep, g_a, g_b)
         assert np.isclose(result.c_value, 2.0 * success_moments(amps, g_a, g_b).xy, atol=1e-12)
-        assert np.isclose(result.p_success, success_probability(amps, g_a, g_b), atol=1e-12)
+        assert np.isclose(result.p_success, success_moments(amps, g_a, g_b).norm, atol=1e-12)
 
     @given(prep=unit_kets(), post=unit_kets(), g_a=couplings, g_b=couplings)
     def test_bound_over_random_pairs(self, prep, post, g_a, g_b):
@@ -220,7 +219,7 @@ class TestCheshireAnalytic:
         effect = PhotonEffect(sum(m * e.outer() for m, e in zip(mu, effect_kets)))
         rho = PhotonDensity(sum(w * r.outer() for w, r in zip(lam, kets)))
         expected = sum(
-            m * w * success_probability(transition_amplitudes(r, e), g_a, g_b)
+            m * w * success_moments(transition_amplitudes(r, e), g_a, g_b).norm
             for m, e in zip(mu, effect_kets)
             for w, r in zip(lam, kets)
         )
@@ -367,7 +366,7 @@ class TestOptimizeStates:
     @pytest.mark.parametrize("g_a,g_b", [(1.3, 0.7), (2.0, 2.0), (3.7, 5.0)])
     def test_normalized_optimum_is_coupling_free(self, g_a, g_b):
         opt = optimize_states(g_a, g_b)
-        prefactor = g_a * g_b * gaussian_overlap0(g_a) * gaussian_overlap0(g_b)
+        prefactor = g_a * g_b * math.exp(-(g_a * g_a + g_b * g_b) / 8.0)
         assert abs(opt.c_value / prefactor - 0.25) < 1e-6
 
     def test_returned_states_reproduce_value(self):

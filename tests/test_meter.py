@@ -14,10 +14,9 @@ from cheshire.meter import (
     WAVE_SAMPLES_PER_BLOCK,
     Grid,
     GridMeter,
+    _validate_couplings,
     format_complex,
     gaussian_ground_state,
-    gaussian_overlap0,
-    gaussian_overlap1,
     parse_complex,
     pointer_matrices,
 )
@@ -30,39 +29,49 @@ def grid_overlap(meter, shift, weight="1"):
     return pointer_matrices((0.0, shift), meter)[("1", "x").index(weight)][0, 1]
 
 
+def overlap0(g):
+    """int phi0(x) phi0(x - g) dx = exp(-g^2 / 8) for the Gaussian pointer."""
+    return grid_overlap(None, g, "1")
+
+
+def overlap1(g):
+    """int x phi0(x) phi0(x - g) dx = (g / 2) exp(-g^2 / 8) for the Gaussian pointer."""
+    return grid_overlap(None, g, "x")
+
+
 class TestClosedForms:
     def test_overlap0_values(self):
-        assert gaussian_overlap0(0.0) == 1.0
-        assert np.isclose(gaussian_overlap0(2.0), 0.6065306597126334, atol=0, rtol=1e-15)
-        assert np.isclose(gaussian_overlap0(10.0), 3.7266531720786709e-06, rtol=1e-12)
+        assert overlap0(0.0) == 1.0
+        assert np.isclose(overlap0(2.0), 0.6065306597126334, atol=0, rtol=1e-15)
+        assert np.isclose(overlap0(10.0), 3.7266531720786709e-06, rtol=1e-12)
 
     def test_overlap1_values(self):
-        assert gaussian_overlap1(0.0) == 0.0
-        assert np.isclose(gaussian_overlap1(2.0), 0.6065306597126334, atol=0, rtol=1e-15)
-        assert np.isclose(gaussian_overlap1(0.01), 0.004999937500390624, rtol=1e-12)
+        assert overlap1(0.0) == 0.0
+        assert np.isclose(overlap1(2.0), 0.6065306597126334, atol=0, rtol=1e-15)
+        assert np.isclose(overlap1(0.01), 0.004999937500390624, rtol=1e-12)
 
     def test_negative_coupling_rejected(self):
         with pytest.raises(ValidationError):
-            gaussian_overlap0(-1.0)
+            _validate_couplings(-1.0)
         with pytest.raises(ValidationError):
-            gaussian_overlap1(-0.5)
+            _validate_couplings(2.0, -0.5)
 
     @given(g=couplings)
     def test_cauchy_schwarz(self, g):
-        assert abs(gaussian_overlap0(g)) <= 1.0
+        assert abs(overlap0(g)) <= 1.0
 
     @given(g=st.floats(min_value=0.0, max_value=3.0), d=st.floats(min_value=1e-4, max_value=0.1))
     def test_overlap1_increasing_below_two(self, g, d):
         hi = min(g + d, 2.0)
         if g < hi:
-            assert gaussian_overlap1(g) < gaussian_overlap1(hi)
+            assert overlap1(g) < overlap1(hi)
 
     @given(g=st.floats(min_value=2.0, max_value=20.0), d=st.floats(min_value=1e-4, max_value=5.0))
     def test_overlap1_decreasing_above_two(self, g, d):
-        assert gaussian_overlap1(g + d) < gaussian_overlap1(g)
+        assert overlap1(g + d) < overlap1(g)
 
     def test_overlap1_vanishes_at_infinity(self):
-        assert gaussian_overlap1(40.0) < 1e-60
+        assert overlap1(40.0) < 1e-60
 
     @given(
         a=st.floats(min_value=-5.0, max_value=5.0),
@@ -72,7 +81,7 @@ class TestClosedForms:
         # shifting both states by the same offset translates the weight only
         m1, mx = pointer_matrices((a, b))
         o0, o1 = m1[0, 1], mx[0, 1]
-        assert np.isclose(o0, gaussian_overlap0(abs(a - b)), atol=1e-15)
+        assert np.isclose(o0, overlap0(abs(a - b)), atol=1e-15)
         assert np.isclose(o1, 0.5 * (a + b) * o0, atol=1e-15)
         assert np.array_equal(m1, m1.T) and np.array_equal(mx, mx.T)
         assert m1[0, 0] == 1.0 and mx[0, 0] == a and mx[1, 1] == b
@@ -82,11 +91,10 @@ class TestGaussianMeter:
     """The Gaussian pointer, which a meter of None stands for."""
 
     def test_rejects_negative_or_nan(self):
-        # the closed forms take only finite couplings in [0, MAX_READOUT_SCALE]
+        # couplings are finite reals in [0, MAX_READOUT_SCALE]
         for g in (-0.1, math.nan, math.inf, -math.inf, 2.0 * MAX_READOUT_SCALE):
-            for overlap in (gaussian_overlap0, gaussian_overlap1):
-                with pytest.raises(ValidationError):
-                    overlap(g)
+            with pytest.raises(ValidationError):
+                _validate_couplings(g)
 
     def test_ground_state_moments(self):
         x = DEFAULT_GRID.points
@@ -156,13 +164,13 @@ class TestGridOverlap:
 
     @pytest.mark.parametrize("g", [0.0, 0.5, 1.0, 2.0, 4.0, 8.0])
     def test_matches_closed_forms(self, meter, g):
-        assert abs(grid_overlap(meter, g, "1") - gaussian_overlap0(g)) < 1e-8
-        assert abs(grid_overlap(meter, g, "x") - gaussian_overlap1(g)) < 1e-8
+        assert abs(grid_overlap(meter, g, "1") - overlap0(g)) < 1e-8
+        assert abs(grid_overlap(meter, g, "x") - overlap1(g)) < 1e-8
 
     def test_negative_shift_conjugate_symmetry(self, meter):
         # o0 even, o1 odd for a real symmetric state
-        assert np.isclose(grid_overlap(meter, -2.0, "1"), gaussian_overlap0(2.0), atol=1e-8)
-        assert np.isclose(grid_overlap(meter, -2.0, "x"), -gaussian_overlap1(2.0), atol=1e-8)
+        assert np.isclose(grid_overlap(meter, -2.0, "1"), overlap0(2.0), atol=1e-8)
+        assert np.isclose(grid_overlap(meter, -2.0, "x"), -overlap1(2.0), atol=1e-8)
 
     def test_large_shift_raises(self, meter):
         with pytest.raises(GridTooSmall):
@@ -193,16 +201,16 @@ class TestGridOverlap:
 
     def test_off_lattice_shift_exact_with_generator(self, meter):
         g = math.pi / 3.0
-        assert abs(grid_overlap(meter, g, "1") - gaussian_overlap0(g)) < 1e-12
-        assert abs(grid_overlap(meter, g, "x") - gaussian_overlap1(g)) < 1e-12
+        assert abs(grid_overlap(meter, g, "1") - overlap0(g)) < 1e-12
+        assert abs(grid_overlap(meter, g, "x") - overlap1(g)) < 1e-12
 
     def test_off_lattice_shift_interpolates_without_generator(self, meter):
         tabulated = GridMeter(meter.grid, meter.psi0)
         g = math.pi / 3.0
-        err = abs(grid_overlap(tabulated, g, "1") - gaussian_overlap0(g))
+        err = abs(grid_overlap(tabulated, g, "1") - overlap0(g))
         assert 1e-9 < err < 1e-3
         aligned = 0.52
-        assert abs(grid_overlap(tabulated, aligned, "1") - gaussian_overlap0(aligned)) < 1e-12
+        assert abs(grid_overlap(tabulated, aligned, "1") - overlap0(aligned)) < 1e-12
 
 
 class TestOverlapSet:
@@ -212,8 +220,9 @@ class TestOverlapSet:
         closed = pointer_matrices((2.0, 0.0, 0.0))
         m1, mx = pointer_matrices((2.0, 0.0, 0.0), None)
         assert np.array_equal(m1, closed[0]) and np.array_equal(mx, closed[1])
-        assert np.isclose(closed[0][0, 1], gaussian_overlap0(2.0))
-        assert np.isclose(closed[1][0, 1], gaussian_overlap1(2.0))
+        # exp(-g^2 / 8) and (g / 2) exp(-g^2 / 8) at g = 2
+        assert np.isclose(closed[0][0, 1], math.exp(-0.5))
+        assert np.isclose(closed[1][0, 1], math.exp(-0.5))
 
     def test_grid_dispatch_agrees(self, meter):
         for g in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0):

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cheshire.dynamics import BranchWeights, success_moments, success_probability
+from cheshire.dynamics import BranchWeights, success_moments
 from cheshire import _csvrows, sampler
 from cheshire.errors import PositivityError, ValidationError
 from cheshire.indicator import local_averages
@@ -34,7 +34,6 @@ from cheshire.sampler import (
     estimate_cheshire,
     max_threads,
     noise_robustness,
-    read_trials_csv,
     sample_estimate,
     sample_trials,
     trial_variance,
@@ -139,7 +138,7 @@ class TestDeterminism:
 
 class TestDistribution:
     def test_success_fraction_matches_probability(self):
-        p = success_probability(EXAMPLE_AMPS, 2.0, 2.0)
+        p = success_moments(EXAMPLE_AMPS, 2.0, 2.0).norm
 
         def check(seed):
             trials = example_trials(100_000, seed=seed)
@@ -372,7 +371,7 @@ class TestTrialVariance:
 
         def check(seed):
             trials = example_trials(200_000, seed=seed, noise=noise)
-            sampled = trials.products().var(ddof=1)
+            sampled = (trials.tau * trials.x * trials.y).var(ddof=1)
             return abs(sampled - exact) < 0.05 * exact
 
         retry_once(check)
@@ -420,7 +419,7 @@ class TestNoiseRobustness:
 
 class TestValidation:
     def test_large_shift_samples_exactly(self):
-        p = success_probability(EXAMPLE_AMPS, 15.0, 2.0)
+        p = success_moments(EXAMPLE_AMPS, 15.0, 2.0).norm
 
         def check(seed):
             trials = sample_trials(EXAMPLE_AMPS, EXAMPLE_WEIGHTS, 15.0, 2.0, n=100_000, seed=seed)
@@ -558,10 +557,11 @@ class TestCsv:
         trials = example_trials(257, seed=6)
         path = tmp_path / "trials.csv"
         write_trials_csv(trials, path)
-        back = read_trials_csv(path)
-        assert np.array_equal(trials.tau, back.tau)
-        assert np.array_equal(trials.x, back.x)
-        assert np.array_equal(trials.y, back.y)
+        assert path.read_text(encoding="utf-8").splitlines()[0] == ",".join(CSV_HEADER)
+        back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        assert np.array_equal(trials.tau, back[:, 0])
+        assert np.array_equal(trials.x, back[:, 1])
+        assert np.array_equal(trials.y, back[:, 2])
 
     def test_header_exact(self, tmp_path):
         trials = example_trials(3, seed=6)
@@ -569,12 +569,6 @@ class TestCsv:
         write_trials_csv(trials, path)
         first = path.read_text(encoding="utf-8").splitlines()[0]
         assert first == ",".join(CSV_HEADER)
-
-    def test_rejects_wrong_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b,c\n1,0.0,0.0\n", encoding="utf-8")
-        with pytest.raises(ValidationError):
-            read_trials_csv(path)
 
 
 def assert_matches_reference(tau, x, y, directory):
