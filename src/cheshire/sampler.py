@@ -9,11 +9,12 @@ y = b_k + z2 (z standard normal), then succeeds (tau = +1) with probability
 rejection with every proposal kept as a trial.  With the branch coherence
 K_jk = Tr(E P_k rho P_j) (conj(c) c^T for pure amplitudes c) and
 e_k = exp(-((x - a_k)^2 + (y - b_k)^2) / 4) that ratio is
-Re(e^T K e) / (p . e^2), at most the realizability budget: the largest
-eigenvalue of diag(p)^(-1/2) K diag(p)^(-1/2), at most 1 as K <= diag(p)
-for any effect E <= 1.  A ratio above the budget's cap raises
-`PositivityError` rather than being clipped.  The ratio is summed term by
-term in real arithmetic, without complex arrays or a BLAS call.
+Re(e^T K e) / (p . e^2).  With g_k = sqrt(p_k) e_k it is the Rayleigh
+quotient g^T M g / g^T g of M = diag(p)^(-1/2) K diag(p)^(-1/2), at most its
+largest eigenvalue, the realizability budget, at most 1 as K <= diag(p) for
+any effect E <= 1.  A ratio above the budget's cap raises `PositivityError`
+rather than being clipped.  The ratio is summed term by term in real
+arithmetic, without complex arrays or a BLAS call.
 
 Optional zero-mean Gaussian readout noise of standard deviations nu_A,
 nu_B blurs both outcomes alike (same apparatus either way).  It is sampled
@@ -29,15 +30,15 @@ noiseless arithmetic exactly.  The indicator is estimated as the average of
 tau * x * y over all trials; independent zero-mean noise leaves that
 average unbiased and only inflates the per-trial variance.
 
-Randomness is counter-based: trials are generated in fixed-size batches
-of 2^16, batch b using the Philox stream `Philox(key=seed).jumped(b)`.
-Every batch draws 2 uniforms (branch pick, acceptance) and 2 normals
-(x, y) per trial, at any noise level.  The trial stream is therefore
-bit-identical for a given seed regardless of how batches are scheduled
-across threads.  Each worker thread of a call draws and evaluates its
-batches in one set of batch-sized buffers (about 6 MB), made on its first
-batch and freed when the call returns; drawing a batch allocates nothing
-larger than a boolean mask.
+Randomness is keyed: trials are generated in fixed-size batches of 2^16,
+batch b drawing from the stream `SFC64(SeedSequence([seed, b]))`.  Every
+batch draws 2 uniforms (branch pick, acceptance) and 2 normals (x, y) per
+trial, at any noise level.  The trial stream is therefore bit-identical for
+a given seed regardless of how batches are scheduled across threads.  Each
+worker thread of a call draws, evaluates and reduces its batches in one set
+of batch-sized buffers (97 bytes per trial, about 6 MB), made on its first
+batch and freed when the call returns; a batch after that allocates less
+than 2^16 bytes.
 
 The estimate is a batch-order merge of per-batch moments: each batch
 reduces its own trials to (count, successes, mean and M2 of tau * x * y),
@@ -149,21 +150,20 @@ def max_threads() -> int:
     return value
 
 
-def _pick_branches(probabilities: np.ndarray, u: np.ndarray,
-                   out: np.ndarray | None = None) -> np.ndarray:
+def _pick_branches(probabilities: np.ndarray, u: np.ndarray, out=None, scratch=None) -> np.ndarray:
     """Branch index for each uniform draw in [0, 1), written to `out` if given.
 
     The last branch with non-zero weight ends exactly at 1, so weights whose
     squares sum to 1 only within rounding never hand a draw to a zero-weight
-    branch.
+    branch.  `scratch`, if given, is intp room of u's shape to compute in.
     """
     edges = np.cumsum(probabilities)
     edges[np.flatnonzero(probabilities)[-1]:] = 1.0
-    # the number of edges at or below u: searchsorted(edges, u, "right")
-    k = np.empty(u.shape, dtype=np.intp) if out is None else out
+    # the number of edges below 1 at or below u: searchsorted(edges, u, "right")
+    k, step = (np.empty(u.shape, dtype=np.intp) if a is None else a for a in (out, scratch))
     k.fill(0)
-    for edge in edges:
-        k += u >= edge
+    for edge in edges[edges < 1.0]:
+        k += np.greater_equal(u, edge, out=step)
     return k
 
 
@@ -176,9 +176,9 @@ def _batch_kernel(
     seed: int,
     noise: NoiseModel,
 ):
-    """Validate a run of n trials; return _batch(b) -> (accepted, x, y), which
-    draws batch b from its own substream into views of the calling thread's
-    buffers, valid until that thread's next batch."""
+    """Validate a run of n trials; return _batch(b) -> (accepted, x, y, spent)
+    drawn from batch b's own substream into views of the calling thread's
+    buffers, valid until its next batch; `spent` is two rows free to reuse."""
     if n < 1:
         raise ValidationError("need at least one trial")
     _validate_couplings(g_a, g_b)
@@ -199,10 +199,17 @@ def _batch_kernel(
         blurred = shifts * (nu / scale)
         damping *= np.exp(np.square(np.subtract.outer(blurred, blurred)) / -8.0)
         shifts /= scale
-    # e^T (K o W) e over real e: K_ii e_i^2, and 2 Re K_ij W_ij e_i e_j for
-    # each pair i < j
-    terms = [(i, j, (2.0 - (i == j)) * coherence[i, j].real * damping[i, j])
-             for i in range(3) for j in range(i, 3)]
+    # The ratio g^T M g / g^T g, K o W in M, over the live branches (a zero-weight
+    # branch is never drawn, and K vanishes on it).  Each branch shifts one meter by s
+    # (a = (g_A, 0, 0), b = (0, g_B, -g_B)), so log g_k = -(x^2 + y^2) / 4 + l_k, whose
+    # first term cancels, with l_k = r s / 2 - s^2 / 4 + log(p_k) / 2 in its readout r.
+    live = np.flatnonzero(probabilities).tolist()
+    roots = np.sqrt(probabilities)
+    own = (shifts_a[0], shifts_b[1], shifts_b[2])
+    logs = [(k, own[k] / 2.0, own[k] * own[k] / 4.0 - np.log(roots[k])) for k in live]
+    # g^T M g in rows g_i (M_ii g_i + sum_{j > i} 2 Re M_ij g_j)
+    quadratic = [(i, [(j, (2.0 - (i == j)) * coherence[i, j].real * damping[i, j]
+                       / (roots[i] * roots[j])) for j in live if j >= i]) for i in live]
     size = min(TRIALS_PER_BATCH, n)
     # one set of buffers per worker thread, freed when the call's last
     # reference to _batch goes
@@ -220,30 +227,34 @@ def _batch_kernel(
         # contiguous rows
         u, z = (buf[:2 * rows].reshape(2, rows) for buf in buffers[:2])
         branch, accept = (buf[:rows] for buf in buffers[2:4])
-        bx, by, *e, num, den = buffers[4][:, :rows]
-        gen = np.random.Generator(np.random.Philox(key=seed).jumped(b))
+        bx, by, *g, lead, num = buffers[4][:, :rows]
+        gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, b])))
         gen.random(out=u)
         gen.standard_normal(out=z)
-        _pick_branches(probabilities, u[0], out=branch)
-        np.add(np.take(shifts_a, branch, out=bx), z[0], out=bx)
-        np.add(np.take(shifts_b, branch, out=by), z[1], out=by)
-        # |F|^2 / p_cl = Re(e^T (K o W) e) / den with e_k = exp(-((x - a_k)^2
-        # + (y - b_k)^2) / 4) over the rescaled readouts and shifts, and
-        # den = sum_k p_k e_k^2: the phi0 normalisation cancels, and the drawn
-        # branch's own factor keeps den positive
-        for e_k, a_k, b_k in zip(e, shifts_a, shifts_b):
-            np.square(np.subtract(bx, a_k, out=e_k), out=e_k)
-            e_k += np.square(np.subtract(by, b_k, out=num), out=num)
-            e_k *= -0.25
-            np.exp(e_k, out=e_k)
-        # every e_k is used in num (with den as scratch) before it is squared
-        # in place for den
-        num.fill(0.0)
-        for i, j, weight in terms:
-            num += np.multiply(np.multiply(e[i], e[j], out=den), weight, out=den)
-        den.fill(0.0)
-        for e_k, p_k in zip(e, probabilities):
-            den += np.multiply(np.square(e_k, out=e_k), p_k, out=e_k)
+        # x is written after the pick, so its bytes are the pick's scratch
+        _pick_branches(probabilities, u[0], out=branch, scratch=bx.view(np.intp))
+        # mode="clip" writes to `out` directly, where "raise" buffers a copy
+        np.add(np.take(shifts_a, branch, out=bx, mode="clip"), z[0], out=bx)
+        np.add(np.take(shifts_b, branch, out=by, mode="clip"), z[1], out=by)
+        term, partial = z  # the normals are spent
+        for k, slope, offset in logs:
+            np.subtract(np.multiply((bx, by, by)[k], slope, out=g[k]), offset, out=g[k])
+        # g_k = exp(l_k - max_j l_j) <= 1, so g^T g >= 1
+        np.maximum(g[live[0]], g[live[-1]], out=lead)
+        for k in live[1:-1]:
+            np.maximum(lead, g[k], out=lead)
+        for k in live:
+            np.exp(np.subtract(g[k], lead, out=g[k]), out=g[k])
+        for acc, (i, terms) in zip((num, partial, partial), quadratic):
+            np.multiply(g[i], terms[0][1], out=acc)
+            for j, weight in terms[1:]:
+                acc += np.multiply(g[j], weight, out=term)
+            acc *= g[i]
+            if acc is partial:
+                num += partial
+        den = np.square(g[live[0]], out=lead)
+        for k in live[1:]:
+            den += np.square(g[k], out=term)
         ratio = np.divide(num, den, out=num)
         worst = ratio.max()
         if not worst <= ACCEPTANCE_BOUND:
@@ -254,7 +265,7 @@ def _batch_kernel(
         # from the rescaled readouts back to x and y
         bx *= scales[0]
         by *= scales[1]
-        return np.less(u[1], ratio, out=accept), bx, by
+        return np.less(u[1], ratio, out=accept), bx, by, g[:2]
 
     return _batch
 
@@ -274,13 +285,16 @@ def _map_batches(fn, n: int):
         yield from map(fn, range(n_batches))
 
 
-def _moments(accepted: np.ndarray, x: np.ndarray, y: np.ndarray):
+def _moments(accepted: np.ndarray, x: np.ndarray, y: np.ndarray, spent=None):
     """(count, successes, mean, M2) of the products tau * x * y of one batch,
     tau being +1 where `accepted` and -1 elsewhere, M2 the sum of squared
-    deviations from the batch mean."""
-    # negation is exact, so these are the products tau * x * y bit for bit
-    products = np.multiply(x, y)
-    np.negative(products, out=products, where=~accepted)
+    deviations from the batch mean, computed in the two rows `spent` if given."""
+    tau, products = np.empty((2, x.size)) if spent is None else spent
+    # tau = 2 * accepted - 1 exactly, and multiplying by it is exact
+    np.copyto(tau, accepted)
+    np.subtract(np.multiply(tau, 2.0, out=tau), 1.0, out=tau)
+    np.multiply(x, y, out=products)
+    products *= tau
     mean = products.mean()
     products -= mean
     np.square(products, out=products)
@@ -333,7 +347,7 @@ def sample_trials(
 
     def fill(b: int) -> None:
         sl = slice(b * TRIALS_PER_BATCH, (b + 1) * TRIALS_PER_BATCH)
-        accepted, x[sl], y[sl] = batch(b)
+        accepted, x[sl], y[sl], _ = batch(b)
         tau[sl] = np.where(accepted, np.int8(1), np.int8(-1))
 
     for _ in _map_batches(fill, n):

@@ -55,15 +55,15 @@ seed   = 0
 grid   = -20, 20, 4001
 """
 README_MONTECARLO = (
-    "c_hat=0.32166039355910836\n"
-    "std_error=0.0059150404820524768\n"
-    "p_hat=0.30409999999999998\n"
+    "c_hat=0.3288070491001106\n"
+    "std_error=0.0059165520709273675\n"
+    "p_hat=0.30383571428571426\n"
     "n_trials=140000\n"
     "c_analytic=0.32700394770794872\n"
-    "z_score=-0.90338420591606539\n"
+    "z_score=0.30475543366244173\n"
     "seed=0\n"
 )
-README_TRIALS_SHA256 = "5f8aec6de224055bc7ae32ba0d5a83c039ee70ed2d2491993c38bffa8e45f3af"
+README_TRIALS_SHA256 = "f07d0cd92d83122f19a4f922ab8afd09f5609be9aac132a8849275c4673c63a6"
 
 
 @pytest.fixture()

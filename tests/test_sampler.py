@@ -77,7 +77,7 @@ def stream_digest(trials):
     return digest.hexdigest()
 
 
-MULTI_BATCH_DIGEST = "33a4f3bcfad386aff9f69fb34b98d915c6ad945a1bf149ee9d241099e4b59c90"
+MULTI_BATCH_DIGEST = "8509749bd2e93e7346856813cca379fddc7f1dbabdd7c6dee2243856bc6a4994"
 
 
 class TestDeterminism:
@@ -85,13 +85,13 @@ class TestDeterminism:
     # change of the trial stream and must be announced as one
     @pytest.mark.parametrize("make, expected", [
         (lambda: example_trials(100, seed=7),
-         "bbd12572c87ce672cc16ea47d1baa4c896c07bc5231ca0571bf0ecd0913f387a"),
+         "ebeb59623c87dbd50cd929fe5502d853ca23759798b130d23dde4879bd1f8662"),
         (lambda: example_trials(3 * TRIALS_PER_BATCH - 7, seed=3, threads=1), MULTI_BATCH_DIGEST),
         (lambda: example_trials(3 * TRIALS_PER_BATCH - 7, seed=3, threads=2), MULTI_BATCH_DIGEST),
         (lambda: example_trials(TRIALS_PER_BATCH + 1, seed=5, noise=NoiseModel(0.5, 2.0)),
-         "3c4d6bc2a342c01cd68871f82979934345e49c20c3b6c540aaa0fe47932ed059"),
+         "1de38197a1dfcdb914bb370e8bfe86d55d8047d6e3e96774cf3663100895ce18"),
         (lambda: sample_trials(ZERO_WEIGHT_AMPS, ZERO_WEIGHT_WEIGHTS, 2.0, 2.0, n=1000, seed=0),
-         "02664306d62a0e2cb58ab9a2f51d1a34a3cf7c9515c16372f4570121b6c9797f"),
+         "a1c4be79b47f47e904f725da502d4261fad214947ed6afbecd2035f18bd1b15d"),
     ], ids=["n100", "multi-batch-threads1", "multi-batch-threads2", "noise", "zero-weight"])
     def test_stream_matches_recorded_digest(self, make, expected):
         assert stream_digest(make()) == expected
@@ -286,6 +286,20 @@ class TestStreamedEstimate:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
+
+    def test_batch_after_the_first_allocates_nothing_of_batch_size(self):
+        # the draws, the ratio and the moments all run in the workspace; a
+        # numpy temporary per batch would show as 2^16 bytes or more
+        batch = sampler._batch_kernel(EXAMPLE_AMPS, EXAMPLE_WEIGHTS, 2.0, 1.5,
+                                      3 * TRIALS_PER_BATCH, 0, NoiseModel(0.5, 1.0))
+        sampler._moments(*batch(0))
+        tracemalloc.start()
+        try:
+            sampler._moments(*batch(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < TRIALS_PER_BATCH
 
     # each worker's buffers: two uniforms, two normals, a branch index and
     # seven reals per trial (8 bytes each) plus a one-byte acceptance flag
@@ -493,6 +507,33 @@ class TestValidation:
         # both would cast to int8 [1, -1]
         with pytest.raises(ValidationError, match="tau"):
             Trials(tau, np.zeros(2), np.zeros(2))
+
+
+class TestContractLimits:
+    """The sampler at the edges of the finite-coupling contract, where the
+    branches separate by up to 1e50 and the noise is up to 1e50 wide: every
+    readout stays finite, no numpy warning is raised (pytest makes them
+    errors), and p_hat and c_hat stay within 5 sigma of P and C."""
+
+    N = 20_000
+
+    @pytest.mark.parametrize("g_a, g_b", [(78.0, 78.0), (1e3, 2.0), (2.0, 1e3),
+                                          (1e50, 1e50), (1e50, 3.0)])
+    @pytest.mark.parametrize("noise", [NO_NOISE, NoiseModel(0.5, 1e50),
+                                       NoiseModel(1e50, 1e50)], ids=["0", "0.5-1e50", "1e50"])
+    @pytest.mark.parametrize("amps, weights", [(EXAMPLE_AMPS, EXAMPLE_WEIGHTS),
+                                               (ZERO_WEIGHT_AMPS, ZERO_WEIGHT_WEIGHTS)],
+                             ids=["example", "zero-weight"])
+    def test_estimates_within_five_sigma(self, amps, weights, g_a, g_b, noise):
+        moments = success_moments(amps, g_a, g_b)
+        p, c = moments.norm, 2.0 * moments.xy
+        trials = sample_trials(amps, weights, g_a, g_b, n=self.N, seed=1, noise=noise)
+        assert np.all(np.isfinite(trials.x)) and np.all(np.isfinite(trials.y))
+        out = estimate_cheshire(trials)
+        assert out == sample_estimate(amps, weights, g_a, g_b, n=self.N, seed=1, noise=noise)
+        se_c = math.sqrt(trial_variance(amps, weights, g_a, g_b, noise) / self.N)
+        assert abs(out.c_hat - c) < 5.0 * se_c
+        assert abs(out.p_hat - p) < 5.0 * math.sqrt(p * (1.0 - p) / self.N)
 
 
 class TestAcceptanceBound:
