@@ -30,15 +30,15 @@ noiseless arithmetic exactly.  The indicator is estimated as the average of
 tau * x * y over all trials; independent zero-mean noise leaves that
 average unbiased and only inflates the per-trial variance.
 
-Randomness is keyed: trials are generated in fixed-size batches of 2^16,
+Randomness is keyed: trials are generated in fixed-size batches of 2^15,
 batch b drawing from the stream `SFC64(SeedSequence([seed, b]))`.  Every
 batch draws 2 uniforms (branch pick, acceptance) and 2 normals (x, y) per
 trial, at any noise level.  The trial stream is therefore bit-identical for
 a given seed regardless of how batches are scheduled across threads.  Each
 worker thread of a call draws, evaluates and reduces its batches in one set
-of batch-sized buffers (97 bytes per trial, about 6 MB), made on its first
+of batch-sized buffers (81 bytes per trial, about 2.7 MB), made on its first
 batch and freed when the call returns; a batch after that allocates less
-than 2^16 bytes.
+than 2^15 bytes.
 
 The estimate is a batch-order merge of per-batch moments: each batch
 reduces its own trials to (count, successes, mean and M2 of tau * x * y),
@@ -72,7 +72,7 @@ from .errors import PositivityError, ValidationError
 from .meter import MAX_READOUT_SCALE, _one_coupling_per_meter, _validate_couplings
 from .qsystem import _coherence
 
-TRIALS_PER_BATCH = 1 << 16
+TRIALS_PER_BATCH = 1 << 15
 THREADS_ENV_VAR = "CHESHIRE_THREADS"
 
 DETECTION_Z = 5.0
@@ -155,15 +155,20 @@ def _pick_branches(probabilities: np.ndarray, u: np.ndarray, out=None, scratch=N
 
     The last branch with non-zero weight ends exactly at 1, so weights whose
     squares sum to 1 only within rounding never hand a draw to a zero-weight
-    branch.  `scratch`, if given, is intp room of u's shape to compute in.
+    branch.  `out` may share u's bytes.  `scratch`, if given, is contiguous
+    room of 2 * u.size bytes to count in; byte counts allow at most 255 edges.
     """
     edges = np.cumsum(probabilities)
     edges[np.flatnonzero(probabilities)[-1]:] = 1.0
-    # the number of edges below 1 at or below u: searchsorted(edges, u, "right")
-    k, step = (np.empty(u.shape, dtype=np.intp) if a is None else a for a in (out, scratch))
-    k.fill(0)
+    # the number of edges below 1 at or below u, searchsorted(edges, u, "right"),
+    # as bool compares summed in bytes and widened once after the last compare
+    room = np.empty(2 * u.size, np.uint8) if scratch is None else scratch.view(np.uint8)
+    counts, step = room[:2 * u.size].reshape(2, *u.shape)
+    counts.fill(0)
     for edge in edges[edges < 1.0]:
-        k += np.greater_equal(u, edge, out=step)
+        counts += np.greater_equal(u, edge, out=step.view(bool)).view(np.uint8)
+    k = np.empty(u.shape, dtype=np.intp) if out is None else out
+    np.copyto(k, counts)
     return k
 
 
@@ -219,23 +224,22 @@ def _batch_kernel(
         rows = min(TRIALS_PER_BATCH, n - b * TRIALS_PER_BATCH)
         buffers = getattr(workspace, "buffers", None)
         if buffers is None:
-            buffers = workspace.buffers = (
-                np.empty(2 * size), np.empty(2 * size), np.empty(size, dtype=np.intp),
-                np.empty(size, dtype=bool), np.empty((7, size)),
-            )
+            buffers = workspace.buffers = (np.empty(2 * size), np.empty(2 * size),
+                                           np.empty(size, dtype=bool), np.empty((6, size)))
         # two uniforms and two normals per trial, each kind drawn as two
         # contiguous rows
         u, z = (buf[:2 * rows].reshape(2, rows) for buf in buffers[:2])
-        branch, accept = (buf[:rows] for buf in buffers[2:4])
-        bx, by, *g, lead, num = buffers[4][:, :rows]
+        accept = buffers[2][:rows]
+        bx, by, g1, g2, lead, num = buffers[3][:, :rows]
         gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, b])))
         gen.random(out=u)
         gen.standard_normal(out=z)
-        # x is written after the pick, so its bytes are the pick's scratch
-        _pick_branches(probabilities, u[0], out=branch, scratch=bx.view(np.intp))
+        # counted in lead's bytes, the indices left in the pick uniforms' bytes
+        branch = _pick_branches(probabilities, u[0], out=u[0].view(np.intp), scratch=lead)
         # mode="clip" writes to `out` directly, where "raise" buffers a copy
         np.add(np.take(shifts_a, branch, out=bx, mode="clip"), z[0], out=bx)
         np.add(np.take(shifts_b, branch, out=by, mode="clip"), z[1], out=by)
+        g = u[0], g1, g2  # the indices are spent
         term, partial = z  # the normals are spent
         for k, slope, offset in logs:
             np.subtract(np.multiply((bx, by, by)[k], slope, out=g[k]), offset, out=g[k])

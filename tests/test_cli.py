@@ -55,15 +55,15 @@ seed   = 0
 grid   = -20, 20, 4001
 """
 README_MONTECARLO = (
-    "c_hat=0.3288070491001106\n"
-    "std_error=0.0059165520709273675\n"
-    "p_hat=0.30383571428571426\n"
+    "c_hat=0.32216863402445989\n"
+    "std_error=0.0059375038825522919\n"
+    "p_hat=0.3024857142857143\n"
     "n_trials=140000\n"
     "c_analytic=0.32700394770794872\n"
-    "z_score=0.30475543366244173\n"
+    "z_score=-0.81436808785888726\n"
     "seed=0\n"
 )
-README_TRIALS_SHA256 = "f07d0cd92d83122f19a4f922ab8afd09f5609be9aac132a8849275c4673c63a6"
+README_TRIALS_SHA256 = "a82f3b5561d122d3e6dbaebb3440c4dc10b871c2295fb0c77165d797d0e0f31f"
 
 
 @pytest.fixture()

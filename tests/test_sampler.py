@@ -77,7 +77,7 @@ def stream_digest(trials):
     return digest.hexdigest()
 
 
-MULTI_BATCH_DIGEST = "8509749bd2e93e7346856813cca379fddc7f1dbabdd7c6dee2243856bc6a4994"
+MULTI_BATCH_DIGEST = "77d235d966a314235882b3038d9821b112aec197139a6581d9e9da26dbc31497"
 
 
 class TestDeterminism:
@@ -89,7 +89,7 @@ class TestDeterminism:
         (lambda: example_trials(3 * TRIALS_PER_BATCH - 7, seed=3, threads=1), MULTI_BATCH_DIGEST),
         (lambda: example_trials(3 * TRIALS_PER_BATCH - 7, seed=3, threads=2), MULTI_BATCH_DIGEST),
         (lambda: example_trials(TRIALS_PER_BATCH + 1, seed=5, noise=NoiseModel(0.5, 2.0)),
-         "1de38197a1dfcdb914bb370e8bfe86d55d8047d6e3e96774cf3663100895ce18"),
+         "926661b8fb7fb0107adda555b46d0efc155bd92108b62fbbeae8cd15d4f216b4"),
         (lambda: sample_trials(ZERO_WEIGHT_AMPS, ZERO_WEIGHT_WEIGHTS, 2.0, 2.0, n=1000, seed=0),
          "a1c4be79b47f47e904f725da502d4261fad214947ed6afbecd2035f18bd1b15d"),
     ], ids=["n100", "multi-batch-threads1", "multi-batch-threads2", "noise", "zero-weight"])
@@ -263,8 +263,11 @@ class TestStreamedEstimate:
             assert out.n_trials == 1000
 
     @pytest.mark.parametrize("threads", [1, 4])
+    # within one batch, a tail of one trial after one or two whole batches,
+    # whole batches only, and more batches than workers with a short tail
     @pytest.mark.parametrize("n", [2, 100, TRIALS_PER_BATCH, TRIALS_PER_BATCH + 1,
-                                   3 * TRIALS_PER_BATCH - 7])
+                                   2 * TRIALS_PER_BATCH, 2 * TRIALS_PER_BATCH + 1,
+                                   6 * TRIALS_PER_BATCH - 7])
     def test_equals_estimate_of_stored_trials(self, n, threads, monkeypatch):
         monkeypatch.setenv(THREADS_ENV_VAR, str(threads))
         args = (EXAMPLE_AMPS, EXAMPLE_WEIGHTS, 2.0, 1.5)
@@ -289,7 +292,7 @@ class TestStreamedEstimate:
 
     def test_batch_after_the_first_allocates_nothing_of_batch_size(self):
         # the draws, the ratio and the moments all run in the workspace; a
-        # numpy temporary per batch would show as 2^16 bytes or more
+        # numpy temporary per batch would show as TRIALS_PER_BATCH bytes or more
         batch = sampler._batch_kernel(EXAMPLE_AMPS, EXAMPLE_WEIGHTS, 2.0, 1.5,
                                       3 * TRIALS_PER_BATCH, 0, NoiseModel(0.5, 1.0))
         sampler._moments(*batch(0))
@@ -301,9 +304,9 @@ class TestStreamedEstimate:
             tracemalloc.stop()
         assert peak < TRIALS_PER_BATCH
 
-    # each worker's buffers: two uniforms, two normals, a branch index and
-    # seven reals per trial (8 bytes each) plus a one-byte acceptance flag
-    WORKSPACE_BYTES = TRIALS_PER_BATCH * (8 * (2 + 2 + 1 + 7) + 1)
+    # each worker's buffers: two uniforms, two normals and six reals per
+    # trial (8 bytes each) plus a one-byte acceptance flag
+    WORKSPACE_BYTES = TRIALS_PER_BATCH * (8 * (2 + 2 + 6) + 1)
 
     @pytest.mark.parametrize("threads", [1, 4])
     def test_heap_bounded_by_workspaces_and_freed_after_call(self, threads, monkeypatch):
@@ -457,7 +460,11 @@ class TestValidation:
                                n=1000, seed=0)
         assert np.all(np.isfinite(trials.x)) and np.all(np.isfinite(trials.y))
 
-    def test_branch_pick_matches_searchsorted(self):
+    @staticmethod
+    def branch_pick_corpus():
+        """(probabilities, u, searchsorted's indices) for weights with and
+        without zero-weight branches; u holds random draws, every edge below
+        1, 0 and the double just below each non-zero edge."""
         rng = np.random.default_rng(1)
         for weights in (EXAMPLE_WEIGHTS, BranchWeights(math.sqrt(0.1), math.sqrt(0.9), 0.0),
                         BranchWeights(0.0, 1.0, 0.0), BranchWeights(math.sqrt(0.5), 0.0,
@@ -467,8 +474,28 @@ class TestValidation:
             edges[np.flatnonzero(probabilities)[-1]:] = 1.0
             u = np.concatenate([rng.random(10_000), edges[edges < 1.0], [0.0],
                                 np.nextafter(edges[edges > 0.0], 0.0)])
-            expected = np.searchsorted(edges, u, side="right")
+            yield probabilities, u, np.searchsorted(edges, u, side="right")
+
+    def test_branch_pick_matches_searchsorted(self):
+        for probabilities, u, expected in self.branch_pick_corpus():
             assert np.array_equal(_pick_branches(probabilities, u), expected)
+
+    def test_branch_pick_in_place_with_lent_scratch(self):
+        # as the batch kernel calls it: the indices overwrite the uniforms and
+        # the byte counts live in room lent by the caller
+        for probabilities, u, expected in self.branch_pick_corpus():
+            work, scratch = u.copy(), np.empty(u.size)
+            indices = work.view(np.intp)
+            tracemalloc.start()
+            try:
+                picked = _pick_branches(probabilities, work, out=indices, scratch=scratch)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert picked is indices
+            assert np.array_equal(indices, expected)
+            # byte counts of u's size alone would take u.size bytes
+            assert peak < u.size
 
     def test_heap_stays_small(self, monkeypatch):
         monkeypatch.setenv(THREADS_ENV_VAR, "1")
