@@ -100,7 +100,8 @@ def analytic_report(config: ExperimentConfig) -> list[tuple[str, str]]:
     nan = complex(math.nan, math.nan)
     values = _or_undefined(lambda: weak_values(k), WeakValues(nan, nan))
     x_mean, y_mean, _ = _or_undefined(lambda: local_averages(k, g_a, g_b), (math.nan,) * 3)
-    neg = _or_undefined(lambda: meter_negativity(k, g_a, g_b).negativity, math.nan)
+    state = JointMeterState(k, None, None, g_a, g_b)
+    neg = _or_undefined(lambda: meter_negativity(state).negativity, math.nan)
     return [
         ("c_analytic", _fmt(result.c_value)),
         ("p_success", _fmt(result.p_success)),
@@ -160,17 +161,24 @@ def _sweep_stack(config: ExperimentConfig, g: np.ndarray):
     coherence = config.coherence()
     meter = GridMeter.gaussian(config.grid)
     exact = cheshire_analytic(config.postselection, config.prep, g, g)
-    c_grid = 2.0 * moment_decomposition(JointMeterState(coherence, meter, meter, g, g)).total
-    disagree = np.flatnonzero(np.abs(exact.c_value - c_grid) > ORACLE_AGREEMENT_TOL)
+    grid = JointMeterState(coherence, meter, meter, g, g)
+    c_grid = 2.0 * moment_decomposition(grid).total
+    _check_oracle("indicators", g, exact.c_value, c_grid)
+    neg = meter_negativity(JointMeterState(coherence, None, None, g, g)).negativity
+    _check_oracle("negativities", g, neg, meter_negativity(grid).negativity)
+    columns = (g, g, exact.c_value, c_grid, exact.p_success, neg)
+    return list(zip(*(column.tolist() for column in columns)))
+
+
+def _check_oracle(what: str, g: np.ndarray, exact: np.ndarray, grid: np.ndarray) -> None:
+    """Raise at the first g where closed form and grid differ beyond the tolerance."""
+    disagree = np.flatnonzero(np.abs(exact - grid) > ORACLE_AGREEMENT_TOL)
     if disagree.size:
         i = disagree[0]
         raise ConsistencyError(
-            f"analytic and grid indicators disagree at g={g[i]}: "
-            f"{exact.c_value[i].item()!r} vs {c_grid[i].item()!r}"
+            f"analytic and grid {what} disagree at g={g[i]}: "
+            f"{exact[i].item()!r} vs {grid[i].item()!r}"
         )
-    neg = meter_negativity(coherence, g, g).negativity
-    columns = (g, g, exact.c_value, c_grid, exact.p_success, neg)
-    return list(zip(*(column.tolist() for column in columns)))
 
 
 def locate_max(rows) -> tuple[float, float, float]:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -184,12 +185,10 @@ def _total(terms: np.ndarray) -> np.ndarray:
 def success_moments(coherence, g_a, g_b) -> SuccessMoments:
     """Closed-form branch-pair sums over K for P and the first success
     moments, elementwise over stacked couplings with the bits of scalar calls."""
-    _validate_couplings(g_a, g_b)
-    shifts_a, shifts_b = _branch_shifts(g_a, g_b)
-    a1, ax = pointer_matrices(shifts_a)
-    b1, bx = pointer_matrices(shifts_b)
+    state = JointMeterState(coherence, None, None, g_a, g_b)
+    (a1, ax), (b1, bx) = state.pointer_matrices
     # weight pairs (1, 1), (x, 1), (1, x), (x, x) on an axis after the coupling stacks
-    terms = branch_terms(_coherence(coherence), np.stack([a1, ax, a1, ax], axis=-3),
+    terms = branch_terms(state.coherence, np.stack([a1, ax, a1, ax], axis=-3),
                          np.stack([b1, b1, bx, bx], axis=-3))
     sums = _total(terms.reshape(*terms.shape[:-2], 9))
     return SuccessMoments(*(_unstack(sums[..., i]) for i in range(4)))
@@ -204,8 +203,8 @@ class JointMeterState:
     `TransitionAmplitudes` triple for its rank-1 K).
 
     A meter is a `GridMeter`, or None for the Gaussian closed form.  The
-    couplings may be stacks for `moment_decomposition`; the readout plane
-    needs one coupling per meter.
+    couplings may be stacks for `pointer_matrices`; the readout plane needs
+    one coupling per meter.
     """
 
     coherence: np.ndarray
@@ -217,6 +216,18 @@ class JointMeterState:
     def __post_init__(self):
         object.__setattr__(self, "coherence", _coherence(self.coherence))
         _validate_couplings(self.g_a, self.g_b)
+
+    @cached_property
+    def pointer_matrices(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """((A_1, A_x), (B_1, B_x)): each meter's read-only `pointer_matrices`
+        over its branch shifts, (..., 3, 3) over the coupling stack, summed
+        once per state for every route that reads them."""
+        shifts = _branch_shifts(self.g_a, self.g_b)
+        meters = (self.meter_a, self.meter_b)
+        matrices = tuple(pointer_matrices(s, meter) for s, meter in zip(shifts, meters))
+        for m in (m for pair in matrices for m in pair):
+            m.setflags(write=False)
+        return matrices
 
     def density(self, x, y) -> np.ndarray:
         """The readout density p_s at every (x_i, y_j) of the flattened

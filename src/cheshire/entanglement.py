@@ -1,10 +1,11 @@
 """Finite-dimensional embedding of the meter state and its negativity.
 
 The success branch lives in the span of two A-meter states and three
-B-meter states, so meter-meter entanglement is a qubit-qutrit question.
-Orthonormalizing each span with the known Gaussian overlaps embeds
-sum_jk K_kj |a_j b_j><a_k b_k| / P into at most C^2 (x) C^3, where the
-partial-transpose criterion is exact: negativity > 0 iff it is entangled.
+B-meter states, so meter-meter entanglement is a qubit-qutrit question for
+any pointer.  Orthonormalizing each meter's branch states with its own Gram
+matrix M_1 embeds sum_jk K_kj |a_j b_j><a_k b_k| / P into at most
+C^2 (x) C^3, where the partial-transpose criterion is exact: negativity > 0
+iff it is entangled.
 """
 
 from __future__ import annotations
@@ -13,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _branch_shifts, _unstack
+from .dynamics import JointMeterState, _unstack
 from .errors import OrthogonalPostselection, ValidationError
-from .meter import _validate_couplings, pointer_matrices
-from .qsystem import EIGENVALUE_TOL, HERMITIAN_TOL, POSTSELECTION_EPS, _coherence
+from .qsystem import EIGENVALUE_TOL, HERMITIAN_TOL, POSTSELECTION_EPS
 
 RANK_TOL = 1e-12
 EIGENVALUE_NOISE = 1e-14
@@ -54,8 +54,8 @@ def gram_orthonormalize(gram: np.ndarray) -> np.ndarray:
 class EmbeddedMeterState:
     """Success-branch meter state in orthonormal product coordinates.
 
-    ``basis_a`` (2 x dim_a) and ``basis_b`` (3 x dim_b) give the meter
-    states' coordinates; ``rho`` is the normalized density matrix; and
+    ``basis_a`` (3 x dim_a) and ``basis_b`` (3 x dim_b) give each branch's
+    meter-state coordinates; ``rho`` is the normalized density matrix; and
     ``branch_norm_sq`` is the trace of the raw branch, which equals the
     postselection success probability for physical inputs.  A state
     embedded for a stack of couplings carries the stack as leading axes:
@@ -77,26 +77,22 @@ class EmbeddedMeterState:
         return self.basis_b.shape[-1]
 
 
-def embed(coherence, g_a, g_b) -> EmbeddedMeterState:
+def embed(state: JointMeterState) -> EmbeddedMeterState:
     """Express the success branch in orthonormal qubit (x) qutrit coordinates.
 
-    Takes the branch coherence K (or amplitudes) and accepts any K, so
-    limiting configurations (for example Bell-like triples unreachable from
-    normalized photon states) can be embedded directly.  The couplings may
-    be arrays; the state then holds one embedding per coupling pair, in the
-    stack's largest dimensions (see `gram_orthonormalize`).
+    Accepts any K, so limiting configurations (for example Bell-like triples
+    unreachable from normalized photon states) can be embedded directly.
+    For stacked couplings the state holds one embedding per coupling pair,
+    in the stack's largest dimensions (see `gram_orthonormalize`).
     """
-    _validate_couplings(g_a, g_b)
-    # Gram matrices of the distinct meter states: A unshifted and shifted,
-    # B unshifted and shifted either way
-    shifts_a, shifts_b = _branch_shifts(g_a, g_b)
-    basis_a = gram_orthonormalize(pointer_matrices(shifts_a[..., [1, 0]])[0])
-    basis_b = gram_orthonormalize(pointer_matrices(shifts_b)[0])
+    # meter A's Gram matrix has rank <= 2: the R+ and R- branches leave it unshifted
+    (a1, _), (b1, _) = state.pointer_matrices
+    basis_a, basis_b = gram_orthonormalize(a1), gram_orthonormalize(b1)
 
-    # branch product states v_k in branch order (L, R+, R-): L shifts meter A
-    v = np.einsum("...ka,...kb->...kab", basis_a[..., [1, 0, 0], :], basis_b)
+    # branch product states v_k in branch order (L, R+, R-)
+    v = np.einsum("...ka,...kb->...kab", basis_a, basis_b)
     v = v.reshape(*v.shape[:-2], -1)
-    rho = v.swapaxes(-2, -1) @ _coherence(coherence).T @ v.conj()
+    rho = v.swapaxes(-2, -1) @ state.coherence.T @ v.conj()
 
     norm_sq = np.trace(rho, axis1=-2, axis2=-1).real
     empty = np.flatnonzero(norm_sq <= POSTSELECTION_EPS)
@@ -145,6 +141,6 @@ def negativity(state: EmbeddedMeterState) -> NegativityReport:
     return NegativityReport(_unstack(neg), _unstack(eigenvalues[..., 0]), da, db)
 
 
-def meter_negativity(coherence, g_a, g_b) -> NegativityReport:
-    """Embed the branch coherence K (or amplitudes) and score it in one step."""
-    return negativity(embed(coherence, g_a, g_b))
+def meter_negativity(state: JointMeterState) -> NegativityReport:
+    """Embed the success-branch meter state and score it in one step."""
+    return negativity(embed(state))

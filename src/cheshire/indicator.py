@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
-    _branch_shifts,
     _total,
     _unstack,
     _weight_indices,
@@ -30,7 +29,7 @@ from .dynamics import (
     success_moments,
 )
 from .errors import ConsistencyError, FlatObjective, OrthogonalPostselection, ValidationError
-from .meter import _one_coupling_per_meter, _overlap0, _validate_couplings, pointer_matrices
+from .meter import _one_coupling_per_meter, _overlap0, _validate_couplings
 from .qsystem import (
     POSTSELECTION_EPS,
     PhotonDensity,
@@ -106,10 +105,8 @@ def moment_decomposition(
     Stacked couplings give arrays, one entry per coupling pair.
     """
     pick_a, pick_b = _weight_indices(x_weight, y_weight)
-    shifts_a, shifts_b = _branch_shifts(state.g_a, state.g_b)
-    a = pointer_matrices(shifts_a, state.meter_a)[pick_a]
-    b = pointer_matrices(shifts_b, state.meter_b)[pick_b]
-    terms = branch_terms(state.coherence, a, b)
+    a, b = state.pointer_matrices
+    terms = branch_terms(state.coherence, a[pick_a], b[pick_b])
     m_cl = _total(np.diagonal(terms, axis1=-2, axis2=-1))
     m_ent = _total(terms[..., 0, 1:]) + _total(terms[..., 1:, 0])
     m_li = _total(terms[..., [1, 2], [2, 1]])

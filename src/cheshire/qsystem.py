@@ -81,19 +81,9 @@ class PhotonKet:
         amps[BASIS_LABELS.index(label)] = 1.0
         return cls(amps)
 
-    def overlap(self, other: "PhotonKet") -> complex:
-        """<self|other>."""
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
     def outer(self) -> np.ndarray:
         """|ket><ket| as a dense 4x4 matrix."""
         return np.outer(self.amplitudes, self.amplitudes.conj())
-
-    def density(self) -> "PhotonDensity":
-        return PhotonDensity(self.outer())
-
-    def effect(self) -> "PhotonEffect":
-        return PhotonEffect(self.outer())
 
 
 def _validated_hermitian(matrix, what: str) -> np.ndarray:
@@ -153,11 +143,6 @@ class TransitionAmplitudes:
     @property
     def total(self) -> complex:
         return self.l + self.r_plus + self.r_minus
-
-    @property
-    def polarization_difference(self) -> complex:
-        """r+ - r-, the matrix element of the right-arm polarization."""
-        return self.r_plus - self.r_minus
 
     def coherence(self) -> np.ndarray:
         """Branch coherences K = conj(c) c^T of c = (l, r+, r-)."""

@@ -178,10 +178,10 @@ def test_criterion_8_entanglement_certification():
         for g in (0.5, 2.0):
             if abs(2.0 * success_moments(amps, g, g).xy) > 1e-6:
                 checked += 1
-                if not meter_negativity(amps, g, g).negativity > 0.0:
+                if not meter_negativity(JointMeterState(amps, None, None, g, g)).negativity > 0.0:
                     violations += 1
     bell = TransitionAmplitudes(math.sqrt(0.5), math.sqrt(0.5), 0.0)
-    bell_neg = meter_negativity(bell, 40.0, 40.0).negativity
+    bell_neg = meter_negativity(JointMeterState(bell, None, None, 40.0, 40.0)).negativity
     ok = violations == 0 and checked > 500 and abs(bell_neg - 0.5) <= 1e-8
     _report(8, ok, "|C| > 1e-6 implies positive negativity; strong-limit Bell "
                    "configuration gives negativity 0.5 +- 1e-8",

@@ -82,8 +82,8 @@ def coupling_entry_points(g_a, g_b):
         "classical_mixture_density": lambda: classical_mixture_density(WEIGHTS, g_a, g_b,
                                                                        TINY_GRID, TINY_GRID),
         "failure_density": lambda: failure_density(*p, g_a, g_b, TINY_GRID, TINY_GRID),
-        "embed": lambda: embed(K, g_a, g_b),
-        "meter_negativity": lambda: meter_negativity(K, g_a, g_b),
+        "embed": lambda: embed(JointMeterState(K, None, None, g_a, g_b)),
+        "meter_negativity": lambda: meter_negativity(JointMeterState(K, None, None, g_a, g_b)),
         "sample_trials": lambda: sample_trials(*p, g_a, g_b, n=64, seed=0),
         "sample_estimate": lambda: sample_estimate(*p, g_a, g_b, n=64, seed=0),
         "trial_variance": lambda: trial_variance(*p, g_a, g_b),

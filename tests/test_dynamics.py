@@ -57,7 +57,7 @@ class TestSuccessProbability:
     def test_zero_coupling_is_overlap_squared(self, example_prep, example_post):
         amps = transition_amplitudes(example_prep, example_post)
         p = success_moments(amps, 0.0, 0.0).norm
-        assert np.isclose(p, abs(example_post.overlap(example_prep)) ** 2, atol=1e-14)
+        assert np.isclose(p, abs(np.vdot(example_post.amplitudes, example_prep.amplitudes)) ** 2, atol=1e-14)
         assert np.isclose(p, 1.0 / 9.0, atol=1e-14)
 
     def test_infinite_coupling_kills_cross_terms(self):
@@ -159,6 +159,19 @@ class TestJointMeterState:
         meter = GridMeter.gaussian()
         state = JointMeterState(EXAMPLE_AMPS, meter, meter, 2.0, 2.0)
         assert abs(grid_moments(state).norm - P_EXAMPLE_G2) < 1e-8
+
+    def test_pointer_matrices_summed_once_and_read_only(self):
+        g = np.array([0.0, 1.0, 2.0])
+        state = JointMeterState(EXAMPLE_AMPS, GridMeter.gaussian(), None, g, 2.0)
+        matrices = state.pointer_matrices
+        assert state.pointer_matrices is matrices
+        closed = JointMeterState(EXAMPLE_AMPS, None, None, g, 2.0).pointer_matrices
+        for grid_pair, closed_pair in zip(matrices, closed):
+            for m, exact in zip(grid_pair, closed_pair):
+                assert np.allclose(m, exact, atol=1e-12)
+                with pytest.raises(ValueError):
+                    m[..., 0, 0] = 0.0
+        assert matrices[0][0].shape == (3, 3, 3) and matrices[1][0].shape == (3, 3)
 
 
 class TestClassicalMixture:

@@ -135,7 +135,7 @@ class TestCrossMoment:
         amps = transition_amplitudes(prep, post)
         o1_a, o1_b = (0.5 * g * math.exp(-g * g / 8.0) for g in (g_a, g_b))
         closed_form = 2.0 * o1_a * o1_b * (
-            complex(amps.l).conjugate() * complex(amps.polarization_difference)
+            complex(amps.l).conjugate() * complex(amps.r_plus - amps.r_minus)
         ).real
         assert np.isclose(success_moments(amps, g_a, g_b).xy, closed_form, atol=1e-12)
 

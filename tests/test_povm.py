@@ -95,7 +95,7 @@ def test_weak_values_are_trace_ratios(effect, prep):
 @pytest.mark.parametrize("k", [np.eye(2), np.triu(np.ones((3, 3)))], ids=["2x2", "not-hermitian"])
 def test_malformed_coherence_rejected(k):
     routes = (weak_values, lambda k: success_moments(k, 1.0, 1.0),
-              lambda k: meter_negativity(k, 1.0, 1.0))
+              lambda k: meter_negativity(JointMeterState(k, None, None, 1.0, 1.0)))
     for route in routes:
         with pytest.raises(ValidationError, match="Hermitian 3x3"):
             route(k)
@@ -120,13 +120,13 @@ def test_monte_carlo_within_five_sigma(effect, prep, g_a, g_b):
 def test_negativity_non_negative_and_zero_for_diagonal_coherence(effect, prep, g_a, g_b):
     k = branch_coherence(effect, prep)
     assume(np.trace(k).real > 1e-9)
-    assert meter_negativity(k, g_a, g_b).negativity >= 0.0
+    assert meter_negativity(JointMeterState(k, None, None, g_a, g_b)).negativity >= 0.0
     # dephasing E between the branches leaves K diagonal
     blocks = PhotonEffect(sum(p @ effect.matrix @ p for p in (PI_L, PI_R_PLUS, PI_R_MINUS)))
     diagonal = branch_coherence(blocks, prep)
     assert np.array_equal(diagonal, np.diag(np.diag(diagonal)))
     assert np.allclose(np.diag(diagonal), np.diag(k), atol=1e-15)
-    assert meter_negativity(diagonal, g_a, g_b).negativity == 0.0
+    assert meter_negativity(JointMeterState(diagonal, None, None, g_a, g_b)).negativity == 0.0
 
 
 def test_sampler_rejects_coherence_outside_zero_and_diag_p():

@@ -6,11 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cheshire import cli
+from cheshire import cli, dynamics
 from cheshire.cli import sweep_rows
 from cheshire.config import ExperimentConfig, parse_config_text
 from cheshire.dynamics import JointMeterState
-from cheshire.entanglement import meter_negativity
+from cheshire.entanglement import NegativityReport, meter_negativity
 from cheshire.errors import (
     CheshireError,
     ConsistencyError,
@@ -58,15 +58,18 @@ def row_loop(config, g_min, g_max, steps):
     rows = []
     for g in np.linspace(g_min, g_max, steps).tolist():
         exact = cheshire_analytic(config.postselection, config.prep, g, g)
-        c_grid = 2.0 * moment_decomposition(JointMeterState(coherence, meter, meter, g, g), "x", "x").total
-        if abs(exact.c_value - c_grid) > cli.ORACLE_AGREEMENT_TOL:
-            raise ConsistencyError(
-                f"analytic and grid indicators disagree at g={g}: "
-                f"{exact.c_value!r} vs {c_grid!r}"
-            )
-        neg = meter_negativity(coherence, g, g).negativity
+        grid = JointMeterState(coherence, meter, meter, g, g)
+        c_grid = 2.0 * moment_decomposition(grid, "x", "x").total
+        check_oracle("indicators", g, exact.c_value, c_grid)
+        neg = meter_negativity(JointMeterState(coherence, None, None, g, g)).negativity
+        check_oracle("negativities", g, neg, meter_negativity(grid).negativity)
         rows.append((g, g, exact.c_value, c_grid, exact.p_success, neg))
     return rows
+
+
+def check_oracle(what, g, exact, grid):
+    if abs(exact - grid) > cli.ORACLE_AGREEMENT_TOL:
+        raise ConsistencyError(f"analytic and grid {what} disagree at g={g}: {exact!r} vs {grid!r}")
 
 
 def with_grid_points(config, points):
@@ -112,8 +115,20 @@ class TestStackMatchesRowLoop:
 
         for name in ("cheshire_analytic", "moment_decomposition", "meter_negativity"):
             monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+        grid_passes = []
+        closed_or_grid = dynamics.pointer_matrices
+
+        def recorded(shifts, meter=None):
+            if meter is not None:
+                grid_passes.append(np.shape(shifts))
+            return closed_or_grid(shifts, meter)
+
+        monkeypatch.setattr(dynamics, "pointer_matrices", recorded)
         assert len(sweep_rows(README, 0.0, 8.0, 161)) == 161
-        assert calls == {"cheshire_analytic": 1, "moment_decomposition": 1, "meter_negativity": 1}
+        # the closed-form and the grid negativity; the grid state's pointer
+        # matrices, one pass per meter, serve its moment and its negativity
+        assert calls == {"cheshire_analytic": 1, "moment_decomposition": 1, "meter_negativity": 2}
+        assert grid_passes == [(161, 3), (161, 3)]
 
 
 def raised(compute) -> CheshireError:
@@ -153,6 +168,23 @@ class TestErrorsMatchRowLoop:
         stacked = raised(lambda: sweep_rows(README, 0.0, 30.0, 31))
         assert type(stacked) is type(looped) is ConsistencyError
         assert str(stacked) == str(looped)
+
+    def test_grid_negativity_disagreement_exits_3(self, monkeypatch, tmp_path, capsys):
+        score = cli.meter_negativity
+
+        def perturbed(state):
+            report = score(state)
+            if state.meter_a is None:
+                return report
+            return NegativityReport(report.negativity + 1e-3, report.min_pt_eigenvalue,
+                                    report.dim_a, report.dim_b)
+
+        monkeypatch.setattr(cli, "meter_negativity", perturbed)
+        path = tmp_path / "run.cfg"
+        path.write_text(README_TEXT)
+        assert cli.main(["sweep", "--config", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            "error: analytic and grid negativities disagree at g=0.0: 0.0 vs 0.001\n")
 
 
 class TestSweepMemory:
