@@ -1,4 +1,4 @@
-"""Acceptance gate: the nine headline checks, one pass/fail line each.
+"""Acceptance gate: the ten headline checks, one pass/fail line each.
 
 Run with `pytest -v tests/test_acceptance.py` (add -rA to see the lines
 on passing runs too).  Each check prints
@@ -17,9 +17,13 @@ from cheshire import (
     BranchWeights,
     DEFAULT_GRID,
     ExperimentConfig,
+    GridMeter,
     JointMeterState,
+    PhotonDensity,
+    PhotonEffect,
     PhotonKet,
     cheshire_analytic,
+    embed,
     estimate_cheshire,
     failure_density,
     grid_moments,
@@ -33,7 +37,7 @@ from cheshire import (
 )
 from cheshire.cli import locate_max, sweep_rows
 from cheshire.meter import Grid, GridMeter, pointer_matrices
-from cheshire.qsystem import TransitionAmplitudes
+from cheshire.qsystem import TransitionAmplitudes, branch_coherence
 
 EXAMPLE_PREP = PhotonKet.normalized([1.0, 0.0, 1.0, 1.0])
 EXAMPLE_POST = PhotonKet.normalized([1.0, 0.0, 1.0, -1.0])
@@ -197,3 +201,67 @@ def test_criterion_9_vanishing_limits():
     _report(9, ok, "|C(g, g)| < 1e-3 at g = 1e-2 and g = 10, bracketing the "
                    "interior maximum",
             f"weak={weak:.1e}, strong={strong:.1e}")
+
+
+def test_criterion_10_postselection_induced_entanglement():
+    # K = diag(p) is the unconditioned meter state and diag(p) - K the
+    # failed-postselection one; both embed in the same coupling-only bases
+    rng = np.random.default_rng(2025)
+    g = np.linspace(0.0, 8.0, 161)
+
+    def negativity(coherence, g_a, g_b, meter=None):
+        return meter_negativity(JointMeterState(coherence, meter, meter, g_a, g_b)).negativity
+
+    # (a) without postselection the meters stay separable, for pure and mixed
+    # preparations, at every coupling of the stack
+    unconditioned = 0.0
+    for _ in range(25):
+        prep, _ = _random_pair(rng)
+        raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        mixed = PhotonDensity(raw @ raw.conj().T / np.trace(raw @ raw.conj().T).real)
+        for p in (BranchWeights.from_preparation(prep).probabilities,
+                  branch_coherence(PhotonEffect(np.eye(4)), mixed).diagonal().real):
+            unconditioned = max(unconditioned, np.max(negativity(np.diag(p), g, g)))
+
+    # (b) P rho_s + (1 - P) rho_f = rho_cl, raw states in one embedding
+    # (c) both outcomes entangle the meters wherever |C| > 1e-6
+    partition = 0.0
+    checked = unentangled = 0
+    corners = np.array([0.5, 1.0, 2.0, 4.0, 8.0])
+    for i in range(200):
+        prep, post = (EXAMPLE_PREP, EXAMPLE_POST) if i == 0 else _random_pair(rng)
+        amps = transition_amplitudes(prep, post)
+        k = amps.coherence()
+        mixture = np.diag(BranchWeights.from_preparation(prep).probabilities)
+        if i < 20:
+            states = [embed(JointMeterState(c, None, None, g, g))
+                      for c in (k, mixture - k, mixture)]
+            success, failure, classical = (e.rho * e.branch_norm_sq[:, None, None] for e in states)
+            partition = max(partition, np.max(np.abs(success + failure - classical)))
+        visible = np.abs(2.0 * success_moments(amps, corners, corners).xy) > 1e-6
+        both = ((negativity(k, corners, corners) > 0.0)
+                & (negativity(mixture - k, corners, corners) > 0.0))
+        checked += int(visible.sum())
+        unentangled += int(np.sum(visible & ~both))
+
+    # (d) the grid oracle gives the failure branch's closed-form negativity
+    config = ExperimentConfig(prep=EXAMPLE_PREP, post=EXAMPLE_POST)
+    failure = np.diag(EXAMPLE_WEIGHTS.probabilities) - config.coherence()
+    meter = GridMeter.gaussian(config.grid)
+    oracle = np.max(np.abs(negativity(failure, g, g) - negativity(failure, g, g, meter)))
+
+    # (e) entanglement saturates while its visibility |C| peaks at g = 2
+    rows = sweep_rows(config, 0.0, 8.0, 161)
+    swept = np.array([row[5] for row in rows])
+    g_star = locate_max(rows)[0]
+    limit = abs(swept[-1] - math.sqrt(2.0) / 3.0)
+
+    ok = (unconditioned == 0.0 and partition <= 1e-12 and unentangled == 0
+          and checked > 500 and oracle <= 1e-12 and np.all(np.diff(swept) >= 0.0)
+          and limit <= 3e-8 and g_star == 2.0)
+    _report(10, ok, "postselection entangles the meters: K = diag(p) has negativity 0, "
+                    "success and failure branches add up to the mixture to 1e-12 and are "
+                    "both entangled where |C| > 1e-6, grid failure negativity to 1e-12, "
+                    "negativity rising to sqrt(2)/3 +- 3e-8 while |C| peaks at g = 2",
+            f"unconditioned={unconditioned}, partition={partition:.1e}, "
+            f"{checked} certified, oracle={oracle:.1e}, g*={g_star}, limit={limit:.1e}")

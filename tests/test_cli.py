@@ -543,6 +543,14 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_import_does_not_load_the_thread_pool(self):
+        # concurrent.futures is loaded only when a sampler pool starts
+        probe = ("import sys, cheshire; print('concurrent.futures' in sys.modules); "
+                 "import cheshire.cli; print('concurrent.futures' in sys.modules)")
+        proc = _run_python("-c", probe)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "False"]
+
     def test_every_subcommand_runs_without_scipy(self, config_path):
         # a None entry in sys.modules makes `import scipy` raise ImportError
         runs = [

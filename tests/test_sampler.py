@@ -10,6 +10,7 @@ import hashlib
 import math
 import sys
 import threading
+import time
 import tracemalloc
 from types import SimpleNamespace
 
@@ -280,15 +281,21 @@ class TestStreamedEstimate:
         assert streamed.n_trials == stored.n_trials == n
 
     def test_heap_does_not_grow_with_trials(self, monkeypatch):
-        # storing 2^21 trials and their products would take about 70 MB
-        monkeypatch.setenv(THREADS_ENV_VAR, "1")
-        tracemalloc.start()
-        try:
-            sample_estimate(EXAMPLE_AMPS, EXAMPLE_WEIGHTS, 2.0, 2.0, n=1 << 21, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2 ** 20
+        # storing 2^23 trials and their products would take about 270 MB, and a
+        # pool holding a future for every batch would grow with the batch count
+        for threads in (1, 2):
+            monkeypatch.setenv(THREADS_ENV_VAR, str(threads))
+            peaks = []
+            for batches in (8, 256):
+                tracemalloc.start()
+                try:
+                    sample_estimate(EXAMPLE_AMPS, EXAMPLE_WEIGHTS, 2.0, 2.0,
+                                    n=batches * TRIALS_PER_BATCH, seed=0)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert peaks[1] < 16 * 2 ** 20, threads
+            assert peaks[1] - peaks[0] < 64 * 2 ** 10, threads
 
     def test_batch_after_the_first_allocates_nothing_of_batch_size(self):
         # the draws, the ratio and the moments all run in the workspace; a
@@ -304,9 +311,9 @@ class TestStreamedEstimate:
             tracemalloc.stop()
         assert peak < TRIALS_PER_BATCH
 
-    # each worker's buffers: two uniforms, two normals and six reals per
+    # each worker's block: two uniforms, two normals and four more reals per
     # trial (8 bytes each) plus a one-byte acceptance flag
-    WORKSPACE_BYTES = TRIALS_PER_BATCH * (8 * (2 + 2 + 6) + 1)
+    WORKSPACE_BYTES = TRIALS_PER_BATCH * (8 * 8 + 1)
 
     @pytest.mark.parametrize("threads", [1, 4])
     def test_heap_bounded_by_workspaces_and_freed_after_call(self, threads, monkeypatch):
@@ -379,6 +386,36 @@ class TestWorkspace:
         with pytest.raises(PositivityError):
             route(TransitionAmplitudes(1.0, 0.0, 0.0), EXAMPLE_WEIGHTS, 2.0, 1.5, **draws)
         assert self.same_result(route(*self.ARGS, **draws), fresh)
+
+    @ROUTES
+    def test_positivity_error_of_a_late_batch_stops_the_pool(self, route, monkeypatch):
+        # batch 5 of 12 fails while a slow batch 4 leaves the other worker free
+        # to run ahead: the error reaches the caller, no batch beyond the
+        # window starts, and the workers are gone when the call returns
+        workers = 2
+        monkeypatch.setenv(THREADS_ENV_VAR, str(workers))
+        kernel = sampler._batch_kernel
+        started = []
+
+        def failing_kernel(*args):
+            batch = kernel(*args)
+
+            def _batch(b):
+                started.append(b)
+                if b == 4:
+                    time.sleep(0.2)
+                if b == 5:
+                    raise PositivityError("batch 5 is inconsistent")
+                return batch(b)
+
+            return _batch
+
+        monkeypatch.setattr(sampler, "_batch_kernel", failing_kernel)
+        threads = threading.active_count()
+        with pytest.raises(PositivityError, match="batch 5 is inconsistent"):
+            route(*self.ARGS, n=12 * TRIALS_PER_BATCH, seed=3)
+        assert threading.active_count() == threads
+        assert 5 in started and max(started) <= 5 + workers
 
 
 class TestTrialVariance:
