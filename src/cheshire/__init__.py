@@ -4,7 +4,7 @@ spatially separated meters, with postselection.
 The package quantifies how postselection builds entanglement between the
 two meters through the signed cross-moment indicator C = <tau x y>
 (tau = +-1 for postselection success/failure): exactly for Gaussian
-pointer states, numerically for arbitrary gridded pointer states, and
+pointer states, numerically for any pointer function sampled on a grid, and
 statistically from seeded Monte Carlo trials.  A positive check against
 the PPT negativity of the embedded two-meter state certifies that a
 nonzero indicator really is entanglement.

@@ -16,6 +16,7 @@ import math
 import os
 import stat
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -80,7 +81,7 @@ def _effective_config(args) -> ExperimentConfig:
         overrides["n_trials"] = args.trials
     if args.grid_points is not None:
         overrides["grid"] = Grid(config.grid.x_min, config.grid.x_max, args.grid_points)
-    return config.with_overrides(**overrides) if overrides else config
+    return replace(config, **overrides) if overrides else config
 
 
 def _handle_dump(args, config: ExperimentConfig) -> bool:

@@ -10,7 +10,7 @@ commas, so a dumped config re-parses to the identical experiment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -102,9 +102,6 @@ class ExperimentConfig:
 
     def weights(self) -> BranchWeights:
         return BranchWeights.from_preparation(self.prep)
-
-    def with_overrides(self, **changes) -> "ExperimentConfig":
-        return replace(self, **changes)
 
 
 _KNOWN_KEYS = (

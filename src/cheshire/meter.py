@@ -8,9 +8,11 @@ amount s_j, so every exact result needs only the two pointer matrices
     M_x[j, k] = int x psi0*(x - s_j) psi0(x - s_k) dx
 
 over the branch shifts (`pointer_matrices`).  For the Gaussian ground state
-phi0(x) = (2 pi)^{-1/4} exp(-x^2/4) they have closed forms; `GridMeter`
-evaluates them by quadrature for arbitrary pointer states and serves as the
-numeric oracle.
+phi0(x) = (2 pi)^{-1/4} exp(-x^2/4) they have closed forms.  A `GridMeter`
+is any pointer state given as a function of position and sampled on a
+uniform grid; it shifts the state exactly, by evaluating the function at the
+shifted points, and evaluates the matrices by trapezoidal quadrature.  It
+serves as the numeric oracle.
 
 Every coupling and readout-noise width is a finite real in [0, MAX_READOUT_SCALE].
 exp(-g^2 / 8) underflows to 0.0 from g = 78 on, so the strong-measurement
@@ -117,22 +119,21 @@ DEFAULT_GRID = Grid()
 
 @dataclass(frozen=True, eq=False)
 class GridMeter:
-    """Arbitrary normalized pointer state sampled on a uniform grid.
+    """A pointer state given as a function of position, sampled on a grid.
 
-    The state must be unbiased (zero mean) with unit variance, so that the
-    coupling is expressed in units of the initial pointer uncertainty.
-    When the state comes from a callable (``from_function``), shifted
-    copies are evaluated exactly at any shift; tabulated-only states
-    (``from_file``) fall back to linear interpolation, exact for shifts on
-    the lattice.
+    ``fn`` maps an array of positions to the state's amplitudes there.  Its
+    samples psi0 on the grid must be normalized and unbiased (zero mean)
+    with unit variance, so that the coupling is expressed in units of the
+    initial pointer uncertainty.  Shifted copies are evaluated from ``fn``
+    itself, so they are exact at any shift.
     """
 
-    grid: Grid
-    psi0: np.ndarray = field(repr=False)
-    generator: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
+    fn: Callable[[np.ndarray], np.ndarray]
+    grid: Grid = DEFAULT_GRID
+    psi0: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        psi = np.asarray(self.psi0, dtype=complex).reshape(-1).copy()
+        psi = np.array(self.fn(self.grid.points), dtype=complex).reshape(-1)
         if psi.shape != (self.grid.n_points,):
             raise ValidationError(
                 f"psi0 has {psi.shape[0]} samples but the grid has {self.grid.n_points} points"
@@ -158,43 +159,8 @@ class GridMeter:
             )
 
     @classmethod
-    def from_function(cls, fn: Callable[[np.ndarray], np.ndarray], grid: Grid = DEFAULT_GRID) -> "GridMeter":
-        return cls(grid, np.asarray(fn(grid.points), dtype=complex), generator=fn)
-
-    @classmethod
     def gaussian(cls, grid: Grid = DEFAULT_GRID) -> "GridMeter":
-        return cls.from_function(gaussian_ground_state, grid)
-
-    @classmethod
-    def from_file(cls, path, grid: Grid | None = None) -> "GridMeter":
-        """Load a pointer state from a two-column text file.
-
-        Column 1 is the grid coordinate (uniform, ascending); column 2 the
-        complex value, written either as a plain real or as ``re+imi``.
-        """
-        xs: list[float] = []
-        vals: list[complex] = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                parts = line.split()
-                if len(parts) != 2:
-                    raise ValidationError(f"expected two columns, got {len(parts)}: {raw!r}")
-                xs.append(float(parts[0]))
-                vals.append(parse_complex(parts[1]))
-        if len(xs) < 2:
-            raise ValidationError("pointer state file needs at least 2 samples")
-        x = np.asarray(xs)
-        steps = np.diff(x)
-        if np.any(steps <= 0) or abs(steps.max() - steps.min()) > 1e-9 * max(abs(steps.max()), 1.0):
-            raise ValidationError("pointer state file must use a uniform ascending grid")
-        file_grid = Grid(float(x[0]), float(x[-1]), len(x))
-        meter = cls(file_grid, np.asarray(vals, dtype=complex))
-        if grid is not None and grid != file_grid:
-            raise ValidationError("file grid does not match the requested grid")
-        return meter
+        return cls(gaussian_ground_state, grid)
 
 
 def parse_complex(text: str) -> complex:
@@ -253,22 +219,13 @@ def _check_edges(meter: GridMeter, shifts) -> None:
 def _shifted(meter: GridMeter, shifts) -> np.ndarray:
     """psi0(x - s) on the lattice, one row per shift s (see `_check_edges`).
 
-    Generator-backed meters evaluate the shifted state exactly; tabulated
-    states use linear interpolation, exact when the shift is a lattice
-    multiple.  Real states give real waves.
+    The meter's function is evaluated once, on one flat array of shifted
+    points.  Real states give real waves.
     """
     x = meter.grid.points
-    psi = meter.psi0
     shifts = np.asarray(shifts, dtype=float)
-    # the generator and the interpolation see one flat array of targets
-    target = (x - shifts[:, None]).ravel()
-    if meter.generator is not None:
-        waves = np.asarray(meter.generator(target))
-        waves = waves if np.iscomplexobj(waves) else waves.astype(float, copy=False)
-    else:
-        waves = np.interp(target, x, psi.real, left=0.0, right=0.0)
-        if np.any(psi.imag):
-            waves = waves + 1j * np.interp(target, x, psi.imag, left=0.0, right=0.0)
+    waves = np.asarray(meter.fn((x - shifts[:, None]).ravel()))
+    waves = waves if np.iscomplexobj(waves) else waves.astype(float, copy=False)
     return waves.reshape(len(shifts), len(x))
 
 

@@ -74,6 +74,11 @@ from .qsystem import _coherence
 
 TRIALS_PER_BATCH = 1 << 15
 THREADS_ENV_VAR = "CHESHIRE_THREADS"
+# The most worker threads a call may ask for.  Each worker holds its own
+# 2.1 MB workspace, and the pool starts a new thread for each submitted batch
+# while none is idle, so an unbounded count could start one thread and one
+# workspace per batch; 64 is far beyond any gain on the batch kernel.
+MAX_THREADS = 64
 
 DETECTION_Z = 5.0
 
@@ -137,7 +142,8 @@ class EstimatorOutput:
 
 
 def max_threads() -> int:
-    """Parallelism cap from the environment; defaults to single-threaded."""
+    """Parallelism cap from the environment, in [1, MAX_THREADS]; defaults to
+    single-threaded.  A value out of range raises rather than being clamped."""
     raw = os.environ.get(THREADS_ENV_VAR, "")
     if not raw:
         return 1
@@ -145,8 +151,8 @@ def max_threads() -> int:
         value = int(raw)
     except ValueError as exc:
         raise ValidationError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ValidationError(f"{THREADS_ENV_VAR} must be >= 1, got {value}")
+    if not 1 <= value <= MAX_THREADS:
+        raise ValidationError(f"{THREADS_ENV_VAR} must be in [1, {MAX_THREADS}], got {value}")
     return value
 
 

@@ -1,5 +1,7 @@
 """Shared fixtures and hypothesis strategies."""
 
+import concurrent.futures
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -25,6 +27,15 @@ def no_eigensolver(monkeypatch):
 
     for name in ("eig", "eigh", "eigvals", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, refuse)
+
+
+@pytest.fixture
+def no_thread_pool(monkeypatch):
+    """Starting a thread pool raises, so a test can show that none starts."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
 
 
 @pytest.fixture

@@ -64,12 +64,23 @@ README_MONTECARLO = (
     "seed=0\n"
 )
 README_TRIALS_SHA256 = "a82f3b5561d122d3e6dbaebb3440c4dc10b871c2295fb0c77165d797d0e0f31f"
+# stdout of `analytic` and of `sweep --steps 161` (the grid oracle beside the
+# closed form) on the README example, pinned
+README_ANALYTIC_SHA256 = "1ad2b7205a8ce003b51712ad0a26f218af0fbc2bd9bd13c8d3243eaef8226622"
+README_SWEEP_SHA256 = "f0667e16a3ef965b3fc0a2124df2ca7d675c6bb7372dfe19cceb628184e3f783"
 
 
 @pytest.fixture()
 def config_path(tmp_path):
     path = tmp_path / "example.cfg"
     path.write_text(EXAMPLE_TEXT, encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture()
+def readme_path(tmp_path):
+    path = tmp_path / "readme.cfg"
+    path.write_text(README_TEXT, encoding="utf-8")
     return str(path)
 
 
@@ -106,6 +117,11 @@ class TestAnalytic:
         assert parse_complex(report["weak_value_polarization"]) == pytest.approx(2.0, abs=1e-12)
         assert float(report["negativity"]) > 0.0
         assert float(report["x_mean"]) > 0.0
+
+    def test_readme_example_bytes(self, capsys, readme_path):
+        code, out, _ = run_cli(capsys, "analytic", "--config", readme_path)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == README_ANALYTIC_SHA256
 
     def test_extremal_states_line(self, capsys, cheshire_path):
         code, out, _ = run_cli(capsys, "analytic", "--config", cheshire_path)
@@ -330,6 +346,11 @@ class TestSweep:
         assert c == pytest.approx(0.32700394770794876, abs=1e-6)
         assert f"g_a={g_a:.17g}" in lines[-1]
 
+    def test_readme_example_bytes(self, capsys, readme_path):
+        code, out, _ = run_cli(capsys, "sweep", "--config", readme_path, "--steps", "161")
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == README_SWEEP_SHA256
+
     def test_grid_too_small_propagates(self, capsys, config_path):
         code, _, err = run_cli(capsys, "sweep", "--config", config_path, "--g-max", "14")
         assert code == 2
@@ -379,6 +400,14 @@ class TestMonteCarlo:
         _, out2, _ = run_cli(capsys, *argv)
         assert out1 == out2
 
+    @pytest.mark.parametrize("raw", ["65", str(10**6)])
+    def test_thread_count_above_the_bound_exits_two(self, capsys, config_path, monkeypatch,
+                                                    no_thread_pool, raw):
+        monkeypatch.setenv("CHESHIRE_THREADS", raw)
+        code, out, err = run_cli(capsys, "montecarlo", "--config", config_path, "--trials", "100")
+        assert code == 2 and out == ""
+        assert f"CHESHIRE_THREADS must be in [1, 64], got {raw}" in err
+
     def test_dump_trials(self, capsys, config_path, tmp_path):
         target = tmp_path / "trials.csv"
         code, out, _ = run_cli(capsys, "montecarlo", "--config", config_path,
@@ -406,12 +435,10 @@ class TestMonteCarlo:
         assert code == 0
         assert streamed == stored
 
-    def test_readme_example_bytes(self, capsys, tmp_path):
+    def test_readme_example_bytes(self, capsys, readme_path, tmp_path):
         # stdout and trial CSV of the README example, pinned: a change to how
         # the sampler gets K or sums its ratio must not move the trial stream
-        path = tmp_path / "readme.cfg"
-        path.write_text(README_TEXT, encoding="utf-8")
-        argv = ("montecarlo", "--config", str(path), "--trials", "140000")
+        argv = ("montecarlo", "--config", readme_path, "--trials", "140000")
         code, streamed, _ = run_cli(capsys, *argv)
         assert code == 0
         assert streamed == README_MONTECARLO

@@ -1,6 +1,7 @@
 """Configuration parsing, validation, and round-trip serialization tests."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -214,9 +215,13 @@ class TestRoundTrip:
         assert dump_config(again) == dump_config(config)
 
     def test_with_overrides(self):
+        # dataclasses.replace runs the config's own validation
         config = example_config(seed=1)
-        changed = config.with_overrides(seed=123, n_trials=777)
+        changed = replace(config, seed=123, n_trials=777)
         assert changed.seed == 123
         assert changed.n_trials == 777
         assert changed.g_a == config.g_a
         assert np.array_equal(changed.prep.amplitudes, config.prep.amplitudes)
+        for bad in ({"seed": -1}, {"n_trials": 0}, {"g_a": math.nan}, {"grid": (0, 1, 5)}):
+            with pytest.raises(ValidationError):
+                replace(config, **bad)

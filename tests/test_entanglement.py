@@ -248,7 +248,7 @@ class TestAnyPointer:
     """The negativity reads each meter's own pointer matrices, so it
     certifies entanglement for any pointer state."""
 
-    EXCITED = GridMeter.from_function(first_excited)
+    EXCITED = GridMeter(first_excited)
 
     def test_indicator_implies_entanglement_for_first_excited_pointer(self):
         # criterion 8 on a non-Gaussian pointer: C != 0 implies negativity > 0

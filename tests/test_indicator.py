@@ -103,7 +103,7 @@ class TestMomentDecomposition:
     def test_complex_pointer_waves_match_grid_moments(self):
         # a chirped Gaussian has complex shifted waves and the Gaussian's
         # |psi|^2; the pointer matrices and the 2-D quadrature must agree
-        chirped = GridMeter.from_function(
+        chirped = GridMeter(
             lambda x: gaussian_ground_state(x) * np.exp(0.3j * x * x), SMALL_GRID)
         for meter_a, meter_b in ((chirped, chirped), (chirped, None), (None, chirped)):
             state = JointMeterState(EXAMPLE_AMPS, meter_a, meter_b, 2.0, 1.5)

@@ -15,7 +15,6 @@ from cheshire.meter import (
     Grid,
     GridMeter,
     _validate_couplings,
-    format_complex,
     gaussian_ground_state,
     parse_complex,
     pointer_matrices,
@@ -124,31 +123,38 @@ class TestGridMeter:
         assert m.grid == DEFAULT_GRID
 
     def test_rejects_unnormalized(self):
-        with pytest.raises(ValidationError):
-            GridMeter(DEFAULT_GRID, 2.0 * gaussian_ground_state(DEFAULT_GRID.points))
+        with pytest.raises(ValidationError, match="norm"):
+            GridMeter(lambda x: 2.0 * gaussian_ground_state(x))
 
     def test_rejects_biased(self):
-        x = DEFAULT_GRID.points
         with pytest.raises(ValidationError) as err:
-            GridMeter(DEFAULT_GRID, gaussian_ground_state(x - 0.5))
+            GridMeter(lambda x: gaussian_ground_state(x - 0.5))
         assert "mean" in str(err.value)
 
     def test_rejects_wrong_variance(self):
-        x = DEFAULT_GRID.points
-        psi = gaussian_ground_state(x / 1.2) / math.sqrt(1.2)
         with pytest.raises(ValidationError) as err:
-            GridMeter(DEFAULT_GRID, psi)
+            GridMeter(lambda x: gaussian_ground_state(x / 1.2) / math.sqrt(1.2))
         assert "variance" in str(err.value)
 
     def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValidationError):
-            GridMeter(DEFAULT_GRID, np.ones(5, dtype=complex))
+        with pytest.raises(ValidationError, match="5 samples but the grid has 4001 points"):
+            GridMeter(lambda x: np.ones(5, dtype=complex))
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValidationError, match="finite"):
+            GridMeter(lambda x: np.where(x > 19.0, np.nan, gaussian_ground_state(x)))
 
     def test_accepts_complex_phase(self):
         # a global phase changes nothing measurable
-        psi = np.exp(0.25j) * gaussian_ground_state(DEFAULT_GRID.points)
-        m = GridMeter(DEFAULT_GRID, psi)
+        m = GridMeter(lambda x: np.exp(0.25j) * gaussian_ground_state(x))
         assert np.isclose(grid_overlap(m, 0.0), 1.0, atol=1e-10)
+
+    def test_samples_the_function_on_its_grid(self):
+        grid = Grid(-15.0, 15.0, 1501)
+        m = GridMeter(gaussian_ground_state, grid)
+        assert m.fn is gaussian_ground_state and m.grid == grid
+        assert m.psi0.dtype == complex and not m.psi0.flags.writeable
+        assert np.array_equal(m.psi0, gaussian_ground_state(grid.points))
 
 
 @pytest.fixture(scope="module")
@@ -194,7 +200,7 @@ class TestGridOverlap:
             u = x * s
             return math.sqrt(s) * u * (2.0 * math.pi) ** -0.25 * np.exp(-u * u / 4.0)
 
-        m = GridMeter.from_function(psi)
+        m = GridMeter(psi)
         assert np.isclose(grid_overlap(m, 0.0, "1"), 1.0, atol=1e-10)
         assert np.isclose(grid_overlap(m, 0.0, "x"), 0.0, atol=1e-10)
         assert abs(grid_overlap(m, 1.0, "1")) <= 1.0
@@ -204,13 +210,6 @@ class TestGridOverlap:
         assert abs(grid_overlap(meter, g, "1") - overlap0(g)) < 1e-12
         assert abs(grid_overlap(meter, g, "x") - overlap1(g)) < 1e-12
 
-    def test_off_lattice_shift_interpolates_without_generator(self, meter):
-        tabulated = GridMeter(meter.grid, meter.psi0)
-        g = math.pi / 3.0
-        err = abs(grid_overlap(tabulated, g, "1") - overlap0(g))
-        assert 1e-9 < err < 1e-3
-        aligned = 0.52
-        assert abs(grid_overlap(tabulated, aligned, "1") - overlap0(aligned)) < 1e-12
 
 
 class TestOverlapSet:
@@ -240,28 +239,19 @@ def twisted_ground_state(x):
     return gaussian_ground_state(x) * np.exp(0.7j * x)
 
 
-def write_state_file(path, meter):
-    lines = [f"{x:.17g} {format_complex(v)}" for x, v in zip(meter.grid.points, meter.psi0)]
-    path.write_text("\n".join(lines) + "\n")
-    return GridMeter.from_file(path)
-
-
 class TestBlockedGridMatrices:
     """A stack of shift rows against one trapezoid sum per shift pair, each
-    shifted wave evaluated on its own: exactly by the generator, or by
-    linear interpolation of a tabulated state."""
+    shifted wave evaluated on its own from the meter's function."""
 
     # one row per block on the default grid, several on the coarse one
     GRIDS = {"fine": DEFAULT_GRID, "coarse": Grid(-20.0, 20.0, 801)}
 
     @pytest.fixture(scope="class")
-    def meters(self, tmp_path_factory):
+    def meters(self):
         out = {}
         for label, grid in self.GRIDS.items():
-            twisted = GridMeter.from_function(twisted_ground_state, grid)
-            path = tmp_path_factory.mktemp("states") / "twisted.txt"
-            out.update({("gaussian", label): GridMeter.gaussian(grid), ("twisted", label): twisted,
-                        ("tabulated", label): write_state_file(path, twisted)})
+            out.update({("gaussian", label): GridMeter.gaussian(grid),
+                        ("twisted", label): GridMeter(twisted_ground_state, grid)})
         return out
 
     @staticmethod
@@ -269,18 +259,13 @@ class TestBlockedGridMatrices:
         x = meter.grid.points
         weights = np.full(len(x), meter.grid.spacing)
         weights[[0, -1]] *= 0.5
-        if meter.generator is not None:
-            waves = [meter.generator(x - s) for s in row]
-        else:
-            psi = meter.psi0
-            waves = [np.interp(x - s, x, psi.real, left=0.0, right=0.0)
-                     + 1j * np.interp(x - s, x, psi.imag, left=0.0, right=0.0) for s in row]
+        waves = [meter.fn(x - s) for s in row]
         m1 = [[np.einsum("n,n->", np.conj(a) * weights, b) for b in waves] for a in waves]
         mx = [[np.einsum("n,n->", np.conj(a) * weights * x, b) for b in waves] for a in waves]
         return np.array(m1), np.array(mx)
 
     @pytest.mark.parametrize("grid", ["fine", "coarse"])
-    @pytest.mark.parametrize("name", ["gaussian", "twisted", "tabulated"])
+    @pytest.mark.parametrize("name", ["gaussian", "twisted"])
     def test_matches_per_shift_loop(self, meters, name, grid):
         meter = meters[name, grid]
         assert (WAVE_SAMPLES_PER_BLOCK // (6 * meter.grid.n_points) > 1) == (grid == "coarse")
@@ -298,7 +283,7 @@ class TestBlockedGridMatrices:
             assert np.max(np.abs(mx[index] - rx)) <= 1e-15
 
     @pytest.mark.parametrize("shape", [(0, 3), (2, 0, 3)])
-    @pytest.mark.parametrize("name", ["gaussian", "tabulated"])
+    @pytest.mark.parametrize("name", ["gaussian", "twisted"])
     def test_empty_stack(self, meters, name, shape):
         m1, mx = pointer_matrices(np.zeros(shape), meters[name, "fine"])
         assert m1.shape == mx.shape == shape + (3,)
@@ -306,9 +291,9 @@ class TestBlockedGridMatrices:
 
     def test_real_state_gives_real_matrices(self, meters):
         assert np.isrealobj(pointer_matrices((0.0, 1.0, -1.0), meters["gaussian", "fine"])[0])
-        assert np.iscomplexobj(pointer_matrices((0.0, 1.0, -1.0), meters["tabulated", "fine"])[0])
+        assert np.iscomplexobj(pointer_matrices((0.0, 1.0, -1.0), meters["twisted", "fine"])[0])
 
-    @pytest.mark.parametrize("name", ["gaussian", "tabulated"])
+    @pytest.mark.parametrize("name", ["gaussian", "twisted"])
     def test_edge_error_at_first_failing_shift(self, meters, name):
         meter = meters[name, "fine"]
         # later failing shifts are smaller, on either side
@@ -327,17 +312,7 @@ class TestBlockedGridMatrices:
 
 
 class TestStateFile:
-    def test_round_trip(self, tmp_path):
-        m = GridMeter.gaussian(Grid(-15.0, 15.0, 1501))
-        path = tmp_path / "psi.txt"
-        lines = ["# pointer state"]
-        lines += [
-            f"{x:.17g} {format_complex(v)}" for x, v in zip(m.grid.points, m.psi0)
-        ]
-        path.write_text("\n".join(lines) + "\n")
-        loaded = GridMeter.from_file(path)
-        assert loaded.grid == m.grid
-        assert np.allclose(loaded.psi0, m.psi0)
+    """The ``re+imi`` text form of complex values in config files."""
 
     def test_parse_complex_forms(self):
         assert parse_complex("1.5") == 1.5
@@ -345,9 +320,3 @@ class TestStateFile:
         assert parse_complex("-2e-3-1i") == -2e-3 - 1j
         with pytest.raises(ValidationError):
             parse_complex("spam")
-
-    def test_rejects_nonuniform_grid(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("0.0 1.0\n0.1 1.0\n0.3 1.0\n")
-        with pytest.raises(ValidationError):
-            GridMeter.from_file(path)

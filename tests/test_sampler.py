@@ -129,12 +129,23 @@ class TestDeterminism:
         assert max_threads() == 1
         monkeypatch.setenv("CHESHIRE_THREADS", "4")
         assert max_threads() == 4
-        monkeypatch.setenv("CHESHIRE_THREADS", "0")
-        with pytest.raises(ValidationError):
-            max_threads()
-        monkeypatch.setenv("CHESHIRE_THREADS", "many")
-        with pytest.raises(ValidationError):
-            max_threads()
+        monkeypatch.setenv("CHESHIRE_THREADS", "64")
+        assert max_threads() == 64
+        for raw in ("0", "65", str(10**6), "many"):
+            monkeypatch.setenv("CHESHIRE_THREADS", raw)
+            with pytest.raises(ValidationError):
+                max_threads()
+
+    @ROUTES
+    @pytest.mark.parametrize("raw", ["65", str(10**6)])
+    def test_thread_count_above_the_bound_starts_no_pool(self, route, raw, monkeypatch,
+                                                         no_thread_pool):
+        # rejected, not clamped, before any batch is drawn
+        monkeypatch.setenv("CHESHIRE_THREADS", raw)
+        threads = threading.active_count()
+        with pytest.raises(ValidationError, match=f"CHESHIRE_THREADS must be in \\[1, 64\\], got {raw}"):
+            route(EXAMPLE_AMPS, EXAMPLE_WEIGHTS, 2.0, 2.0, n=3 * TRIALS_PER_BATCH, seed=1)
+        assert threading.active_count() == threads
 
 
 class TestDistribution:

@@ -2,6 +2,7 @@
 scalar APIs, one coupling at a time."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -73,7 +74,7 @@ def check_oracle(what, g, exact, grid):
 
 
 def with_grid_points(config, points):
-    return config.with_overrides(grid=Grid(config.grid.x_min, config.grid.x_max, points))
+    return replace(config, grid=Grid(config.grid.x_min, config.grid.x_max, points))
 
 
 RANGES = [(0.0, 8.0, 161, 4001), (0.0, 4.0, 5, 4001), (0.3, 6.1, 37, 2001),
