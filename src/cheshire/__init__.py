@@ -13,7 +13,6 @@ nonzero indicator really is entanglement.
 from .config import ExperimentConfig, dump_config, load_config, parse_config_text
 from .dynamics import (
     BranchWeights,
-    FailureBranch,
     JointMeterState,
     SuccessMoments,
     classical_mixture_density,
@@ -97,7 +96,6 @@ __all__ = [
     "EmbeddedMeterState",
     "EstimatorOutput",
     "ExperimentConfig",
-    "FailureBranch",
     "FlatObjective",
     "Grid",
     "GridMeter",

@@ -101,7 +101,7 @@ def analytic_report(config: ExperimentConfig) -> list[tuple[str, str]]:
     nan = complex(math.nan, math.nan)
     values = _or_undefined(lambda: weak_values(k), WeakValues(nan, nan))
     x_mean, y_mean, _ = _or_undefined(lambda: local_averages(k, g_a, g_b), (math.nan,) * 3)
-    state = JointMeterState(k, None, None, g_a, g_b)
+    state = JointMeterState(k, g_a, g_b)
     neg = _or_undefined(lambda: meter_negativity(state).negativity, math.nan)
     return [
         ("c_analytic", _fmt(result.c_value)),
@@ -162,10 +162,10 @@ def _sweep_stack(config: ExperimentConfig, g: np.ndarray):
     coherence = config.coherence()
     meter = GridMeter.gaussian(config.grid)
     exact = cheshire_analytic(config.postselection, config.prep, g, g)
-    grid = JointMeterState(coherence, meter, meter, g, g)
+    grid = JointMeterState(coherence, g, g, meter)
     c_grid = 2.0 * moment_decomposition(grid).total
     _check_oracle("indicators", g, exact.c_value, c_grid)
-    neg = meter_negativity(JointMeterState(coherence, None, None, g, g)).negativity
+    neg = meter_negativity(JointMeterState(coherence, g, g)).negativity
     _check_oracle("negativities", g, neg, meter_negativity(grid).negativity)
     columns = (g, g, exact.c_value, c_grid, exact.p_success, neg)
     return list(zip(*(column.tolist() for column in columns)))

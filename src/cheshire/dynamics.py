@@ -145,7 +145,8 @@ def _weight_indices(*weights: str) -> list[int]:
 
 @dataclass(frozen=True)
 class SuccessMoments:
-    """Unnormalized success-branch integrals over the joint readout.
+    """Unnormalized integrals over the joint readout: of the success branch
+    in `success_moments`, of any `JointMeterState` in `grid_moments`.
 
     ``norm`` is P = int |F|^2; ``x``, ``y``, ``xy`` carry the weight
     functions x, y and xy against |F|^2 (not divided by P).
@@ -185,7 +186,7 @@ def _total(terms: np.ndarray) -> np.ndarray:
 def success_moments(coherence, g_a, g_b) -> SuccessMoments:
     """Closed-form branch-pair sums over K for P and the first success
     moments, elementwise over stacked couplings with the bits of scalar calls."""
-    state = JointMeterState(coherence, None, None, g_a, g_b)
+    state = JointMeterState(coherence, g_a, g_b)
     (a1, ax), (b1, bx) = state.pointer_matrices
     # weight pairs (1, 1), (x, 1), (1, x), (x, x) on an axis after the coupling stacks
     terms = branch_terms(state.coherence, np.stack([a1, ax, a1, ax], axis=-3),
@@ -194,50 +195,51 @@ def success_moments(coherence, g_a, g_b) -> SuccessMoments:
     return SuccessMoments(*(_unstack(sums[..., i]) for i in range(4)))
 
 
-_BLOCK_ROWS = 256  # readout-plane rows per `grid_moments` block of _BLOCK_ROWS * n_y floats
+_BLOCK_ROWS = 256  # readout-plane rows per `grid_moments` block of _BLOCK_ROWS * n floats
 
 
 @dataclass(frozen=True, eq=False)
 class JointMeterState:
-    """Success-branch meter state over the branch coherence K (or a
-    `TransitionAmplitudes` triple for its rank-1 K).
+    """Meter state over the branch coherence K (or a `TransitionAmplitudes`
+    triple for its rank-1 K): the success branch for K, the failed branch for
+    diag(p) - K and the classical mixture for diag(p), all unnormalized.
 
-    A meter is a `GridMeter`, or None for the Gaussian closed form.  The
-    couplings may be stacks for `pointer_matrices`; the readout plane needs
-    one coupling per meter.
+    Both meters start in the pointer state ``meter``: a `GridMeter`, or None
+    for the Gaussian closed form.  The couplings may be stacks for
+    `pointer_matrices`; the readout plane needs one coupling per meter.
     """
 
     coherence: np.ndarray
-    meter_a: GridMeter | None
-    meter_b: GridMeter | None
     g_a: float
     g_b: float
+    meter: GridMeter | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "coherence", _coherence(self.coherence))
         _validate_couplings(self.g_a, self.g_b)
+        if self.meter is not None and not isinstance(self.meter, GridMeter):
+            raise ValidationError(f"expected None or a GridMeter, got {type(self.meter).__name__}")
 
     @cached_property
     def pointer_matrices(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """((A_1, A_x), (B_1, B_x)): each meter's read-only `pointer_matrices`
-        over its branch shifts, (..., 3, 3) over the coupling stack, summed
-        once per state for every route that reads them."""
+        """((A_1, A_x), (B_1, B_x)): the meter's read-only `pointer_matrices`
+        over each meter's branch shifts, (..., 3, 3) over the coupling stack,
+        summed once per state for every route that reads them."""
         shifts = _branch_shifts(self.g_a, self.g_b)
-        meters = (self.meter_a, self.meter_b)
-        matrices = tuple(pointer_matrices(s, meter) for s, meter in zip(shifts, meters))
+        matrices = tuple(pointer_matrices(s, self.meter) for s in shifts)
         for m in (m for pair in matrices for m in pair):
             m.setflags(write=False)
         return matrices
 
     def density(self, x, y) -> np.ndarray:
-        """The readout density p_s at every (x_i, y_j) of the flattened
+        """The readout density at every (x_i, y_j) of the flattened
         coordinates, shape (len(x), len(y)); |F(x, y)|^2 for rank-1 K."""
         return _block_density(self.coherence, *self._pairs(np.ravel(x), np.ravel(y)))
 
     def _pairs(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         _one_coupling_per_meter("grid evaluation", self.g_a, self.g_b)
         shifts_a, shifts_b = _branch_shifts(self.g_a, self.g_b)
-        return _branch_pairs(self.meter_a, shifts_a, x), _branch_pairs(self.meter_b, shifts_b, y)
+        return _branch_pairs(self.meter, shifts_a, x), _branch_pairs(self.meter, shifts_b, y)
 
 
 def _branch_pairs(meter, shifts, x: np.ndarray) -> np.ndarray:
@@ -245,13 +247,11 @@ def _branch_pairs(meter, shifts, x: np.ndarray) -> np.ndarray:
     order, w_k the meter's wave (None: the Gaussian ground state) shifted by s_k."""
     if meter is None:
         waves = gaussian_ground_state(np.asarray(x, dtype=float) - shifts[:, None])
-    elif isinstance(meter, GridMeter):
+    else:
         if not np.array_equal(x, meter.grid.points):
             raise ValidationError("grid meter branches must be evaluated on the meter's own grid")
         _check_edges(meter, shifts)
         waves = _shifted(meter, shifts)
-    else:
-        raise ValidationError(f"expected None or a GridMeter, got {type(meter).__name__}")
     return (waves.conj()[:, None] * waves[None, :]).reshape(9, len(x))
 
 
@@ -266,77 +266,49 @@ def _block_density(coherence: np.ndarray, pairs_a: np.ndarray, pairs_b: np.ndarr
     return (rows @ pairs_b).real
 
 
-def _trapezoid_moments(density: np.ndarray, grid_a: Grid, grid_b: Grid, rows=slice(None)):
-    """[[int 1, int y], [int x, int xy]] of a density on grid_a x grid_b (or
-    of its block of ``rows``): trapezoid weights times the functions (1, x)."""
-    w_a, w_b = (_trapezoid_weights(g)[:, None] * np.vander(g.points, 2, increasing=True)
-                for g in (grid_a, grid_b))
-    return w_a[rows].T @ (density @ w_b)
-
-
-def grid_moments(
-    state: JointMeterState, grid_a: Grid | None = None, grid_b: Grid | None = None
-) -> SuccessMoments:
-    """Trapezoidal quadrature of (1, x, y, xy) against the success density,
-    one block of `_BLOCK_ROWS` rows at a time, so memory stays O(block * n_y)
-    even on fine grids."""
-    grid_a = grid_a or getattr(state.meter_a, "grid", None) or DEFAULT_GRID
-    grid_b = grid_b or getattr(state.meter_b, "grid", None) or DEFAULT_GRID
-    pairs_a, pairs_b = state._pairs(grid_a.points, grid_b.points)
+def grid_moments(state: JointMeterState, grid: Grid | None = None) -> SuccessMoments:
+    """Trapezoidal quadrature of (1, x, y, xy) against the state's readout
+    density on grid x grid, by default the meter's own grid (DEFAULT_GRID
+    for Gaussian pointers): P and the success moments for K, 1 - P and the
+    failure moments for diag(p) - K.  The plane is integrated one block of
+    `_BLOCK_ROWS` rows at a time, so memory stays O(block * n) even on fine
+    grids."""
+    grid = grid or getattr(state.meter, "grid", None) or DEFAULT_GRID
+    pairs_a, pairs_b = state._pairs(grid.points, grid.points)
+    # [[int 1, int y], [int x, int xy]]: trapezoid weights times the functions (1, x)
+    weights = _trapezoid_weights(grid)[:, None] * np.vander(grid.points, 2, increasing=True)
     total = np.zeros((2, 2))
-    for lo in range(0, grid_a.n_points, _BLOCK_ROWS):
+    for lo in range(0, grid.n_points, _BLOCK_ROWS):
         rows = slice(lo, lo + _BLOCK_ROWS)
         density = _block_density(state.coherence, pairs_a[:, rows], pairs_b)
-        total += _trapezoid_moments(density, grid_a, grid_b, rows)
+        total += weights[rows].T @ (density @ weights)
     return SuccessMoments(*total.T.ravel().tolist())
 
 
 def classical_mixture_density(
-    weights: BranchWeights,
-    g_a: float,
-    g_b: float,
-    grid_a: Grid = DEFAULT_GRID,
-    grid_b: Grid = DEFAULT_GRID,
+    weights: BranchWeights, g_a: float, g_b: float, grid: Grid = DEFAULT_GRID
 ) -> np.ndarray:
-    """p_cl(x, y) = sum_k p_k |w_k(x, y)|^2, the readout density over
-    K = diag(p)."""
-    state = JointMeterState(np.diag(weights.probabilities), None, None, g_a, g_b)
-    return state.density(grid_a.points, grid_b.points)
-
-
-@dataclass(frozen=True, eq=False)
-class FailureBranch:
-    """Pointer-space density of the failed-postselection branch."""
-
-    density: np.ndarray
-    grid_a: Grid
-    grid_b: Grid
-    total_probability: float
-
-    def moment(self, x_weight: str = "1", y_weight: str = "1") -> float:
-        """Trapezoidal integral of w_A(x) w_B(y) p_f(x, y)."""
-        i, j = _weight_indices(x_weight, y_weight)
-        return float(_trapezoid_moments(self.density, self.grid_a, self.grid_b)[i, j])
+    """p_cl(x, y) = sum_k p_k |w_k(x, y)|^2 on grid x grid, the readout
+    density over K = diag(p)."""
+    state = JointMeterState(np.diag(weights.probabilities), g_a, g_b)
+    return state.density(grid.points, grid.points)
 
 
 def failure_density(
-    coherence,
-    weights: BranchWeights,
-    g_a: float,
-    g_b: float,
-    grid_a: Grid = DEFAULT_GRID,
-    grid_b: Grid = DEFAULT_GRID,
-) -> FailureBranch:
-    """p_f = p_cl - p_s, the diagonal of the failed-branch meter state: the
-    readout density over diag(p) - K, from K or amplitudes.
+    coherence, weights: BranchWeights, g_a: float, g_b: float, grid: Grid = DEFAULT_GRID
+) -> np.ndarray:
+    """p_f = p_cl - p_s on grid x grid, read-only: the diagonal of the
+    failed-branch meter state, the readout density over diag(p) - K, from K
+    or amplitudes.  Its moments are `grid_moments` of
+    ``JointMeterState(np.diag(p) - K, g_a, g_b)``.
 
-    Negative values are returned as computed and integrated.  A realizable
-    K is at most (1 + REALIZABILITY_TOL) diag(p) and p_cl <= 1/(2 pi), so a value
-    below -(POSITIVITY_TOL + REALIZABILITY_TOL / (2 pi)) raises `PositivityError`.
+    Negative values are returned as computed.  A realizable K is at most
+    (1 + REALIZABILITY_TOL) diag(p) and p_cl <= 1/(2 pi), so a value below
+    -(POSITIVITY_TOL + REALIZABILITY_TOL / (2 pi)) raises `PositivityError`.
     """
     _check_realizable(coherence, weights)
     failed = np.diag(weights.probabilities) - _coherence(coherence)
-    p_f = JointMeterState(failed, None, None, g_a, g_b).density(grid_a.points, grid_b.points)
+    p_f = JointMeterState(failed, g_a, g_b).density(grid.points, grid.points)
     floor = -(POSITIVITY_TOL + REALIZABILITY_TOL / (2.0 * math.pi))
     worst = float(p_f.min())
     if worst < floor:
@@ -345,4 +317,4 @@ def failure_density(
             "branch coherence and branch weights are inconsistent"
         )
     p_f.setflags(write=False)
-    return FailureBranch(p_f, grid_a, grid_b, float(_trapezoid_moments(p_f, grid_a, grid_b)[0, 0]))
+    return p_f

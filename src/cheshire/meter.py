@@ -30,8 +30,13 @@ import numpy as np
 
 from .errors import GridTooSmall, ValidationError
 
-NORM_TOL = 1e-10
+# Bounds on a sampled pointer psi0's trapezoid integrals, which the closed form
+# takes as 1, 0 and 1 and the grid oracle must match to 1e-6 (`cli.ORACLE_AGREEMENT_TOL`):
+# norm^2 scales every pointer matrix, and so P and C, by the same factor;
+POINTER_NORM_TOL = 1e-10
+# a mean m moves every readout by m, and <xy> by m times the first moments;
 MEAN_TOL = 1e-8
+# a variance 1 + v rescales every coupling by about 1 + v/2.
 VARIANCE_TOL = 1e-6
 
 EDGE_AMPLITUDE_TOL = 1e-12
@@ -147,8 +152,10 @@ class GridMeter:
         dx = self.grid.spacing
         density = np.abs(psi) ** 2
         norm = float(np.trapezoid(density, dx=dx))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValidationError(f"pointer state norm^2 = {norm!r}, expected 1 within {NORM_TOL}")
+        if abs(norm - 1.0) > POINTER_NORM_TOL:
+            raise ValidationError(
+                f"pointer state norm^2 = {norm!r}, expected 1 within {POINTER_NORM_TOL}"
+            )
         mean = float(np.trapezoid(x * density, dx=dx))
         if abs(mean) > MEAN_TOL:
             raise ValidationError(f"pointer state mean = {mean!r}, expected 0 within {MEAN_TOL}")

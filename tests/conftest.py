@@ -7,7 +7,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from cheshire.qsystem import DIM, PhotonKet
+from cheshire.dynamics import JointMeterState
+from cheshire.qsystem import DIM, PhotonKet, _coherence
 
 settings.register_profile(
     "pkg",
@@ -36,6 +37,12 @@ def no_thread_pool(monkeypatch):
         raise AssertionError("a thread pool was started")
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+
+
+def failed_state(coherence, weights, g_a, g_b) -> JointMeterState:
+    """The failed-postselection meter state, over diag(p) - K: its
+    `grid_moments` norm is P' = 1 - P and its xy moment flips the success one."""
+    return JointMeterState(np.diag(weights.probabilities) - _coherence(coherence), g_a, g_b)
 
 
 @pytest.fixture

@@ -39,6 +39,8 @@ from cheshire.cli import locate_max, sweep_rows
 from cheshire.meter import Grid, GridMeter, pointer_matrices
 from cheshire.qsystem import TransitionAmplitudes, branch_coherence
 
+from conftest import failed_state
+
 EXAMPLE_PREP = PhotonKet.normalized([1.0, 0.0, 1.0, 1.0])
 EXAMPLE_POST = PhotonKet.normalized([1.0, 0.0, 1.0, -1.0])
 EXAMPLE_AMPS = transition_amplitudes(EXAMPLE_PREP, EXAMPLE_POST)
@@ -105,8 +107,8 @@ def test_criterion_4_oracle_equivalence():
         o0, o1 = (m[0, 1] for m in pointer_matrices((0.0, g), meter))
         o0_exact = math.exp(-g * g / 8.0)
         worst = max(worst, abs(o0 - o0_exact), abs(o1 - 0.5 * g * o0_exact))
-        state = JointMeterState(EXAMPLE_AMPS, None, None, g, g)
-        numeric = grid_moments(state, DEFAULT_GRID, DEFAULT_GRID)
+        state = JointMeterState(EXAMPLE_AMPS, g, g)
+        numeric = grid_moments(state, DEFAULT_GRID)
         exact = success_moments(EXAMPLE_AMPS, g, g)
         worst = max(worst, abs(numeric.norm - exact.norm))
         worst = max(worst, abs(numeric.xy - exact.xy))
@@ -144,12 +146,13 @@ def test_criterion_6_partition_and_sign_flip():
         weights = BranchWeights.from_preparation(prep)
         g_a = float(rng.uniform(0.0, 3.0))
         g_b = float(rng.uniform(0.0, 3.0))
-        failure = failure_density(amps, weights, g_a, g_b, grid, grid)
+        failure_density(amps, weights, g_a, g_b, grid)
+        failed = grid_moments(failed_state(amps, weights, g_a, g_b), grid)
         p = success_moments(amps, g_a, g_b).norm
-        worst_partition = max(worst_partition, abs(p + failure.total_probability - 1.0))
-        state = JointMeterState(amps, None, None, g_a, g_b)
-        success_xy = grid_moments(state, grid, grid).xy
-        worst_flip = max(worst_flip, abs(failure.moment("x", "x") + success_xy))
+        worst_partition = max(worst_partition, abs(p + failed.norm - 1.0))
+        state = JointMeterState(amps, g_a, g_b)
+        success_xy = grid_moments(state, grid).xy
+        worst_flip = max(worst_flip, abs(failed.xy + success_xy))
     ok = worst_partition < 1e-8 and worst_flip < 1e-8
     _report(6, ok, "P + P' = 1 and failure <xy> = -success <xy> to 1e-8 across "
                    "randomized configurations",
@@ -182,10 +185,10 @@ def test_criterion_8_entanglement_certification():
         for g in (0.5, 2.0):
             if abs(2.0 * success_moments(amps, g, g).xy) > 1e-6:
                 checked += 1
-                if not meter_negativity(JointMeterState(amps, None, None, g, g)).negativity > 0.0:
+                if not meter_negativity(JointMeterState(amps, g, g)).negativity > 0.0:
                     violations += 1
     bell = TransitionAmplitudes(math.sqrt(0.5), math.sqrt(0.5), 0.0)
-    bell_neg = meter_negativity(JointMeterState(bell, None, None, 40.0, 40.0)).negativity
+    bell_neg = meter_negativity(JointMeterState(bell, 40.0, 40.0)).negativity
     ok = violations == 0 and checked > 500 and abs(bell_neg - 0.5) <= 1e-8
     _report(8, ok, "|C| > 1e-6 implies positive negativity; strong-limit Bell "
                    "configuration gives negativity 0.5 +- 1e-8",
@@ -210,7 +213,7 @@ def test_criterion_10_postselection_induced_entanglement():
     g = np.linspace(0.0, 8.0, 161)
 
     def negativity(coherence, g_a, g_b, meter=None):
-        return meter_negativity(JointMeterState(coherence, meter, meter, g_a, g_b)).negativity
+        return meter_negativity(JointMeterState(coherence, g_a, g_b, meter)).negativity
 
     # (a) without postselection the meters stay separable, for pure and mixed
     # preparations, at every coupling of the stack
@@ -234,7 +237,7 @@ def test_criterion_10_postselection_induced_entanglement():
         k = amps.coherence()
         mixture = np.diag(BranchWeights.from_preparation(prep).probabilities)
         if i < 20:
-            states = [embed(JointMeterState(c, None, None, g, g))
+            states = [embed(JointMeterState(c, g, g))
                       for c in (k, mixture - k, mixture)]
             success, failure, classical = (e.rho * e.branch_norm_sq[:, None, None] for e in states)
             partition = max(partition, np.max(np.abs(success + failure - classical)))

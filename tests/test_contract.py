@@ -76,14 +76,12 @@ def coupling_entry_points(g_a, g_b):
         "indicator_bound": lambda: indicator_bound(g_a, g_b),
         "success_moments": lambda: success_moments(K, g_a, g_b),
         "local_averages": lambda: local_averages(K, g_a, g_b),
-        "moment_decomposition": lambda: moment_decomposition(JointMeterState(K, None, None, g_a, g_b)),
-        "grid_moments": lambda: grid_moments(JointMeterState(K, None, None, g_a, g_b),
-                                             TINY_GRID, TINY_GRID),
-        "classical_mixture_density": lambda: classical_mixture_density(WEIGHTS, g_a, g_b,
-                                                                       TINY_GRID, TINY_GRID),
-        "failure_density": lambda: failure_density(*p, g_a, g_b, TINY_GRID, TINY_GRID),
-        "embed": lambda: embed(JointMeterState(K, None, None, g_a, g_b)),
-        "meter_negativity": lambda: meter_negativity(JointMeterState(K, None, None, g_a, g_b)),
+        "moment_decomposition": lambda: moment_decomposition(JointMeterState(K, g_a, g_b)),
+        "grid_moments": lambda: grid_moments(JointMeterState(K, g_a, g_b), TINY_GRID),
+        "classical_mixture_density": lambda: classical_mixture_density(WEIGHTS, g_a, g_b, TINY_GRID),
+        "failure_density": lambda: failure_density(*p, g_a, g_b, TINY_GRID),
+        "embed": lambda: embed(JointMeterState(K, g_a, g_b)),
+        "meter_negativity": lambda: meter_negativity(JointMeterState(K, g_a, g_b)),
         "sample_trials": lambda: sample_trials(*p, g_a, g_b, n=64, seed=0),
         "sample_estimate": lambda: sample_estimate(*p, g_a, g_b, n=64, seed=0),
         "trial_variance": lambda: trial_variance(*p, g_a, g_b),

@@ -23,7 +23,7 @@ from cheshire.errors import PositivityError, ValidationError
 from cheshire.meter import Grid, GridMeter, gaussian_ground_state
 from cheshire.qsystem import PhotonKet, TransitionAmplitudes, transition_amplitudes
 
-from conftest import unit_kets
+from conftest import failed_state, unit_kets
 
 EXAMPLE_AMPS = TransitionAmplitudes(1 / 3, 1 / 3, -1 / 3)
 P_EXAMPLE_G2 = 0.3032588259474194  # 1/3 - (2/9) e^{-2}
@@ -69,7 +69,7 @@ class TestSuccessProbability:
         assert np.isclose(success_moments(EXAMPLE_AMPS, 2.0, 2.0).norm, P_EXAMPLE_G2, atol=1e-15)
 
     def test_matches_grid_oracle(self):
-        state = JointMeterState(EXAMPLE_AMPS, None, None, 2.0, 2.0)
+        state = JointMeterState(EXAMPLE_AMPS, 2.0, 2.0)
         assert abs(grid_moments(state).norm - P_EXAMPLE_G2) < 1e-8
 
     def test_inconsistent_amplitudes_returned_unclamped(self):
@@ -97,7 +97,7 @@ class TestSuccessMoments:
         assert np.isclose(m.xy, (4.0 / 9.0) / math.e, atol=1e-15)
 
     def test_matches_grid_oracle(self):
-        state = JointMeterState(EXAMPLE_AMPS, None, None, 2.0, 2.0)
+        state = JointMeterState(EXAMPLE_AMPS, 2.0, 2.0)
         grid = grid_moments(state)
         closed = success_moments(EXAMPLE_AMPS, 2.0, 2.0)
         assert abs(grid.norm - closed.norm) < 1e-8
@@ -110,8 +110,8 @@ class TestSuccessMoments:
     def test_random_states_match_grid(self, prep, post, g_a, g_b):
         amps = transition_amplitudes(prep, post)
         closed = success_moments(amps, g_a, g_b)
-        state = JointMeterState(amps, None, None, g_a, g_b)
-        grid = grid_moments(state, SMALL_GRID, SMALL_GRID)
+        state = JointMeterState(amps, g_a, g_b)
+        grid = grid_moments(state, SMALL_GRID)
         assert abs(grid.norm - closed.norm) < 1e-8
         assert abs(grid.xy - closed.xy) < 1e-8
 
@@ -139,14 +139,14 @@ class TestSuccessMoments:
 class TestJointMeterState:
     def test_zero_coupling_factorizes(self, example_prep, example_post):
         amps = transition_amplitudes(example_prep, example_post)
-        state = JointMeterState(amps, None, None, 0.0, 0.0)
+        state = JointMeterState(amps, 0.0, 0.0)
         x = np.linspace(-3, 3, 7)
         density = state.density(x, x)
         expected = amps.total * np.outer(gaussian_ground_state(x), gaussian_ground_state(x))
         assert np.allclose(density, np.abs(expected) ** 2, atol=1e-15)
 
     def test_pointwise_formula(self):
-        state = JointMeterState(EXAMPLE_AMPS, None, None, 2.0, 1.0)
+        state = JointMeterState(EXAMPLE_AMPS, 2.0, 1.0)
         x, y = 0.7, -0.4
         expected = (
             EXAMPLE_AMPS.l * gaussian_ground_state(x - 2.0) * gaussian_ground_state(y)
@@ -155,17 +155,36 @@ class TestJointMeterState:
         )
         assert np.isclose(state.density(x, y)[0, 0], abs(expected) ** 2, atol=1e-15)
 
+    @pytest.mark.parametrize("meter", ["gauss", 1.0, GridMeter.gaussian], ids=repr)
+    def test_rejects_a_meter_that_is_not_a_grid_meter(self, meter):
+        # when the state is built, not when its matrices are first read
+        with pytest.raises(ValidationError, match="expected None or a GridMeter, got"):
+            JointMeterState(EXAMPLE_AMPS, 1.0, 1.0, meter)
+
+    @given(prep=unit_kets(), post=unit_kets(), g_a=couplings, g_b=couplings)
+    @settings(max_examples=40)
+    def test_readout_plane_is_linear_in_coherence(self, prep, post, g_a, g_b):
+        # K and diag(p) - K add up to diag(p) in every moment, x and y too
+        amps = transition_amplitudes(prep, post)
+        weights = BranchWeights.from_preparation(prep)
+        mixture = JointMeterState(np.diag(weights.probabilities), g_a, g_b)
+        success, failed, classical = (grid_moments(state, SMALL_GRID) for state in (
+            JointMeterState(amps, g_a, g_b), failed_state(amps, weights, g_a, g_b), mixture))
+        for field in ("norm", "x", "y", "xy"):
+            total = getattr(success, field) + getattr(failed, field)
+            assert abs(total - getattr(classical, field)) < 1e-12
+
     def test_grid_meter_state_matches_gaussian(self):
         meter = GridMeter.gaussian()
-        state = JointMeterState(EXAMPLE_AMPS, meter, meter, 2.0, 2.0)
+        state = JointMeterState(EXAMPLE_AMPS, 2.0, 2.0, meter)
         assert abs(grid_moments(state).norm - P_EXAMPLE_G2) < 1e-8
 
     def test_pointer_matrices_summed_once_and_read_only(self):
         g = np.array([0.0, 1.0, 2.0])
-        state = JointMeterState(EXAMPLE_AMPS, GridMeter.gaussian(), None, g, 2.0)
+        state = JointMeterState(EXAMPLE_AMPS, g, 2.0, GridMeter.gaussian())
         matrices = state.pointer_matrices
         assert state.pointer_matrices is matrices
-        closed = JointMeterState(EXAMPLE_AMPS, None, None, g, 2.0).pointer_matrices
+        closed = JointMeterState(EXAMPLE_AMPS, g, 2.0).pointer_matrices
         for grid_pair, closed_pair in zip(matrices, closed):
             for m, exact in zip(grid_pair, closed_pair):
                 assert np.allclose(m, exact, atol=1e-12)
@@ -177,7 +196,7 @@ class TestJointMeterState:
 class TestClassicalMixture:
     def test_density_integrates_to_one(self):
         w = BranchWeights(0.6, 0.8j, 0.0)
-        p = classical_mixture_density(w, 2.0, 2.0, SMALL_GRID, SMALL_GRID)
+        p = classical_mixture_density(w, 2.0, 2.0, SMALL_GRID)
         dx = SMALL_GRID.spacing
         assert np.isclose(np.trapezoid(np.trapezoid(p, dx=dx), dx=dx), 1.0, atol=1e-10)
 
@@ -186,32 +205,35 @@ class TestFailureDensity:
     def test_example_partition(self, example_prep, example_post):
         amps = transition_amplitudes(example_prep, example_post)
         weights = BranchWeights.from_preparation(example_prep)
-        branch = failure_density(amps, weights, 2.0, 2.0, SMALL_GRID, SMALL_GRID)
-        assert abs(branch.total_probability - (1.0 - P_EXAMPLE_G2)) < 1e-8
-        assert branch.density.min() >= -POSITIVITY_TOL
+        density = failure_density(amps, weights, 2.0, 2.0, SMALL_GRID)
+        failed = grid_moments(failed_state(amps, weights, 2.0, 2.0), SMALL_GRID)
+        assert abs(failed.norm - (1.0 - P_EXAMPLE_G2)) < 1e-8
+        assert density.min() >= -POSITIVITY_TOL
+        assert not density.flags.writeable
 
     def test_cross_moment_antisymmetry(self, example_prep, example_post):
         amps = transition_amplitudes(example_prep, example_post)
         weights = BranchWeights.from_preparation(example_prep)
-        branch = failure_density(amps, weights, 2.0, 2.0, SMALL_GRID, SMALL_GRID)
+        failed = grid_moments(failed_state(amps, weights, 2.0, 2.0), SMALL_GRID)
         success_xy = success_moments(amps, 2.0, 2.0).xy
-        assert abs(branch.moment("x", "x") + success_xy) < 1e-8
+        assert abs(failed.xy + success_xy) < 1e-8
 
     def test_certain_failure_is_left_branch_density(self):
         # preparation entirely in the left arm, postselection orthogonal
         weights = BranchWeights(1.0, 0.0, 0.0)
         amps = TransitionAmplitudes(0.0, 0.0, 0.0)
-        branch = failure_density(amps, weights, 2.0, 1.0, SMALL_GRID, SMALL_GRID)
-        assert abs(branch.total_probability - 1.0) < 1e-8
+        density = failure_density(amps, weights, 2.0, 1.0, SMALL_GRID)
+        failed = grid_moments(failed_state(amps, weights, 2.0, 1.0), SMALL_GRID)
+        assert abs(failed.norm - 1.0) < 1e-8
         x = SMALL_GRID.points
         expected = np.outer(gaussian_ground_state(x - 2.0) ** 2, gaussian_ground_state(x) ** 2)
-        assert np.allclose(branch.density, expected, atol=1e-12)
+        assert np.allclose(density, expected, atol=1e-12)
 
     def test_identical_states_weak_limit(self, example_prep):
         amps = transition_amplitudes(example_prep, example_prep)
         weights = BranchWeights.from_preparation(example_prep)
-        branch = failure_density(amps, weights, 0.01, 0.01, SMALL_GRID, SMALL_GRID)
-        assert branch.total_probability < 1e-4
+        failure_density(amps, weights, 0.01, 0.01, SMALL_GRID)
+        assert grid_moments(failed_state(amps, weights, 0.01, 0.01), SMALL_GRID).norm < 1e-4
 
     @pytest.mark.parametrize("delta", [3e-10, 8e-10, 0.99 * REALIZABILITY_TOL])
     def test_negative_values_of_realizable_coherence_are_returned(self, example_prep, delta):
@@ -221,11 +243,12 @@ class TestFailureDensity:
         # computed
         weights = BranchWeights.from_preparation(example_prep)
         k = (1.0 + delta) * np.diag(weights.probabilities)
-        branch = failure_density(k, weights, 0.0, 0.0, SMALL_GRID, SMALL_GRID)
-        p_cl = classical_mixture_density(weights, 0.0, 0.0, SMALL_GRID, SMALL_GRID)
-        assert branch.density.min() < 0.0
-        assert np.allclose(branch.density, -delta * p_cl, rtol=1e-6, atol=0.0)
-        assert abs(branch.total_probability + delta) < 1e-15
+        density = failure_density(k, weights, 0.0, 0.0, SMALL_GRID)
+        p_cl = classical_mixture_density(weights, 0.0, 0.0, SMALL_GRID)
+        assert density.min() < 0.0
+        assert np.allclose(density, -delta * p_cl, rtol=1e-6, atol=0.0)
+        failed = grid_moments(failed_state(k, weights, 0.0, 0.0), SMALL_GRID)
+        assert abs(failed.norm + delta) < 1e-15
 
     def test_negative_values_beyond_realizability_slack_raise(self, example_prep, monkeypatch):
         # the check stops such K first; without it the density check still fires
@@ -233,29 +256,28 @@ class TestFailureDensity:
         weights = BranchWeights.from_preparation(example_prep)
         k = (1.0 + 2.0 * REALIZABILITY_TOL) * np.diag(weights.probabilities)
         with pytest.raises(PositivityError):
-            failure_density(k, weights, 0.0, 0.0, SMALL_GRID, SMALL_GRID)
+            failure_density(k, weights, 0.0, 0.0, SMALL_GRID)
 
     def test_unrealizable_amplitudes_rejected(self):
         weights = BranchWeights.from_preparation(PhotonKet.normalized([1.0, 0.0, 1.0, 1.0]))
         with pytest.raises(ValidationError):
-            failure_density(TransitionAmplitudes(0.9, 1 / 3, -1 / 3), weights, 2.0, 2.0,
-                            SMALL_GRID, SMALL_GRID)
+            failure_density(TransitionAmplitudes(0.9, 1 / 3, -1 / 3), weights, 2.0, 2.0, SMALL_GRID)
 
     def test_zero_weight_branch_with_amplitude_rejected(self):
         weights = BranchWeights(1.0, 0.0, 0.0)
         with pytest.raises(ValidationError):
-            failure_density(TransitionAmplitudes(0.5, 0.5, 0.0), weights, 1.0, 1.0,
-                            SMALL_GRID, SMALL_GRID)
+            failure_density(TransitionAmplitudes(0.5, 0.5, 0.0), weights, 1.0, 1.0, SMALL_GRID)
 
     @given(prep=unit_kets(), post=unit_kets(), g_a=couplings, g_b=couplings)
     @settings(max_examples=25)
     def test_partition_and_positivity(self, prep, post, g_a, g_b):
         amps = transition_amplitudes(prep, post)
         weights = BranchWeights.from_preparation(prep)
-        branch = failure_density(amps, weights, g_a, g_b, SMALL_GRID, SMALL_GRID)
+        density = failure_density(amps, weights, g_a, g_b, SMALL_GRID)
         p = success_moments(amps, g_a, g_b).norm
-        assert branch.density.min() >= -POSITIVITY_TOL
-        assert abs(branch.total_probability - (1.0 - p)) < 1e-8
+        assert density.min() >= -POSITIVITY_TOL
+        failed = grid_moments(failed_state(amps, weights, g_a, g_b), SMALL_GRID)
+        assert abs(failed.norm - (1.0 - p)) < 1e-8
 
 
 def coherence_with_spectrum(eigenvalues, weights, rng):

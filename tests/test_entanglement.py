@@ -37,7 +37,7 @@ couplings = st.floats(min_value=0.05, max_value=5.0, allow_nan=False)
 
 def closed(coherence, g_a, g_b) -> JointMeterState:
     """The success-branch state of two Gaussian pointers, in closed form."""
-    return JointMeterState(coherence, None, None, g_a, g_b)
+    return JointMeterState(coherence, g_a, g_b)
 
 
 class TestGramOrthonormalize:
@@ -260,7 +260,7 @@ class TestAnyPointer:
                           for _ in "ab")
             amps = transition_amplitudes(prep, post)
             for g in (0.5, 2.0):
-                state = JointMeterState(amps, meter, meter, g, g)
+                state = JointMeterState(amps, g, g, meter)
                 if abs(2.0 * moment_decomposition(state).total) > 1e-6:
                     checked += 1
                     assert meter_negativity(state).negativity > 0.0
@@ -269,13 +269,13 @@ class TestAnyPointer:
     @pytest.mark.parametrize("g, excited, gaussian", [(1.0, 0.4304, 0.2335), (2.0, 0.4199, 0.3831)])
     def test_example_negativity(self, g, excited, gaussian):
         meter = self.EXCITED
-        value = meter_negativity(JointMeterState(EXAMPLE_AMPS, meter, meter, g, g)).negativity
+        value = meter_negativity(JointMeterState(EXAMPLE_AMPS, g, g, meter)).negativity
         assert abs(value - excited) <= 1e-3
         assert abs(meter_negativity(closed(EXAMPLE_AMPS, g, g)).negativity - gaussian) <= 1e-3
 
     def test_grid_gaussian_matches_closed_form_over_sweep(self):
         g = np.linspace(0.0, 8.0, 161)
         meter = GridMeter.gaussian()
-        grid = meter_negativity(JointMeterState(EXAMPLE_AMPS, meter, meter, g, g)).negativity
+        grid = meter_negativity(JointMeterState(EXAMPLE_AMPS, g, g, meter)).negativity
         exact = meter_negativity(closed(EXAMPLE_AMPS, g, g)).negativity
         assert np.max(np.abs(grid - exact)) <= 1e-12

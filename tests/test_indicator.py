@@ -48,28 +48,28 @@ weight_labels = st.sampled_from(["1", "x"])
 
 class TestMomentDecomposition:
     def test_cross_moment_is_pure_entanglement(self):
-        state = JointMeterState(EXAMPLE_AMPS, None, None, 2.0, 2.0)
+        state = JointMeterState(EXAMPLE_AMPS, 2.0, 2.0)
         d = moment_decomposition(state, "x", "x")
         assert d.m_cl == 0.0
         assert d.m_li == 0.0
         assert np.isclose(d.m_ent, success_moments(EXAMPLE_AMPS, 2.0, 2.0).xy, atol=1e-15)
 
     def test_unit_weights_recover_success_probability(self):
-        state = JointMeterState(EXAMPLE_AMPS, None, None, 2.0, 2.0)
+        state = JointMeterState(EXAMPLE_AMPS, 2.0, 2.0)
         d = moment_decomposition(state, "1", "1")
         assert np.isclose(d.total, success_moments(EXAMPLE_AMPS, 2.0, 2.0).norm, atol=1e-12)
 
     def test_entanglement_term_dies_in_strong_limit(self):
-        state = JointMeterState(EXAMPLE_AMPS, None, None, 40.0, 40.0)
+        state = JointMeterState(EXAMPLE_AMPS, 40.0, 40.0)
         d = moment_decomposition(state, "x", "1")
         assert abs(d.m_ent) < 1e-60
         # the classical mean survives: <x> P -> |l|^2 g_A
         assert np.isclose(d.m_cl, (1.0 / 9.0) * 40.0, atol=1e-12)
 
     def test_grid_meter_matches_gaussian(self):
-        gauss = JointMeterState(EXAMPLE_AMPS, None, None, 2.0, 2.0)
+        gauss = JointMeterState(EXAMPLE_AMPS, 2.0, 2.0)
         meter = GridMeter.gaussian()
-        grid = JointMeterState(EXAMPLE_AMPS, meter, meter, 2.0, 2.0)
+        grid = JointMeterState(EXAMPLE_AMPS, 2.0, 2.0, meter)
         for weights in (("x", "x"), ("1", "x"), ("x", "1"), ("1", "1")):
             dg = moment_decomposition(gauss, *weights)
             dn = moment_decomposition(grid, *weights)
@@ -80,7 +80,7 @@ class TestMomentDecomposition:
     @pytest.mark.parametrize("meter", [None, GridMeter.gaussian()], ids=["gaussian", "grid"])
     def test_empty_coupling_stack(self, meter):
         empty = np.array([])
-        d = moment_decomposition(JointMeterState(EXAMPLE_AMPS.coherence(), meter, meter, empty, empty))
+        d = moment_decomposition(JointMeterState(EXAMPLE_AMPS.coherence(), empty, empty, meter))
         assert d.m_cl.shape == d.m_ent.shape == d.m_li.shape == (0,)
 
     @given(
@@ -94,9 +94,9 @@ class TestMomentDecomposition:
     @settings(max_examples=25)
     def test_decomposition_sums_to_grid_moment(self, prep, post, g_a, g_b, wx, wy):
         amps = transition_amplitudes(prep, post)
-        state = JointMeterState(amps, None, None, g_a, g_b)
+        state = JointMeterState(amps, g_a, g_b)
         d = moment_decomposition(state, wx, wy)
-        m = grid_moments(state, SMALL_GRID, SMALL_GRID)
+        m = grid_moments(state, SMALL_GRID)
         direct = {"11": m.norm, "x1": m.x, "1x": m.y, "xx": m.xy}[wx + wy]
         assert abs(d.total - direct) < 1e-8
 
@@ -105,12 +105,11 @@ class TestMomentDecomposition:
         # |psi|^2; the pointer matrices and the 2-D quadrature must agree
         chirped = GridMeter(
             lambda x: gaussian_ground_state(x) * np.exp(0.3j * x * x), SMALL_GRID)
-        for meter_a, meter_b in ((chirped, chirped), (chirped, None), (None, chirped)):
-            state = JointMeterState(EXAMPLE_AMPS, meter_a, meter_b, 2.0, 1.5)
-            m = grid_moments(state, SMALL_GRID, SMALL_GRID)
-            for (wx, wy), direct in {("1", "1"): m.norm, ("x", "1"): m.x,
-                                     ("1", "x"): m.y, ("x", "x"): m.xy}.items():
-                assert abs(moment_decomposition(state, wx, wy).total - direct) < 1e-8
+        state = JointMeterState(EXAMPLE_AMPS, 2.0, 1.5, chirped)
+        m = grid_moments(state, SMALL_GRID)
+        for (wx, wy), direct in {("1", "1"): m.norm, ("x", "1"): m.x,
+                                 ("1", "x"): m.y, ("x", "x"): m.xy}.items():
+            assert abs(moment_decomposition(state, wx, wy).total - direct) < 1e-8
 
 
 class TestCrossMoment:
@@ -263,7 +262,7 @@ class TestLocalAverages:
     def test_example_against_grid(self, example_prep, example_post):
         amps = transition_amplitudes(example_prep, example_post)
         x_mean, y_mean, p = local_averages(amps, 2.0, 2.0)
-        state = JointMeterState(amps, None, None, 2.0, 2.0)
+        state = JointMeterState(amps, 2.0, 2.0)
         m = grid_moments(state)
         assert abs(x_mean - m.x / m.norm) < 1e-8
         assert abs(y_mean - m.y / m.norm) < 1e-8

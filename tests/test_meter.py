@@ -11,6 +11,9 @@ from cheshire.errors import GridTooSmall, ValidationError
 from cheshire.meter import (
     DEFAULT_GRID,
     MAX_READOUT_SCALE,
+    MEAN_TOL,
+    POINTER_NORM_TOL,
+    VARIANCE_TOL,
     WAVE_SAMPLES_PER_BLOCK,
     Grid,
     GridMeter,
@@ -125,16 +128,35 @@ class TestGridMeter:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValidationError, match="norm"):
             GridMeter(lambda x: 2.0 * gaussian_ground_state(x))
+        # norm^2 further than POINTER_NORM_TOL from 1 fails
+        with pytest.raises(ValidationError, match="norm"):
+            GridMeter(lambda x: math.sqrt(1.0 + 2.0 * POINTER_NORM_TOL) * gaussian_ground_state(x))
+        GridMeter(lambda x: math.sqrt(1.0 + 0.5 * POINTER_NORM_TOL) * gaussian_ground_state(x))
 
     def test_rejects_biased(self):
         with pytest.raises(ValidationError) as err:
             GridMeter(lambda x: gaussian_ground_state(x - 0.5))
         assert "mean" in str(err.value)
+        # a mean further than MEAN_TOL from 0, on either side, fails
+        for mean in (2.0 * MEAN_TOL, -2.0 * MEAN_TOL):
+            with pytest.raises(ValidationError, match="mean"):
+                GridMeter(lambda x: gaussian_ground_state(x - mean))
+        for mean in (0.5 * MEAN_TOL, -0.5 * MEAN_TOL):
+            GridMeter(lambda x: gaussian_ground_state(x - mean))
 
     def test_rejects_wrong_variance(self):
+        def widened(width):
+            return lambda x: gaussian_ground_state(x / width) / math.sqrt(width)
+
         with pytest.raises(ValidationError) as err:
-            GridMeter(lambda x: gaussian_ground_state(x / 1.2) / math.sqrt(1.2))
+            GridMeter(widened(1.2))
         assert "variance" in str(err.value)
+        # a variance width^2 further than VARIANCE_TOL from 1 fails
+        for excess in (2.0 * VARIANCE_TOL, -2.0 * VARIANCE_TOL):
+            with pytest.raises(ValidationError, match="variance"):
+                GridMeter(widened(math.sqrt(1.0 + excess)))
+        for excess in (0.5 * VARIANCE_TOL, -0.5 * VARIANCE_TOL):
+            GridMeter(widened(math.sqrt(1.0 + excess)))
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValidationError, match="5 samples but the grid has 4001 points"):
@@ -187,7 +209,7 @@ class TestGridOverlap:
         from cheshire.indicator import moment_decomposition
         from cheshire.qsystem import TransitionAmplitudes
 
-        state = JointMeterState(TransitionAmplitudes(0.5, 0.5, 0.0), meter, meter, 1.0, 1.0)
+        state = JointMeterState(TransitionAmplitudes(0.5, 0.5, 0.0), 1.0, 1.0, meter)
         with pytest.raises(ValidationError):
             moment_decomposition(state, "x^2", "1")
 

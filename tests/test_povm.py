@@ -37,7 +37,7 @@ from cheshire.qsystem import (
 )
 from cheshire.sampler import sample_estimate, trial_variance
 
-from conftest import unit_kets
+from conftest import failed_state, unit_kets
 
 METER = GridMeter.gaussian(Grid(-14.0, 14.0, 1401))
 couplings = st.floats(min_value=0.1, max_value=3.0)
@@ -59,7 +59,7 @@ def test_analytic_matches_grid_oracle(effect, prep, g_a, g_b):
     k = branch_coherence(effect, prep)
     exact = cheshire_analytic(effect, prep, g_a, g_b)
     moments = success_moments(k, g_a, g_b)
-    state = JointMeterState(k, METER, METER, g_a, g_b)
+    state = JointMeterState(k, g_a, g_b, METER)
     assert abs(exact.c_value - 2.0 * moment_decomposition(state, "x", "x").total) < 1e-6
     assert abs(exact.p_success - moment_decomposition(state, "1", "1").total) < 1e-6
     assert abs(moments.x - moment_decomposition(state, "x", "1").total) < 1e-6
@@ -75,10 +75,11 @@ def test_analytic_matches_grid_oracle(effect, prep, g_a, g_b):
 def test_failure_partition_and_sign_flip(effect, prep, g_a, g_b):
     k, weights = branch_coherence(effect, prep), BranchWeights.from_preparation(prep)
     grid = METER.grid
-    failure = failure_density(k, weights, g_a, g_b, grid, grid)
-    success = grid_moments(JointMeterState(k, None, None, g_a, g_b), grid, grid)
-    assert abs(success_moments(k, g_a, g_b).norm + failure.total_probability - 1.0) < 1e-8
-    assert abs(failure.moment("x", "x") + success.xy) < 1e-8
+    failure_density(k, weights, g_a, g_b, grid)
+    failed = grid_moments(failed_state(k, weights, g_a, g_b), grid)
+    success = grid_moments(JointMeterState(k, g_a, g_b), grid)
+    assert abs(success_moments(k, g_a, g_b).norm + failed.norm - 1.0) < 1e-8
+    assert abs(failed.xy + success.xy) < 1e-8
 
 
 @given(effect=effects(), prep=unit_kets())
@@ -95,7 +96,7 @@ def test_weak_values_are_trace_ratios(effect, prep):
 @pytest.mark.parametrize("k", [np.eye(2), np.triu(np.ones((3, 3)))], ids=["2x2", "not-hermitian"])
 def test_malformed_coherence_rejected(k):
     routes = (weak_values, lambda k: success_moments(k, 1.0, 1.0),
-              lambda k: meter_negativity(JointMeterState(k, None, None, 1.0, 1.0)))
+              lambda k: meter_negativity(JointMeterState(k, 1.0, 1.0)))
     for route in routes:
         with pytest.raises(ValidationError, match="Hermitian 3x3"):
             route(k)
@@ -120,13 +121,13 @@ def test_monte_carlo_within_five_sigma(effect, prep, g_a, g_b):
 def test_negativity_non_negative_and_zero_for_diagonal_coherence(effect, prep, g_a, g_b):
     k = branch_coherence(effect, prep)
     assume(np.trace(k).real > 1e-9)
-    assert meter_negativity(JointMeterState(k, None, None, g_a, g_b)).negativity >= 0.0
+    assert meter_negativity(JointMeterState(k, g_a, g_b)).negativity >= 0.0
     # dephasing E between the branches leaves K diagonal
     blocks = PhotonEffect(sum(p @ effect.matrix @ p for p in (PI_L, PI_R_PLUS, PI_R_MINUS)))
     diagonal = branch_coherence(blocks, prep)
     assert np.array_equal(diagonal, np.diag(np.diag(diagonal)))
     assert np.allclose(np.diag(diagonal), np.diag(k), atol=1e-15)
-    assert meter_negativity(JointMeterState(diagonal, None, None, g_a, g_b)).negativity == 0.0
+    assert meter_negativity(JointMeterState(diagonal, g_a, g_b)).negativity == 0.0
 
 
 def test_sampler_rejects_coherence_outside_zero_and_diag_p():

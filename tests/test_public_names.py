@@ -6,7 +6,7 @@ import cheshire
 PUBLIC_NAMES = [
     "BASIS_LABELS", "BranchWeights", "CheshireError", "CheshireResult", "ConsistencyError",
     "CouplingOptimum", "DEFAULT_GRID", "EmbeddedMeterState", "EstimatorOutput",
-    "ExperimentConfig", "FailureBranch", "FlatObjective", "Grid", "GridMeter", "GridTooSmall",
+    "ExperimentConfig", "FlatObjective", "Grid", "GridMeter", "GridTooSmall",
     "JointMeterState", "MomentDecomposition", "NegativityReport", "NoiseModel", "NoiseStudyRow",
     "OPTIMAL_COUPLING", "OrthogonalPostselection", "PhotonDensity", "PhotonEffect", "PhotonKet",
     "PositivityError", "StateOptimum", "SuccessMoments", "TransitionAmplitudes", "Trials",
@@ -21,7 +21,7 @@ PUBLIC_NAMES = [
 
 
 def test_exports_are_the_pinned_names():
-    assert len(PUBLIC_NAMES) == 62
+    assert len(PUBLIC_NAMES) == 61
     assert len(set(cheshire.__all__)) == len(cheshire.__all__)
     assert sorted(cheshire.__all__) == PUBLIC_NAMES
 

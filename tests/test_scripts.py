@@ -1,13 +1,18 @@
-"""The two experiment scripts in ``scripts/`` run end to end at small sizes."""
+"""The README's quick start and the two experiment scripts in ``scripts/``
+run end to end, the scripts at small sizes."""
 
+import contextlib
 import csv
 import importlib.util
+import io
 import os
+import re
 
 from cheshire import ExperimentConfig, PhotonKet
 from cheshire.cli import format_sweep_csv, sweep_rows
 
-SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SCRIPTS = os.path.join(ROOT, "scripts")
 
 
 def load_script(name: str):
@@ -15,6 +20,17 @@ def load_script(name: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_readme_quick_start_prints_its_values():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        block = re.search(r"```python\n(.*?)```", fh.read(), re.DOTALL).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    c_value, p_success, negativity = out.getvalue().split()
+    assert (c_value, p_success) == ("0.32700394770794894", "0.30325882594741954")
+    assert float(negativity) > 0.0
 
 
 def test_coupling_sweep_writes_the_sweep_csv(tmp_path):

@@ -59,10 +59,10 @@ def row_loop(config, g_min, g_max, steps):
     rows = []
     for g in np.linspace(g_min, g_max, steps).tolist():
         exact = cheshire_analytic(config.postselection, config.prep, g, g)
-        grid = JointMeterState(coherence, meter, meter, g, g)
+        grid = JointMeterState(coherence, g, g, meter)
         c_grid = 2.0 * moment_decomposition(grid, "x", "x").total
         check_oracle("indicators", g, exact.c_value, c_grid)
-        neg = meter_negativity(JointMeterState(coherence, None, None, g, g)).negativity
+        neg = meter_negativity(JointMeterState(coherence, g, g)).negativity
         check_oracle("negativities", g, neg, meter_negativity(grid).negativity)
         rows.append((g, g, exact.c_value, c_grid, exact.p_success, neg))
     return rows
@@ -175,7 +175,7 @@ class TestErrorsMatchRowLoop:
 
         def perturbed(state):
             report = score(state)
-            if state.meter_a is None:
+            if state.meter is None:
                 return report
             return NegativityReport(report.negativity + 1e-3, report.min_pt_eigenvalue,
                                     report.dim_a, report.dim_b)
