@@ -16,7 +16,7 @@ import numpy as np
 
 from .dynamics import BranchWeights
 from .errors import ValidationError
-from .meter import DEFAULT_GRID, MAX_READOUT_SCALE, Grid, format_complex, parse_complex
+from .meter import DEFAULT_GRID, MAX_READOUT_SCALE, Grid, _real_scales, format_complex, parse_complex
 from .qsystem import (
     PhotonEffect,
     PhotonKet,
@@ -68,13 +68,13 @@ class ExperimentConfig:
             raise ValidationError("post: provide exactly one of post or post_effect")
         for name in ("g_a", "g_b", "noise_a", "noise_b"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and 0.0 <= value <= MAX_READOUT_SCALE):
+            if np.ndim(value) or not _real_scales(value):
                 raise ValidationError(
                     f"{name}: must be a finite real in [0, {MAX_READOUT_SCALE:g}], got {value!r}")
             object.__setattr__(self, name, float(value))
-        if not (isinstance(self.n_trials, int) and self.n_trials >= 1):
+        if not (type(self.n_trials) is int and self.n_trials >= 1):
             raise ValidationError(f"n_trials: must be a positive integer, got {self.n_trials!r}")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < MAX_SEED):
+        if not (type(self.seed) is int and 0 <= self.seed < MAX_SEED):
             raise ValidationError(f"seed: must be a 64-bit non-negative integer, got {self.seed!r}")
         if not isinstance(self.grid, Grid):
             raise ValidationError("grid: expected (min, max, points)")

@@ -135,14 +135,6 @@ def _branch_shifts(g_a, g_b) -> tuple[np.ndarray, np.ndarray]:
     return np.multiply.outer(g_a, BRANCH_SHIFTS_A), np.multiply.outer(g_b, BRANCH_SHIFTS_B)
 
 
-def _weight_indices(*weights: str) -> list[int]:
-    """The index of each pointer observable in ("1", "x")."""
-    for w in weights:
-        if w not in ("1", "x"):
-            raise ValidationError(f"pointer observable must be '1' or 'x', got {w!r}")
-    return [("1", "x").index(w) for w in weights]
-
-
 @dataclass(frozen=True)
 class SuccessMoments:
     """Unnormalized integrals over the joint readout: of the success branch

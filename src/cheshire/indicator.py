@@ -20,14 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    _total,
-    _unstack,
-    _weight_indices,
-    JointMeterState,
-    branch_terms,
-    success_moments,
-)
+from .dynamics import _total, _unstack, JointMeterState, branch_terms, success_moments
 from .errors import ConsistencyError, FlatObjective, OrthogonalPostselection, ValidationError
 from .meter import _one_coupling_per_meter, _overlap0, _validate_couplings
 from .qsystem import (
@@ -37,7 +30,6 @@ from .qsystem import (
     PhotonKet,
     _operator_matrix,
     branch_coherence,
-    trace_term,
 )
 
 OPTIMAL_COUPLING = 2.0
@@ -46,7 +38,7 @@ MAX_TRACE_TERM = 0.25
 
 @dataclass(frozen=True)
 class MomentDecomposition:
-    """Split of a success-branch moment <F|X_A X_B|F> into its origins.
+    """Split of the success-branch cross-moment <xy> P into its origins.
 
     ``m_cl`` collects the diagonal branch terms (classical correlations),
     ``m_ent`` the left-right cross terms (meter-meter entanglement), and
@@ -78,7 +70,19 @@ def indicator_bound(g_a, g_b):
     """Largest |C| over all states: g_A g_B w_A w_B / 4, elementwise over
     stacks of couplings."""
     _validate_couplings(g_a, g_b)
-    return _unstack(_coupling_prefactor(g_a, g_b) * MAX_TRACE_TERM)
+    return _unstack(_bound(g_a, g_b))
+
+
+def _bound(g_a, g_b) -> np.ndarray:
+    """The state-independent bound on |C| over validated couplings."""
+    return _coupling_prefactor(g_a, g_b) * MAX_TRACE_TERM
+
+
+def _indicator(k: np.ndarray, g_a, g_b) -> np.ndarray:
+    """C = g_A w_A g_B w_B Re(K[L, R+] - K[L, R-]) over the branch coherence K
+    and validated couplings, elementwise over stacks: the one formula of C,
+    for the closed form, the state optimizer and the sampler's variance."""
+    return _coupling_prefactor(g_a, g_b) * (k[0, 1] - k[0, 2]).real
 
 
 def _coupling_prefactor(g_a, g_b) -> np.ndarray:
@@ -94,19 +98,17 @@ def _coupling_prefactor(g_a, g_b) -> np.ndarray:
     return g_a * w(g_a) * g_b * w(g_b) + 0.0
 
 
-def moment_decomposition(
-    state: JointMeterState, x_weight: str = "x", y_weight: str = "x"
-) -> MomentDecomposition:
-    """Classical / entanglement / local-interference split of the moment.
+def moment_decomposition(state: JointMeterState) -> MomentDecomposition:
+    """Classical / entanglement / local-interference split of <xy> P.
 
-    The branch-pair terms come from each meter's pointer matrix, so this
+    The branch-pair terms come from each meter's M_x pointer matrix, so this
     works for analytic and grid meters: diagonal pairs are classical,
     left-right pairs entangling, and the right-right pair local to meter B.
-    Stacked couplings give arrays, one entry per coupling pair.
+    Twice the total is C on the state's own pointer.  Stacked couplings give
+    arrays, one entry per coupling pair.
     """
-    pick_a, pick_b = _weight_indices(x_weight, y_weight)
-    a, b = state.pointer_matrices
-    terms = branch_terms(state.coherence, a[pick_a], b[pick_b])
+    (_, a), (_, b) = state.pointer_matrices
+    terms = branch_terms(state.coherence, a, b)
     m_cl = _total(np.diagonal(terms, axis1=-2, axis2=-1))
     m_ent = _total(terms[..., 0, 1:]) + _total(terms[..., 1:, 0])
     m_li = _total(terms[..., [1, 2], [2, 1]])
@@ -124,10 +126,7 @@ def cheshire_analytic(E, rho, g_a, g_b) -> CheshireResult:
     """
     k = branch_coherence(PhotonEffect(_operator_matrix(E)), PhotonDensity(_operator_matrix(rho)))
     p = success_moments(k, g_a, g_b).norm
-    t = complex(k[0, 1] - k[0, 2])
-    prefactor = _coupling_prefactor(g_a, g_b)
-    c = prefactor * t.real
-    bound = prefactor * MAX_TRACE_TERM
+    c, bound = _indicator(k, g_a, g_b), _bound(g_a, g_b)
     over = np.flatnonzero(np.abs(c) > bound + 1e-10)
     if over.size:
         first = over[0]
@@ -135,7 +134,7 @@ def cheshire_analytic(E, rho, g_a, g_b) -> CheshireResult:
             f"indicator {c.flat[first].item()!r} exceeds the state-independent "
             f"bound {bound.flat[first].item()!r}"
         )
-    return CheshireResult(_unstack(c), p, _unstack(g_a), _unstack(g_b), t)
+    return CheshireResult(_unstack(c), p, _unstack(g_a), _unstack(g_b), complex(k[0, 1] - k[0, 2]))
 
 
 def local_averages(coherence, g_a: float, g_b: float) -> tuple[float, float, float]:
@@ -202,12 +201,10 @@ def optimize_states(g_a: float, g_b: float, seed: int = 0) -> StateOptimum:
     """
     _validate_couplings(g_a, g_b)
     _one_coupling_per_meter("optimize_states", g_a, g_b)
-    prefactor = _coupling_prefactor(g_a, g_b).item()
-    if prefactor * MAX_TRACE_TERM == 0.0:
+    if _bound(g_a, g_b) == 0.0:
         raise FlatObjective(
-            f"coupling prefactor g_A w_A g_B w_B = {prefactor!r}; "
-            "the indicator vanishes for every state"
+            "coupling prefactor g_A w_A g_B w_B = 0.0; the indicator vanishes for every state"
         )
     prep = post = PhotonKet.normalized([1.0, 0.0, 1.0, 0.0])
-    t = trace_term(post, prep)
-    return StateOptimum(prep, post, prefactor * t.real, t)
+    k = branch_coherence(post, prep)
+    return StateOptimum(prep, post, _indicator(k, g_a, g_b).item(), complex(k[0, 1] - k[0, 2]))

@@ -22,6 +22,7 @@ limit is exact there and needs no infinite coupling.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -57,13 +58,20 @@ MAX_READOUT_SCALE = 1e50
 _GAUSS_NORM = (2.0 * math.pi) ** -0.25
 
 
+def _real_scales(values) -> bool:
+    """Whether couplings or noise widths, a scalar or a stack, are real (not bool,
+    complex, str or None) and in [0, MAX_READOUT_SCALE]: nan and +-inf fail."""
+    array = np.asarray(values)
+    real = array.dtype.kind in "iuf" or isinstance(values, numbers.Real) and type(values) is not bool
+    # a Python float bound would be cast to a float32 stack's dtype, as inf
+    return real and bool(np.all((array >= 0.0) & (array <= np.float64(MAX_READOUT_SCALE))))
+
+
 def _validate_couplings(*couplings) -> None:
-    """Each coupling, a scalar or a stack, must lie in [0, MAX_READOUT_SCALE]:
-    nan and +-inf fail the comparison.  Stacks must broadcast together."""
-    couplings = [np.asarray(g) for g in couplings]
-    for g in couplings:
-        if not np.all((g >= 0.0) & (g <= MAX_READOUT_SCALE)):
-            raise ValidationError(f"couplings must be finite reals in [0, {MAX_READOUT_SCALE:g}]")
+    """Each coupling, a scalar or a stack, must pass `_real_scales`.  Stacks
+    must broadcast together."""
+    if not all(map(_real_scales, couplings)):
+        raise ValidationError(f"couplings must be finite reals in [0, {MAX_READOUT_SCALE:g}]")
     try:
         np.broadcast(*couplings)
     except ValueError:
@@ -105,6 +113,8 @@ class Grid:
             raise ValidationError("grid bounds must be finite")
         if not (self.x_max > self.x_min):
             raise ValidationError("grid needs x_max > x_min")
+        if not isinstance(self.n_points, (int, np.integer)):
+            raise ValidationError(f"grid needs an integer number of points, got {self.n_points!r}")
         if self.n_points < 2:
             raise ValidationError("grid needs at least 2 points")
 

@@ -61,15 +61,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    REALIZABILITY_TOL,
-    _branch_shifts,
-    _check_realizable,
-    BranchWeights,
-    success_moments,
-)
+from .dynamics import REALIZABILITY_TOL, _branch_shifts, _check_realizable, _unstack, BranchWeights
 from .errors import PositivityError, ValidationError
-from .meter import MAX_READOUT_SCALE, _one_coupling_per_meter, _validate_couplings
+from .indicator import _indicator
+from .meter import MAX_READOUT_SCALE, _one_coupling_per_meter, _real_scales, _validate_couplings
 from .qsystem import _coherence
 
 TRIALS_PER_BATCH = 1 << 15
@@ -97,7 +92,7 @@ class NoiseModel:
 
     def __post_init__(self):
         for name, nu in (("nu_a", self.nu_a), ("nu_b", self.nu_b)):
-            if not 0.0 <= nu <= MAX_READOUT_SCALE:
+            if np.ndim(nu) or not _real_scales(nu):
                 raise ValidationError(
                     f"{name} must be a finite real in [0, {MAX_READOUT_SCALE:g}], got {nu!r}")
 
@@ -417,9 +412,11 @@ def trial_variance(
 
     Success and failure densities sum to the classical mixture, whose
     branches factorize, so every second moment is in closed form:
-    var = E[x^2 y^2] + nu_B^2 E[x^2] + nu_A^2 E[y^2] + nu_A^2 nu_B^2 - C^2.
+    var = E[x^2 y^2] + nu_B^2 E[x^2] + nu_A^2 E[y^2] + nu_A^2 nu_B^2 - C^2,
+    with C the closed form's `indicator._indicator`.
     """
-    c = 2.0 * success_moments(coherence, g_a, g_b).xy
+    _validate_couplings(g_a, g_b)
+    c = _unstack(_indicator(_coherence(coherence), g_a, g_b))
     pa, pb, pc = weights.probabilities
     ex2 = pa * (1.0 + g_a * g_a) + (pb + pc)
     ey2 = pa + (pb + pc) * (1.0 + g_b * g_b)
@@ -460,7 +457,8 @@ def noise_robustness(
     first row is sampled.
     """
     _one_coupling_per_meter("noise_robustness", g_a, g_b)
-    c = 2.0 * success_moments(coherence, g_a, g_b).xy
+    _validate_couplings(g_a, g_b)
+    c = _indicator(_coherence(coherence), g_a, g_b).item()
     rows: list[NoiseStudyRow] = []
     for noise in [NoiseModel(float(nu_a), float(nu_b)) for nu_a, nu_b in nu_grid]:
         estimate = sample_estimate(coherence, weights, g_a, g_b, n=n, seed=seed, noise=noise)

@@ -134,6 +134,19 @@ class TestValidation:
         with pytest.raises(ValidationError, match="n_trials"):
             example_config(n_trials=0)
 
+    @pytest.mark.parametrize("field", ["g_a", "g_b", "noise_a", "noise_b"])
+    @pytest.mark.parametrize("value", [1 + 0j, "2", None, True, np.array([0.5])])
+    def test_non_real_scale_names_field(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            example_config(**{field: value})
+
+    @pytest.mark.parametrize("field", ["n_trials", "seed"])
+    @pytest.mark.parametrize("value", [True, False, 7.0])
+    def test_bool_or_float_count_rejected(self, field, value):
+        # dump_config would write n_trials=True, which the parser rejects
+        with pytest.raises(ValidationError, match=field):
+            example_config(**{field: value})
+
     def test_seed_range(self):
         with pytest.raises(ValidationError, match="seed"):
             example_config(seed=-1)

@@ -103,6 +103,26 @@ def test_couplings_rejected_alike(field, value):
         assert outcome(compute) is expected, name
 
 
+# values no config text can hold: numpy orders complex numbers and counts
+# bools as 0 and 1, and str or None fail numpy's comparison untyped
+NON_REALS = [1 + 0j, 2j, "2", None, True, np.float64(2.0) + 0j]
+
+
+@pytest.mark.parametrize("field", ["g_a", "g_b"])
+@pytest.mark.parametrize("value", NON_REALS, ids=repr)
+def test_non_real_couplings_rejected_alike(field, value):
+    couplings = (value, 2.0) if field == "g_a" else (2.0, value)
+    for name, compute in coupling_entry_points(*couplings).items():
+        assert outcome(compute) is ValidationError, name
+
+
+@pytest.mark.parametrize("value", NON_REALS + [np.array([0.1, 0.2])], ids=repr)
+def test_non_real_noise_levels_rejected(value):
+    for levels in ((value, 0.0), (0.0, value)):
+        with pytest.raises(ValidationError, match="finite real"):
+            NoiseModel(*levels)
+
+
 @pytest.mark.parametrize("field", ["noise_a", "noise_b"])
 @given(value=values)
 def test_noise_levels_rejected_alike(field, value):

@@ -43,39 +43,30 @@ SMALL_GRID = Grid(-12.0, 12.0, 1201)
 
 couplings = st.floats(min_value=0.0, max_value=3.0, allow_nan=False)
 wide_couplings = st.one_of(st.just(0.0), st.just(1e3), st.floats(min_value=0.0, max_value=6.0))
-weight_labels = st.sampled_from(["1", "x"])
 
 
 class TestMomentDecomposition:
     def test_cross_moment_is_pure_entanglement(self):
         state = JointMeterState(EXAMPLE_AMPS, 2.0, 2.0)
-        d = moment_decomposition(state, "x", "x")
+        d = moment_decomposition(state)
         assert d.m_cl == 0.0
         assert d.m_li == 0.0
         assert np.isclose(d.m_ent, success_moments(EXAMPLE_AMPS, 2.0, 2.0).xy, atol=1e-15)
 
-    def test_unit_weights_recover_success_probability(self):
-        state = JointMeterState(EXAMPLE_AMPS, 2.0, 2.0)
-        d = moment_decomposition(state, "1", "1")
-        assert np.isclose(d.total, success_moments(EXAMPLE_AMPS, 2.0, 2.0).norm, atol=1e-12)
-
     def test_entanglement_term_dies_in_strong_limit(self):
         state = JointMeterState(EXAMPLE_AMPS, 40.0, 40.0)
-        d = moment_decomposition(state, "x", "1")
+        d = moment_decomposition(state)
         assert abs(d.m_ent) < 1e-60
-        # the classical mean survives: <x> P -> |l|^2 g_A
-        assert np.isclose(d.m_cl, (1.0 / 9.0) * 40.0, atol=1e-12)
 
     def test_grid_meter_matches_gaussian(self):
         gauss = JointMeterState(EXAMPLE_AMPS, 2.0, 2.0)
         meter = GridMeter.gaussian()
         grid = JointMeterState(EXAMPLE_AMPS, 2.0, 2.0, meter)
-        for weights in (("x", "x"), ("1", "x"), ("x", "1"), ("1", "1")):
-            dg = moment_decomposition(gauss, *weights)
-            dn = moment_decomposition(grid, *weights)
-            assert abs(dg.m_cl - dn.m_cl) < 1e-8
-            assert abs(dg.m_ent - dn.m_ent) < 1e-8
-            assert abs(dg.m_li - dn.m_li) < 1e-8
+        dg = moment_decomposition(gauss)
+        dn = moment_decomposition(grid)
+        assert abs(dg.m_cl - dn.m_cl) < 1e-8
+        assert abs(dg.m_ent - dn.m_ent) < 1e-8
+        assert abs(dg.m_li - dn.m_li) < 1e-8
 
     @pytest.mark.parametrize("meter", [None, GridMeter.gaussian()], ids=["gaussian", "grid"])
     def test_empty_coupling_stack(self, meter):
@@ -83,22 +74,13 @@ class TestMomentDecomposition:
         d = moment_decomposition(JointMeterState(EXAMPLE_AMPS.coherence(), empty, empty, meter))
         assert d.m_cl.shape == d.m_ent.shape == d.m_li.shape == (0,)
 
-    @given(
-        prep=unit_kets(),
-        post=unit_kets(),
-        g_a=couplings,
-        g_b=couplings,
-        wx=weight_labels,
-        wy=weight_labels,
-    )
+    @given(prep=unit_kets(), post=unit_kets(), g_a=couplings, g_b=couplings)
     @settings(max_examples=25)
-    def test_decomposition_sums_to_grid_moment(self, prep, post, g_a, g_b, wx, wy):
+    def test_decomposition_sums_to_grid_moment(self, prep, post, g_a, g_b):
         amps = transition_amplitudes(prep, post)
         state = JointMeterState(amps, g_a, g_b)
-        d = moment_decomposition(state, wx, wy)
-        m = grid_moments(state, SMALL_GRID)
-        direct = {"11": m.norm, "x1": m.x, "1x": m.y, "xx": m.xy}[wx + wy]
-        assert abs(d.total - direct) < 1e-8
+        d = moment_decomposition(state)
+        assert abs(d.total - grid_moments(state, SMALL_GRID).xy) < 1e-8
 
     def test_complex_pointer_waves_match_grid_moments(self):
         # a chirped Gaussian has complex shifted waves and the Gaussian's
@@ -106,10 +88,8 @@ class TestMomentDecomposition:
         chirped = GridMeter(
             lambda x: gaussian_ground_state(x) * np.exp(0.3j * x * x), SMALL_GRID)
         state = JointMeterState(EXAMPLE_AMPS, 2.0, 1.5, chirped)
-        m = grid_moments(state, SMALL_GRID)
-        for (wx, wy), direct in {("1", "1"): m.norm, ("x", "1"): m.x,
-                                 ("1", "x"): m.y, ("x", "x"): m.xy}.items():
-            assert abs(moment_decomposition(state, wx, wy).total - direct) < 1e-8
+        direct = grid_moments(state, SMALL_GRID).xy
+        assert abs(moment_decomposition(state).total - direct) < 1e-8
 
 
 class TestCrossMoment:

@@ -93,10 +93,15 @@ class TestGaussianMeter:
     """The Gaussian pointer, which a meter of None stands for."""
 
     def test_rejects_negative_or_nan(self):
-        # couplings are finite reals in [0, MAX_READOUT_SCALE]
-        for g in (-0.1, math.nan, math.inf, -math.inf, 2.0 * MAX_READOUT_SCALE):
-            with pytest.raises(ValidationError):
+        # couplings are finite reals in [0, MAX_READOUT_SCALE]; numpy orders
+        # complex numbers and compares bools as 0 and 1, and a bound cast to
+        # a float32 or float16 stack's dtype would be inf
+        for g in (-0.1, math.nan, math.inf, -math.inf, 2.0 * MAX_READOUT_SCALE,
+                  1 + 0j, 2j, "2", None, True, np.array([1.0, 2 + 0j]), np.array([True, False]),
+                  np.float32(math.inf), np.float16(math.inf), np.array([0.5, math.inf], np.float32)):
+            with pytest.raises(ValidationError, match="finite reals"):
                 _validate_couplings(g)
+        _validate_couplings(np.float32(0.5), np.float16(2.0))
 
     def test_ground_state_moments(self):
         x = DEFAULT_GRID.points
@@ -118,6 +123,9 @@ class TestGrid:
             Grid(1.0, -1.0, 100)
         with pytest.raises(ValidationError):
             Grid(-1.0, 1.0, 1)
+        # a float point count would fail only later, at ``points``
+        with pytest.raises(ValidationError, match="integer number of points"):
+            Grid(-1.0, 1.0, 4001.0)
 
 
 class TestGridMeter:
@@ -203,15 +211,6 @@ class TestGridOverlap:
     def test_large_shift_raises(self, meter):
         with pytest.raises(GridTooSmall):
             grid_overlap(meter, 35.0, "1")
-
-    def test_bad_weight(self, meter):
-        from cheshire.dynamics import JointMeterState
-        from cheshire.indicator import moment_decomposition
-        from cheshire.qsystem import TransitionAmplitudes
-
-        state = JointMeterState(TransitionAmplitudes(0.5, 0.5, 0.0), 1.0, 1.0, meter)
-        with pytest.raises(ValidationError):
-            moment_decomposition(state, "x^2", "1")
 
     def test_non_gaussian_state(self):
         # first excited oscillator state u*phi0(u): zero mean, variance 3,

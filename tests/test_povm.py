@@ -60,13 +60,12 @@ def test_analytic_matches_grid_oracle(effect, prep, g_a, g_b):
     exact = cheshire_analytic(effect, prep, g_a, g_b)
     moments = success_moments(k, g_a, g_b)
     state = JointMeterState(k, g_a, g_b, METER)
-    assert abs(exact.c_value - 2.0 * moment_decomposition(state, "x", "x").total) < 1e-6
-    assert abs(exact.p_success - moment_decomposition(state, "1", "1").total) < 1e-6
-    assert abs(moments.x - moment_decomposition(state, "x", "1").total) < 1e-6
-    assert abs(moments.y - moment_decomposition(state, "1", "x").total) < 1e-6
+    assert abs(exact.c_value - 2.0 * moment_decomposition(state).total) < 1e-6
     # the 2-D readout-plane quadrature
     plane = grid_moments(state)
     assert abs(exact.p_success - plane.norm) < 1e-6
+    assert abs(moments.x - plane.x) < 1e-6
+    assert abs(moments.y - plane.y) < 1e-6
     assert abs(exact.c_value - 2.0 * plane.xy) < 1e-6
 
 

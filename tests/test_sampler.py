@@ -21,9 +21,16 @@ from hypothesis import given, settings, strategies as st
 from cheshire.dynamics import BranchWeights, success_moments
 from cheshire import _csvrows, sampler
 from cheshire.errors import PositivityError, ValidationError
-from cheshire.indicator import local_averages
+from cheshire.indicator import cheshire_analytic, local_averages
 from cheshire.meter import MAX_READOUT_SCALE
-from cheshire.qsystem import TransitionAmplitudes, transition_amplitudes
+from cheshire.qsystem import (
+    PhotonDensity,
+    PhotonEffect,
+    PhotonKet,
+    TransitionAmplitudes,
+    branch_coherence,
+    transition_amplitudes,
+)
 from cheshire.sampler import (
     CSV_HEADER,
     NO_NOISE,
@@ -45,7 +52,11 @@ from conftest import unit_kets
 
 EXAMPLE_AMPS = TransitionAmplitudes(1 / 3, 1 / 3, -1 / 3)
 EXAMPLE_WEIGHTS = BranchWeights(math.sqrt(1 / 3), math.sqrt(1 / 3), math.sqrt(1 / 3))
-C_EXAMPLE_G2 = 2.0 * success_moments(EXAMPLE_AMPS, 2.0, 2.0).xy
+# E = |v><v| / 3 and rho = |u><u| / 3, v = (1, 0, 1, -1) and u = (1, 0, 1, 1),
+# have EXAMPLE_AMPS's K bit for bit, so this is the sampler's C too
+C_EXAMPLE_G2 = cheshire_analytic(
+    PhotonEffect(np.outer([1.0, 0.0, 1.0, -1.0], [1.0, 0.0, 1.0, -1.0]) / 3.0),
+    PhotonDensity(np.outer([1.0, 0.0, 1.0, 1.0], [1.0, 0.0, 1.0, 1.0]) / 3.0), 2.0, 2.0).c_value
 # the state of test_zero_weight_branch_never_drawn
 ZERO_WEIGHT_AMPS = TransitionAmplitudes(0.1, 0.2, 0.0)
 ZERO_WEIGHT_WEIGHTS = BranchWeights(math.sqrt(0.1), math.sqrt(0.9), 0.0)
@@ -445,6 +456,21 @@ class TestTrialVariance:
         # branch second moments: E[x^2 y^2] = 5, minus C^2
         exact = trial_variance(EXAMPLE_AMPS, EXAMPLE_WEIGHTS, 2.0, 2.0)
         assert exact == pytest.approx(5.0 - C_EXAMPLE_G2 ** 2, abs=1e-12)
+
+    def test_noiseless_value_reads_the_closed_form_c(self):
+        # one C for every route: at zero noise the variance is E[x^2 y^2] - C^2
+        # with cheshire_analytic's C, bit for bit
+        rng = np.random.default_rng(25)
+        for _ in range(200):
+            prep, post = (PhotonKet.normalized(rng.normal(size=4) + 1j * rng.normal(size=4))
+                          for _ in range(2))
+            g_a, g_b = rng.uniform(0.0, 6.0, size=2).tolist()
+            weights = BranchWeights.from_preparation(prep)
+            pa, pb, pc = weights.probabilities
+            ex2y2 = pa * (1.0 + g_a * g_a) + (pb + pc) * (1.0 + g_b * g_b)
+            c = cheshire_analytic(post, prep, g_a, g_b).c_value
+            variance = trial_variance(branch_coherence(post, prep), weights, g_a, g_b)
+            assert variance == ex2y2 - c * c
 
     def test_doubling_moderate_noise_roughly_quadruples_cost(self):
         base = trial_variance(EXAMPLE_AMPS, EXAMPLE_WEIGHTS, 2.0, 2.0, NoiseModel(1.0, 1.0))

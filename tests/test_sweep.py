@@ -60,7 +60,7 @@ def row_loop(config, g_min, g_max, steps):
     for g in np.linspace(g_min, g_max, steps).tolist():
         exact = cheshire_analytic(config.postselection, config.prep, g, g)
         grid = JointMeterState(coherence, g, g, meter)
-        c_grid = 2.0 * moment_decomposition(grid, "x", "x").total
+        c_grid = 2.0 * moment_decomposition(grid).total
         check_oracle("indicators", g, exact.c_value, c_grid)
         neg = meter_negativity(JointMeterState(coherence, g, g)).negativity
         check_oracle("negativities", g, neg, meter_negativity(grid).negativity)
