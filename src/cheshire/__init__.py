@@ -59,13 +59,11 @@ from .meter import (
     parse_complex,
 )
 from .qsystem import (
-    BASIS_LABELS,
     PhotonDensity,
     PhotonEffect,
     PhotonKet,
     TransitionAmplitudes,
     WeakValues,
-    trace_term,
     transition_amplitudes,
     weak_values,
 )
@@ -86,7 +84,6 @@ from .sampler import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BASIS_LABELS",
     "BranchWeights",
     "CheshireError",
     "CheshireResult",
@@ -142,7 +139,6 @@ __all__ = [
     "sample_estimate",
     "sample_trials",
     "success_moments",
-    "trace_term",
     "transition_amplitudes",
     "trial_variance",
     "weak_values",

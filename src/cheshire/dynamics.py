@@ -45,6 +45,12 @@ from .qsystem import NORM_TOL, PhotonKet, _coherence
 
 POSITIVITY_TOL = 1e-10
 REALIZABILITY_TOL = 1e-9
+# A branch weight below this counts as zero, so the 1/sqrt(p) scaling of K
+# stays below 1e15.
+DEAD_BRANCH_WEIGHT = 1e-30
+# |K_kk| a zero-weight branch may keep: amplitudes below 1e-12 count as
+# rounding, and K is quadratic in them.
+DEAD_BRANCH_COHERENCE = 1e-24
 
 # Per-branch pointer shifts in units of (g_A, g_B): branch order (L, R+, R-).
 BRANCH_SHIFTS_A = (1.0, 0.0, 0.0)
@@ -91,8 +97,8 @@ def _check_realizable(coherence, weights: BranchWeights) -> None:
     """
     k = _coherence(coherence).tolist()
     p = weights.probabilities
-    live = [i for i in range(3) if p[i] >= 1e-30]
-    if any(abs(k[i][i]) > 1e-24 for i in range(3) if i not in live):
+    live = [i for i in range(3) if p[i] >= DEAD_BRANCH_WEIGHT]
+    if any(abs(k[i][i]) > DEAD_BRANCH_COHERENCE for i in range(3) if i not in live):
         raise ValidationError(
             "branch coherence is non-zero on a branch with zero preparation weight"
         )

@@ -120,10 +120,6 @@ class NegativityReport:
     dim_a: int
     dim_b: int
 
-    @property
-    def entangled(self) -> bool:
-        return self.negativity > 0.0
-
 
 def negativity(state: EmbeddedMeterState) -> NegativityReport:
     """Sum of |negative eigenvalues| of the partial transpose over B.

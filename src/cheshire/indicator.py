@@ -34,6 +34,9 @@ from .qsystem import (
 
 OPTIMAL_COUPLING = 2.0
 MAX_TRACE_TERM = 0.25
+# |C| may pass the bound by this much on valid input: effects and densities
+# are accepted with eigenvalues up to `qsystem.EIGENVALUE_TOL` outside [0, 1]
+BOUND_SLACK = 1e-10
 
 
 @dataclass(frozen=True)
@@ -61,8 +64,6 @@ class CheshireResult:
 
     c_value: float
     p_success: float
-    g_a: float
-    g_b: float
     trace_term: complex
 
 
@@ -78,11 +79,17 @@ def _bound(g_a, g_b) -> np.ndarray:
     return _coupling_prefactor(g_a, g_b) * MAX_TRACE_TERM
 
 
+def _trace_factor(k: np.ndarray) -> complex:
+    """Tr(E sigma_R rho Pi_L) = K[L, R+] - K[L, R-], the indicator's state
+    factor, from the branch coherence K; (r+ - r-) l* for a pure pair."""
+    return k[0, 1] - k[0, 2]
+
+
 def _indicator(k: np.ndarray, g_a, g_b) -> np.ndarray:
-    """C = g_A w_A g_B w_B Re(K[L, R+] - K[L, R-]) over the branch coherence K
-    and validated couplings, elementwise over stacks: the one formula of C,
-    for the closed form, the state optimizer and the sampler's variance."""
-    return _coupling_prefactor(g_a, g_b) * (k[0, 1] - k[0, 2]).real
+    """C = g_A w_A g_B w_B Re `_trace_factor`(K) over validated couplings,
+    elementwise over stacks: the one formula of C, for the closed form, the
+    state optimizer and the sampler's variance."""
+    return _coupling_prefactor(g_a, g_b) * _trace_factor(k).real
 
 
 def _coupling_prefactor(g_a, g_b) -> np.ndarray:
@@ -119,22 +126,23 @@ def cheshire_analytic(E, rho, g_a, g_b) -> CheshireResult:
     """Exact Gaussian-meter indicator for (possibly mixed) E and rho.
 
     Everything follows from the branch coherence K_jk = Tr(E P_k rho P_j):
-    the trace factor is K[L, R+] - K[L, R-], and P is `success_moments`'s
+    the trace factor is `_trace_factor`(K), and P is `success_moments`'s
     norm.  The couplings may be arrays, with one entry of C and P per
     coupling pair.  From g = 78 on, C is 0.0: the strong-measurement limit.
-    A |C| above `indicator_bound` raises `ConsistencyError`.
+    A |C| above `indicator_bound` by more than `BOUND_SLACK` raises
+    `ConsistencyError`.
     """
     k = branch_coherence(PhotonEffect(_operator_matrix(E)), PhotonDensity(_operator_matrix(rho)))
     p = success_moments(k, g_a, g_b).norm
     c, bound = _indicator(k, g_a, g_b), _bound(g_a, g_b)
-    over = np.flatnonzero(np.abs(c) > bound + 1e-10)
+    over = np.flatnonzero(np.abs(c) > bound + BOUND_SLACK)
     if over.size:
         first = over[0]
         raise ConsistencyError(
             f"indicator {c.flat[first].item()!r} exceeds the state-independent "
             f"bound {bound.flat[first].item()!r}"
         )
-    return CheshireResult(_unstack(c), p, _unstack(g_a), _unstack(g_b), complex(k[0, 1] - k[0, 2]))
+    return CheshireResult(_unstack(c), p, complex(_trace_factor(k)))
 
 
 def local_averages(coherence, g_a: float, g_b: float) -> tuple[float, float, float]:
@@ -207,4 +215,4 @@ def optimize_states(g_a: float, g_b: float, seed: int = 0) -> StateOptimum:
         )
     prep = post = PhotonKet.normalized([1.0, 0.0, 1.0, 0.0])
     k = branch_coherence(post, prep)
-    return StateOptimum(prep, post, _indicator(k, g_a, g_b).item(), complex(k[0, 1] - k[0, 2]))
+    return StateOptimum(prep, post, _indicator(k, g_a, g_b).item(), complex(_trace_factor(k)))

@@ -15,7 +15,6 @@ import numpy as np
 from .errors import OrthogonalPostselection, ValidationError
 
 DIM = 4
-BASIS_LABELS = ("L+", "L-", "R+", "R-")
 
 NORM_TOL = 1e-12
 HERMITIAN_TOL = 1e-12
@@ -46,7 +45,7 @@ _BRANCH_OF_BASIS = np.array([[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=
 
 @dataclass(frozen=True, eq=False)
 class PhotonKet:
-    """Pure photon state as a complex 4-vector over ``BASIS_LABELS``,
+    """Pure photon state as a complex 4-vector over (L+, L-, R+, R-),
     normalized by construction: a squared norm further than ``NORM_TOL``
     from 1 is rejected (`normalized` rescales other vectors)."""
 
@@ -72,14 +71,6 @@ class PhotonKet:
         if norm <= 0.0 or not np.isfinite(norm):
             raise ValidationError("cannot normalize a zero or non-finite vector")
         return cls(amps / norm)
-
-    @classmethod
-    def basis(cls, label: str) -> "PhotonKet":
-        if label not in BASIS_LABELS:
-            raise ValidationError(f"unknown basis label {label!r}; expected one of {BASIS_LABELS}")
-        amps = np.zeros(DIM, dtype=complex)
-        amps[BASIS_LABELS.index(label)] = 1.0
-        return cls(amps)
 
     def outer(self) -> np.ndarray:
         """|ket><ket| as a dense 4x4 matrix."""
@@ -185,16 +176,6 @@ def _operator_matrix(op) -> np.ndarray:
     if isinstance(op, (PhotonDensity, PhotonEffect)):
         return op.matrix
     raise ValidationError(f"expected PhotonKet, PhotonDensity or PhotonEffect, got {type(op).__name__}")
-
-
-def trace_term(E, rho) -> complex:
-    """Tr(E sigma_R rho Pi_L) = K[L, R+] - K[L, R-], the indicator's state factor.
-
-    Accepts kets (lifted to rank-1 operators), densities, or effects.  For
-    pure E = |post><post| and rho = |prep><prep| this equals (r+ - r-) l*.
-    """
-    k = branch_coherence(E, rho)
-    return complex(k[0, 1] - k[0, 2])
 
 
 def branch_coherence(E, rho) -> np.ndarray:

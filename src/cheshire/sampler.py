@@ -416,12 +416,13 @@ def trial_variance(
     with C the closed form's `indicator._indicator`.
     """
     _validate_couplings(g_a, g_b)
-    c = _unstack(_indicator(_coherence(coherence), g_a, g_b))
+    g_a, g_b = np.asarray(g_a, dtype=float), np.asarray(g_b, dtype=float)
+    c = _indicator(_coherence(coherence), g_a, g_b)
     pa, pb, pc = weights.probabilities
     ex2 = pa * (1.0 + g_a * g_a) + (pb + pc)
     ey2 = pa + (pb + pc) * (1.0 + g_b * g_b)
     ex2y2 = pa * (1.0 + g_a * g_a) + (pb + pc) * (1.0 + g_b * g_b)
-    return (
+    return _unstack(
         ex2y2
         + noise.nu_b ** 2 * ex2
         + noise.nu_a ** 2 * ey2

@@ -178,3 +178,5 @@ def test_trial_variance_is_elementwise_over_stacks():
     scalar = [trial_variance(K, WEIGHTS, float(x), float(y), noise) for x, y in zip(a.flat, b.flat)]
     assert stacked.shape == (2, 3)
     assert stacked.ravel().tolist() == scalar
+    # nested lists are stacks too, as for `success_moments` and `indicator_bound`
+    assert trial_variance(K, WEIGHTS, g_a.tolist(), g_b.tolist(), noise).tolist() == stacked.tolist()

@@ -142,7 +142,6 @@ class TestNegativity:
     def test_product_state_is_separable(self):
         report = meter_negativity(closed(TransitionAmplitudes(1.0, 0.0, 0.0), 2.0, 2.0))
         assert report.negativity == 0.0
-        assert not report.entangled
 
     def test_example_against_dense_eigensolver(self):
         state = embed(closed(EXAMPLE_AMPS, 2.0, 2.0))

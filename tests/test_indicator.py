@@ -30,7 +30,7 @@ from cheshire.qsystem import (
     PhotonEffect,
     PhotonKet,
     TransitionAmplitudes,
-    trace_term,
+    branch_coherence,
     transition_amplitudes,
     weak_values,
 )
@@ -135,7 +135,7 @@ class TestCheshireAnalytic:
         assert np.isclose(result.trace_term, 0.25, atol=1e-15)
 
     def test_no_left_coherence_gives_zero(self):
-        ket = PhotonKet.basis("R+")
+        ket = PhotonKet([0.0, 0.0, 1.0, 0.0])
         result = cheshire_analytic(ket, ket, 2.0, 2.0)
         assert result.c_value == 0.0
 
@@ -143,7 +143,36 @@ class TestCheshireAnalytic:
         result = cheshire_analytic(example_post, example_prep, 2.0, 2.0)
         assert np.isclose(result.c_value, C_EXAMPLE_G2, atol=1e-15)
         assert np.isclose(result.p_success, success_moments(EXAMPLE_AMPS, 2.0, 2.0).norm, atol=1e-12)
-        assert (result.g_a, result.g_b) == (2.0, 2.0)
+
+    def test_one_state_factor_for_pure_mixed_and_povm_pairs(self):
+        # the reported trace factor is K[L, R+] - K[L, R-] of the branch
+        # coherence, and C is the coupling prefactor times its real part,
+        # both bit for bit.  Pure states come as their validated projectors:
+        # numpy's |psi><psi| is Hermitian only to rounding, and the closed
+        # form reads the Hermitian part.
+        rng = np.random.default_rng(26)
+
+        def ket():
+            return PhotonKet.normalized(rng.normal(size=4) + 1j * rng.normal(size=4))
+
+        def density(terms=3):
+            weights = rng.dirichlet(np.ones(terms))
+            return PhotonDensity(sum(w * ket().outer() for w in weights))
+
+        def effect():
+            q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+            return PhotonEffect((q * rng.uniform(0.0, 1.0, 4)) @ q.conj().T)
+
+        pairs = ([(PhotonEffect(density(1).matrix), density(1)) for _ in range(80)]
+                 + [(PhotonEffect(density(1).matrix), density()) for _ in range(80)]
+                 + [(effect(), density(rng.integers(1, 4))) for _ in range(80)])
+        for E, rho in pairs:
+            g_a, g_b = rng.uniform(0.0, 6.0, 2)
+            k = branch_coherence(E, rho)
+            result = cheshire_analytic(E, rho, g_a, g_b)
+            assert repr(result.trace_term) == repr(complex(k[0, 1] - k[0, 2]))
+            c = indicator._coupling_prefactor(g_a, g_b) * result.trace_term.real
+            assert repr(result.c_value) == repr(float(c))
 
     def test_effect_scaling_is_linear(self, example_prep, example_post):
         half = PhotonEffect(0.5 * example_post.outer())
@@ -232,7 +261,7 @@ class TestLocalAverages:
         assert p > 0.0
 
     def test_single_branch(self):
-        ket = PhotonKet.basis("L+")
+        ket = PhotonKet([1.0, 0.0, 0.0, 0.0])
         amps = transition_amplitudes(ket, ket)
         x_mean, y_mean, p = local_averages(amps, 2.5, 1.0)
         assert np.isclose(x_mean, 2.5, atol=1e-15)
@@ -290,19 +319,19 @@ class TestOptimizeCouplings:
         assert opt.c_value < 0.0
 
     def test_flat_objective(self):
-        ket = PhotonKet.basis("R+")
+        ket = PhotonKet([0.0, 0.0, 1.0, 0.0])
         with pytest.raises(FlatObjective):
             optimize_couplings(ket, ket)
 
     def test_mixed_inputs_accepted(self, example_prep, example_post):
-        rho = PhotonDensity(0.5 * example_prep.outer() + 0.5 * PhotonKet.basis("L+").outer())
+        rho = PhotonDensity(0.5 * example_prep.outer() + 0.5 * PhotonKet([1.0, 0.0, 0.0, 0.0]).outer())
         opt = optimize_couplings(example_post, rho)
         assert abs(opt.g_a - 2.0) < 1e-6
 
     @given(prep=unit_kets(), post=unit_kets(),
            g_max=st.sampled_from([0.0, -0.0, 0.5, 2.0, 8.0, math.inf]))
     def test_value_is_cheshire_analytic_at_optimum(self, prep, post, g_max):
-        assume(trace_term(post, prep).real != 0.0)
+        assume(cheshire_analytic(post, prep, 2.0, 2.0).trace_term.real != 0.0)
         opt = optimize_couplings(post, prep, g_max)
         exact = cheshire_analytic(post, prep, opt.g_a, opt.g_b)
         assert repr(opt.c_value) == repr(exact.c_value)
@@ -325,12 +354,12 @@ class TestOptimizeStates:
         inv = math.sqrt(0.5)
         prep = PhotonKet([math.cos(math.pi / 4), 0.0, math.sin(math.pi / 4) * inv, -math.sin(math.pi / 4) * inv])
         post = PhotonKet([math.cos(math.pi / 4), 0.0, math.sin(math.pi / 4) * inv, math.sin(math.pi / 4) * inv])
-        assert np.isclose(trace_term(post, prep), 0.25, atol=1e-12)
+        assert np.isclose(cheshire_analytic(post, prep, 2.0, 2.0).trace_term, 0.25, atol=1e-12)
 
     @given(unit_kets(), unit_kets())
     def test_no_pair_exceeds_quarter_trace_term(self, prep, post):
         # Cauchy-Schwarz: |l| |r+ - r-| <= |post_L||prep_L| |post_R||prep_R| <= 1/4
-        assert trace_term(post, prep).real <= MAX_TRACE_TERM + 1e-15
+        assert cheshire_analytic(post, prep, 2.0, 2.0).trace_term.real <= MAX_TRACE_TERM + 1e-15
 
     @pytest.mark.parametrize("g_a,g_b", [(1.3, 0.7), (2.0, 2.0), (3.7, 5.0)])
     def test_canonical_pair_attains_quarter_trace_term(self, g_a, g_b):
