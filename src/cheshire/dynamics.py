@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,8 +142,7 @@ def _branch_shifts(g_a, g_b) -> tuple[np.ndarray, np.ndarray]:
     return np.multiply.outer(g_a, BRANCH_SHIFTS_A), np.multiply.outer(g_b, BRANCH_SHIFTS_B)
 
 
-@dataclass(frozen=True)
-class SuccessMoments:
+class SuccessMoments(NamedTuple):
     """Unnormalized integrals over the joint readout: of the success branch
     in `success_moments`, of any `JointMeterState` in `grid_moments`.
 

@@ -10,13 +10,13 @@ iff it is entangled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .dynamics import JointMeterState, _unstack
 from .errors import OrthogonalPostselection, ValidationError
-from .qsystem import EIGENVALUE_TOL, HERMITIAN_TOL, POSTSELECTION_EPS
+from .qsystem import EIGENVALUE_TOL, HERMITIAN_TOL, POSTSELECTION_EPS, _complex_array
 
 RANK_TOL = 1e-12
 EIGENVALUE_NOISE = 1e-14
@@ -33,7 +33,7 @@ def gram_orthonormalize(gram: np.ndarray) -> np.ndarray:
     (..., n, r) with r the largest rank in the stack; an entry of lower
     rank has zero columns in place of its dropped directions.
     """
-    g = np.asarray(gram, dtype=complex)
+    g = _complex_array(gram, "gram matrix")
     if g.ndim < 2 or g.shape[-2] != g.shape[-1]:
         raise ValidationError("gram matrix must be square")
     if np.max(np.abs(g - np.conj(g.swapaxes(-2, -1)))) > HERMITIAN_TOL:
@@ -50,8 +50,7 @@ def gram_orthonormalize(gram: np.ndarray) -> np.ndarray:
     return vectors[..., ::-1][..., :rank] * np.sqrt(lam)[..., None, :]
 
 
-@dataclass(frozen=True, eq=False)
-class EmbeddedMeterState:
+class EmbeddedMeterState(NamedTuple):
     """Success-branch meter state in orthonormal product coordinates.
 
     ``basis_a`` (3 x dim_a) and ``basis_b`` (3 x dim_b) give each branch's
@@ -103,8 +102,7 @@ def embed(state: JointMeterState) -> EmbeddedMeterState:
     return EmbeddedMeterState(basis_a, basis_b, rho / norm_sq[..., None, None], _unstack(norm_sq))
 
 
-@dataclass(frozen=True)
-class NegativityReport:
+class NegativityReport(NamedTuple):
     """Partial-transpose entanglement summary for the embedded state.
 
     In 2x3 or smaller, as here, the criterion is necessary and sufficient,

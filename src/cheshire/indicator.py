@@ -16,7 +16,7 @@ C = 1/e at g_A = g_B = 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .qsystem import (
     PhotonDensity,
     PhotonEffect,
     PhotonKet,
-    _operator_matrix,
     branch_coherence,
 )
 
@@ -39,8 +38,7 @@ MAX_TRACE_TERM = 0.25
 BOUND_SLACK = 1e-10
 
 
-@dataclass(frozen=True)
-class MomentDecomposition:
+class MomentDecomposition(NamedTuple):
     """Split of the success-branch cross-moment <xy> P into its origins.
 
     ``m_cl`` collects the diagonal branch terms (classical correlations),
@@ -58,8 +56,7 @@ class MomentDecomposition:
         return self.m_cl + self.m_ent + self.m_li
 
 
-@dataclass(frozen=True)
-class CheshireResult:
+class CheshireResult(NamedTuple):
     """Indicator value with its ingredients."""
 
     c_value: float
@@ -130,9 +127,9 @@ def cheshire_analytic(E, rho, g_a, g_b) -> CheshireResult:
     norm.  The couplings may be arrays, with one entry of C and P per
     coupling pair.  From g = 78 on, C is 0.0: the strong-measurement limit.
     A |C| above `indicator_bound` by more than `BOUND_SLACK` raises
-    `ConsistencyError`.
+    `ConsistencyError`.  A `PhotonEffect` given as rho must be a density.
     """
-    k = branch_coherence(PhotonEffect(_operator_matrix(E)), PhotonDensity(_operator_matrix(rho)))
+    k = branch_coherence(E, PhotonDensity(rho.matrix) if isinstance(rho, PhotonEffect) else rho)
     p = success_moments(k, g_a, g_b).norm
     c, bound = _indicator(k, g_a, g_b), _bound(g_a, g_b)
     over = np.flatnonzero(np.abs(c) > bound + BOUND_SLACK)
@@ -163,8 +160,7 @@ def local_averages(coherence, g_a: float, g_b: float) -> tuple[float, float, flo
     return (m.x / m.norm, m.y / m.norm, m.norm)
 
 
-@dataclass(frozen=True)
-class CouplingOptimum:
+class CouplingOptimum(NamedTuple):
     g_a: float
     g_b: float
     c_value: float
@@ -186,8 +182,7 @@ def optimize_couplings(E, rho, g_max: float = 8.0) -> CouplingOptimum:
     return CouplingOptimum(g_star, g_star, result.c_value)
 
 
-@dataclass(frozen=True)
-class StateOptimum:
+class StateOptimum(NamedTuple):
     prep: PhotonKet
     post: PhotonKet
     c_value: float

@@ -9,6 +9,7 @@ polarization there), the right arm rank-1 projectors per polarization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +44,14 @@ SIGMA_R.setflags(write=False)
 _BRANCH_OF_BASIS = np.array([[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
 
 
+def _complex_array(values, what: str) -> np.ndarray:
+    """``values`` as a complex array; a non-numeric operand raises `ValidationError`."""
+    try:
+        return np.asarray(values, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} must be complex numbers: {exc}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class PhotonKet:
     """Pure photon state as a complex 4-vector over (L+, L-, R+, R-),
@@ -52,7 +61,7 @@ class PhotonKet:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1).copy()
+        amps = _complex_array(self.amplitudes, "amplitudes").reshape(-1).copy()
         if amps.shape != (DIM,):
             raise ValidationError(f"expected {DIM} amplitudes, got shape {amps.shape}")
         if not np.all(np.isfinite(amps.view(float))):
@@ -66,7 +75,7 @@ class PhotonKet:
     @classmethod
     def normalized(cls, amplitudes) -> "PhotonKet":
         """Rescale arbitrary non-zero amplitudes to a unit-norm ket."""
-        amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
+        amps = _complex_array(amplitudes, "amplitudes").reshape(-1)
         norm = float(np.linalg.norm(amps))
         if norm <= 0.0 or not np.isfinite(norm):
             raise ValidationError("cannot normalize a zero or non-finite vector")
@@ -78,7 +87,7 @@ class PhotonKet:
 
 
 def _validated_hermitian(matrix, what: str) -> np.ndarray:
-    m = np.asarray(matrix, dtype=complex)
+    m = _complex_array(matrix, what)
     if m.shape != (DIM, DIM):
         raise ValidationError(f"{what} must be {DIM}x{DIM}, got {m.shape}")
     if not np.all(np.isfinite(m.view(float))):
@@ -119,8 +128,7 @@ class PhotonEffect:
         object.__setattr__(self, "matrix", m)
 
 
-@dataclass(frozen=True)
-class TransitionAmplitudes:
+class TransitionAmplitudes(NamedTuple):
     """The complex triple (l, r+, r-) between preparation and postselection.
 
     For normalized pure states these satisfy the completeness identity
@@ -141,8 +149,7 @@ class TransitionAmplitudes:
         return np.outer(c.conj(), c)
 
 
-@dataclass(frozen=True)
-class WeakValues:
+class WeakValues(NamedTuple):
     L_w: complex
     Sigma_w: complex
 
@@ -192,7 +199,7 @@ def _coherence(source) -> np.ndarray:
     """A copy of K, or the pure special case `TransitionAmplitudes.coherence`."""
     if isinstance(source, TransitionAmplitudes):
         return source.coherence()
-    k = np.array(source, dtype=complex)
+    k = _complex_array(source, "branch coherence").copy()
     if k.shape != (3, 3) or np.max(np.abs(k - k.conj().T)) > HERMITIAN_TOL:
         raise ValidationError(f"branch coherence must be a Hermitian 3x3 matrix, got {k!r}")
     return k

@@ -58,6 +58,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -128,8 +129,7 @@ class Trials:
         return self.tau.size
 
 
-@dataclass(frozen=True)
-class EstimatorOutput:
+class EstimatorOutput(NamedTuple):
     c_hat: float
     std_error: float
     p_hat: float
@@ -431,8 +431,7 @@ def trial_variance(
     )
 
 
-@dataclass(frozen=True)
-class NoiseStudyRow:
+class NoiseStudyRow(NamedTuple):
     nu_a: float
     nu_b: float
     c_hat: float

@@ -537,6 +537,18 @@ class TestOptimize:
         assert code == 0, err
         assert "c_optimal=" in out
 
+    def test_coupling_optimum_of_a_pure_config_needs_no_eigensolver(self, capsys, config_path,
+                                                                     no_eigensolver):
+        code, out, err = run_cli(capsys, "optimize", "--config", config_path)
+        assert code == 0, err
+        assert "c_optimal=" in out
+
+    def test_montecarlo_on_a_pure_config_needs_no_eigensolver(self, capsys, config_path,
+                                                              no_eigensolver):
+        code, out, err = run_cli(capsys, "montecarlo", "--config", config_path, "--trials", "1000")
+        assert code == 0, err
+        assert "c_analytic=" in out
+
     @pytest.mark.parametrize("search_max", ["nan", "-1"])
     def test_invalid_search_max_exits_two(self, capsys, config_path, search_max):
         code, out, err = run_cli(capsys, "optimize", "--config", config_path,

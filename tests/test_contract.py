@@ -2,7 +2,8 @@
 takes a coupling or a noise level reject the same values, with
 `ValidationError`; the state optimizer meets a flat objective exactly where
 the indicator bound is 0.0; an entry point that needs one coupling per meter
-rejects a coupling stack with `ValidationError`."""
+rejects a coupling stack with `ValidationError`; an operand that is not
+numbers at all is rejected with `ValidationError` naming it."""
 
 import math
 
@@ -14,10 +15,14 @@ from hypothesis import strategies as st
 from cheshire import (
     JointMeterState,
     NoiseModel,
+    PhotonDensity,
+    PhotonEffect,
+    PhotonKet,
     cheshire_analytic,
     classical_mixture_density,
     embed,
     failure_density,
+    gram_orthonormalize,
     grid_moments,
     indicator_bound,
     local_averages,
@@ -180,3 +185,21 @@ def test_trial_variance_is_elementwise_over_stacks():
     assert stacked.ravel().tolist() == scalar
     # nested lists are stacks too, as for `success_moments` and `indicator_bound`
     assert trial_variance(K, WEIGHTS, g_a.tolist(), g_b.tolist(), noise).tolist() == stacked.tolist()
+
+
+# operands numpy cannot read as complex numbers, with the name each error gives
+NON_NUMERIC_OPERANDS = [
+    pytest.param(lambda: PhotonKet("abcd"), "amplitudes", id="PhotonKet-str"),
+    pytest.param(lambda: PhotonKet(object()), "amplitudes", id="PhotonKet-object"),
+    pytest.param(lambda: PhotonKet.normalized("x"), "amplitudes", id="PhotonKet.normalized"),
+    pytest.param(lambda: PhotonDensity([["a"] * 4] * 4), "density matrix", id="PhotonDensity"),
+    pytest.param(lambda: PhotonEffect([["a"] * 4] * 4), "effect", id="PhotonEffect"),
+    pytest.param(lambda: JointMeterState("k", 1.0, 1.0), "branch coherence", id="JointMeterState"),
+    pytest.param(lambda: gram_orthonormalize("x"), "gram matrix", id="gram_orthonormalize"),
+]
+
+
+@pytest.mark.parametrize("compute, operand", NON_NUMERIC_OPERANDS)
+def test_non_numeric_operands_rejected(compute, operand):
+    with pytest.raises(ValidationError, match=f"^{operand} must be complex numbers"):
+        compute()

@@ -147,9 +147,7 @@ class TestCheshireAnalytic:
     def test_one_state_factor_for_pure_mixed_and_povm_pairs(self):
         # the reported trace factor is K[L, R+] - K[L, R-] of the branch
         # coherence, and C is the coupling prefactor times its real part,
-        # both bit for bit.  Pure states come as their validated projectors:
-        # numpy's |psi><psi| is Hermitian only to rounding, and the closed
-        # form reads the Hermitian part.
+        # both bit for bit, for kets as for projectors, densities and effects
         rng = np.random.default_rng(26)
 
         def ket():
@@ -165,7 +163,9 @@ class TestCheshireAnalytic:
 
         pairs = ([(PhotonEffect(density(1).matrix), density(1)) for _ in range(80)]
                  + [(PhotonEffect(density(1).matrix), density()) for _ in range(80)]
-                 + [(effect(), density(rng.integers(1, 4))) for _ in range(80)])
+                 + [(effect(), density(rng.integers(1, 4))) for _ in range(80)]
+                 + [(ket(), ket()) for _ in range(80)]
+                 + [(ket(), density()) for _ in range(80)])
         for E, rho in pairs:
             g_a, g_b = rng.uniform(0.0, 6.0, 2)
             k = branch_coherence(E, rho)
