@@ -47,9 +47,9 @@ from .sampler import (
     sample_trials,
     write_trials_csv,
 )
+from .tolerances import ORACLE_AGREEMENT_TOL
 
 SWEEP_COLUMNS = ("g_a", "g_b", "c_analytic", "c_grid", "p_success", "negativity")
-ORACLE_AGREEMENT_TOL = 1e-6
 
 
 def _fmt(value: float) -> str:

@@ -24,8 +24,8 @@ from .qsystem import (
     branch_coherence,
     transition_amplitudes,
 )
+from .tolerances import NORM_SNAP_TOL
 
-NORM_SNAP_TOL = 1e-6
 MAX_SEED = 2 ** 64
 
 

@@ -42,16 +42,9 @@ from .meter import (
     gaussian_ground_state,
     pointer_matrices,
 )
-from .qsystem import NORM_TOL, PhotonKet, _coherence
-
-POSITIVITY_TOL = 1e-10
-REALIZABILITY_TOL = 1e-9
-# A branch weight below this counts as zero, so the 1/sqrt(p) scaling of K
-# stays below 1e15.
-DEAD_BRANCH_WEIGHT = 1e-30
-# |K_kk| a zero-weight branch may keep: amplitudes below 1e-12 count as
-# rounding, and K is quadratic in them.
-DEAD_BRANCH_COHERENCE = 1e-24
+from .qsystem import PhotonKet, _coherence
+from .tolerances import (DEAD_BRANCH_COHERENCE, DEAD_BRANCH_WEIGHT, NORM_TOL, POSITIVITY_TOL,
+                         REALIZABILITY_TOL)
 
 # Per-branch pointer shifts in units of (g_A, g_B): branch order (L, R+, R-).
 BRANCH_SHIFTS_A = (1.0, 0.0, 0.0)
@@ -69,7 +62,7 @@ class BranchWeights:
 
     def __post_init__(self):
         total = abs(self.a) ** 2 + abs(self.b) ** 2 + abs(self.c) ** 2
-        if abs(total - 1.0) > NORM_TOL:
+        if not abs(total - 1.0) <= NORM_TOL:
             raise ValidationError(f"branch weights norm^2 = {total!r}, expected 1 within {NORM_TOL}")
 
     @classmethod

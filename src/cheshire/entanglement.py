@@ -16,10 +16,8 @@ import numpy as np
 
 from .dynamics import JointMeterState, _unstack
 from .errors import OrthogonalPostselection, ValidationError
-from .qsystem import EIGENVALUE_TOL, HERMITIAN_TOL, POSTSELECTION_EPS, _complex_array
-
-RANK_TOL = 1e-12
-EIGENVALUE_NOISE = 1e-14
+from .qsystem import _hermitian
+from .tolerances import EIGENVALUE_NOISE, EIGENVALUE_TOL, POSTSELECTION_EPS, RANK_TOL
 
 
 def gram_orthonormalize(gram: np.ndarray) -> np.ndarray:
@@ -33,11 +31,8 @@ def gram_orthonormalize(gram: np.ndarray) -> np.ndarray:
     (..., n, r) with r the largest rank in the stack; an entry of lower
     rank has zero columns in place of its dropped directions.
     """
-    g = _complex_array(gram, "gram matrix")
-    if g.ndim < 2 or g.shape[-2] != g.shape[-1]:
-        raise ValidationError("gram matrix must be square")
-    if np.max(np.abs(g - np.conj(g.swapaxes(-2, -1)))) > HERMITIAN_TOL:
-        raise ValidationError("gram matrix must be Hermitian")
+    g = _hermitian(gram, "gram matrix", None,
+                   ("{what} must be square", "{what} must be finite", "{what} must be Hermitian"))
     eigenvalues, vectors = np.linalg.eigh(g)
     if eigenvalues.min() < -EIGENVALUE_TOL:
         raise ValidationError(f"gram matrix has negative eigenvalue {eigenvalues.min()!r}")

@@ -23,19 +23,11 @@ import numpy as np
 from .dynamics import _total, _unstack, JointMeterState, branch_terms, success_moments
 from .errors import ConsistencyError, FlatObjective, OrthogonalPostselection, ValidationError
 from .meter import _one_coupling_per_meter, _overlap0, _validate_couplings
-from .qsystem import (
-    POSTSELECTION_EPS,
-    PhotonDensity,
-    PhotonEffect,
-    PhotonKet,
-    branch_coherence,
-)
+from .qsystem import PhotonDensity, PhotonEffect, PhotonKet, branch_coherence
+from .tolerances import BOUND_SLACK, POSTSELECTION_EPS
 
 OPTIMAL_COUPLING = 2.0
 MAX_TRACE_TERM = 0.25
-# |C| may pass the bound by this much on valid input: effects and densities
-# are accepted with eigenvalues up to `qsystem.EIGENVALUE_TOL` outside [0, 1]
-BOUND_SLACK = 1e-10
 
 
 class MomentDecomposition(NamedTuple):

@@ -30,17 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import GridTooSmall, ValidationError
-
-# Bounds on a sampled pointer psi0's trapezoid integrals, which the closed form
-# takes as 1, 0 and 1 and the grid oracle must match to 1e-6 (`cli.ORACLE_AGREEMENT_TOL`):
-# norm^2 scales every pointer matrix, and so P and C, by the same factor;
-POINTER_NORM_TOL = 1e-10
-# a mean m moves every readout by m, and <xy> by m times the first moments;
-MEAN_TOL = 1e-8
-# a variance 1 + v rescales every coupling by about 1 + v/2.
-VARIANCE_TOL = 1e-6
-
-EDGE_AMPLITUDE_TOL = 1e-12
+from .tolerances import EDGE_AMPLITUDE_TOL, MEAN_TOL, POINTER_NORM_TOL, VARIANCE_TOL
 
 # Samples of shifted waves that `pointer_matrices` may hold at once on a grid
 # meter, counting every shift of a block's rows (128 KiB as real numbers).

@@ -14,31 +14,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import OrthogonalPostselection, ValidationError
+from .tolerances import EIGENVALUE_TOL, HERMITIAN_TOL, NORM_TOL, POSTSELECTION_EPS
 
 DIM = 4
-
-NORM_TOL = 1e-12
-HERMITIAN_TOL = 1e-12
-EIGENVALUE_TOL = 1e-10
-
-# A success probability, Tr(E rho) or success-branch norm at most this is
-# zero: the postselection is orthogonal and what it conditions is undefined.
-POSTSELECTION_EPS = 1e-12
-
-
-def _projector(*indices: int) -> np.ndarray:
-    p = np.zeros((DIM, DIM), dtype=complex)
-    for i in indices:
-        p[i, i] = 1.0
-    p.setflags(write=False)
-    return p
-
-
-PI_L = _projector(0, 1)
-PI_R_PLUS = _projector(2)
-PI_R_MINUS = _projector(3)
-SIGMA_R = PI_R_PLUS - PI_R_MINUS
-SIGMA_R.setflags(write=False)
 
 # basis state -> branch (L, R+, R-): both left-arm polarizations share a branch
 _BRANCH_OF_BASIS = np.array([[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
@@ -86,15 +64,29 @@ class PhotonKet:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
 
-def _validated_hermitian(matrix, what: str) -> np.ndarray:
-    m = _complex_array(matrix, what)
-    if m.shape != (DIM, DIM):
-        raise ValidationError(f"{what} must be {DIM}x{DIM}, got {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
-        raise ValidationError(f"{what} must be finite")
-    if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
-        raise ValidationError(f"{what} is not Hermitian within {HERMITIAN_TOL}")
-    m = 0.5 * (m + m.conj().T)
+_OPERATOR_MESSAGES = ("{what} must be {shape[0]}x{shape[1]}, got {m.shape}", "{what} must be finite",
+                      "{what} is not Hermitian within {tol}")
+
+
+def _hermitian(values, what: str, shape: tuple[int, int] | None = (DIM, DIM),
+               messages: tuple[str, ...] = _OPERATOR_MESSAGES, symmetrize: bool = False) -> np.ndarray:
+    """The one check of every Hermitian operand (densities, effects, K, Gram
+    stacks): ``values`` must have ``shape`` (None: any stack of square
+    matrices), then finite entries, then lie within `HERMITIAN_TOL` of its
+    conjugate transpose, or `ValidationError` gives that check's ``messages``
+    entry.  Returns, read-only, the Hermitian part if ``symmetrize``, else a
+    copy with the input's bits."""
+    m = _complex_array(values, what)
+    fields = {"what": what, "m": m, "shape": shape, "tol": HERMITIAN_TOL}
+    square = m.ndim >= 2 and m.shape[-2] == m.shape[-1]
+    if not (square if shape is None else m.shape == shape):
+        raise ValidationError(messages[0].format(**fields))
+    if not np.isfinite(m).all():
+        raise ValidationError(messages[1].format(**fields))
+    adjoint = m.conj().swapaxes(-2, -1)
+    if np.abs(m - adjoint).max() > HERMITIAN_TOL:
+        raise ValidationError(messages[2].format(**fields))
+    m = 0.5 * (m + adjoint) if symmetrize else m.copy()
     m.setflags(write=False)
     return m
 
@@ -106,7 +98,7 @@ class PhotonDensity:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _validated_hermitian(self.matrix, "density matrix")
+        m = _hermitian(self.matrix, "density matrix", symmetrize=True)
         if abs(np.trace(m).real - 1.0) > NORM_TOL:
             raise ValidationError(f"density matrix trace must be 1 within {NORM_TOL}")
         if np.linalg.eigvalsh(m).min() < -EIGENVALUE_TOL:
@@ -121,7 +113,7 @@ class PhotonEffect:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _validated_hermitian(self.matrix, "effect")
+        m = _hermitian(self.matrix, "effect", symmetrize=True)
         eigs = np.linalg.eigvalsh(m)
         if eigs.min() < -EIGENVALUE_TOL or eigs.max() > 1.0 + EIGENVALUE_TOL:
             raise ValidationError("effect eigenvalues must lie in [0, 1]")
@@ -196,10 +188,10 @@ def branch_coherence(E, rho) -> np.ndarray:
 
 
 def _coherence(source) -> np.ndarray:
-    """A copy of K, or the pure special case `TransitionAmplitudes.coherence`."""
+    """K, read-only with its input's bits, from a matrix or the pure special
+    case `TransitionAmplitudes.coherence`."""
     if isinstance(source, TransitionAmplitudes):
-        return source.coherence()
-    k = _complex_array(source, "branch coherence").copy()
-    if k.shape != (3, 3) or np.max(np.abs(k - k.conj().T)) > HERMITIAN_TOL:
-        raise ValidationError(f"branch coherence must be a Hermitian 3x3 matrix, got {k!r}")
-    return k
+        source = source.coherence()
+    malformed = "{what} must be a Hermitian 3x3 matrix, got {m!r}"
+    return _hermitian(source, "branch coherence", (3, 3),
+                      (malformed, "{what} has non-finite entries", malformed))

@@ -62,11 +62,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import REALIZABILITY_TOL, _branch_shifts, _check_realizable, _unstack, BranchWeights
+from .dynamics import _branch_shifts, _check_realizable, _unstack, BranchWeights
 from .errors import PositivityError, ValidationError
 from .indicator import _indicator
 from .meter import MAX_READOUT_SCALE, _one_coupling_per_meter, _real_scales, _validate_couplings
 from .qsystem import _coherence
+from .tolerances import ACCEPTANCE_BOUND
 
 TRIALS_PER_BATCH = 1 << 15
 THREADS_ENV_VAR = "CHESHIRE_THREADS"
@@ -77,10 +78,6 @@ THREADS_ENV_VAR = "CHESHIRE_THREADS"
 MAX_THREADS = 64
 
 DETECTION_Z = 5.0
-
-# The acceptance ratio is a probability only up to the realizability slack;
-# 1e-12 covers its rounding (a few ulps on sums of three terms) with room.
-ACCEPTANCE_BOUND = 1.0 + REALIZABILITY_TOL + 1e-12
 
 
 @dataclass(frozen=True)
@@ -96,9 +93,6 @@ class NoiseModel:
             if np.ndim(nu) or not _real_scales(nu):
                 raise ValidationError(
                     f"{name} must be a finite real in [0, {MAX_READOUT_SCALE:g}], got {nu!r}")
-
-
-NO_NOISE = NoiseModel(0.0, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,7 +338,7 @@ def sample_trials(
     g_b: float,
     n: int,
     seed: int,
-    noise: NoiseModel = NO_NOISE,
+    noise: NoiseModel = NoiseModel(),
 ) -> Trials:
     """Simulate n independent trials; bit-identical for a given seed.
 
@@ -375,7 +369,7 @@ def sample_estimate(
     g_b: float,
     n: int,
     seed: int,
-    noise: NoiseModel = NO_NOISE,
+    noise: NoiseModel = NoiseModel(),
 ) -> EstimatorOutput:
     """The estimate of `estimate_cheshire(sample_trials(...))`, bit for bit,
     without keeping the trials: each batch is reduced by the worker that drew
@@ -406,7 +400,7 @@ def trial_variance(
     weights: BranchWeights,
     g_a: float,
     g_b: float,
-    noise: NoiseModel = NO_NOISE,
+    noise: NoiseModel = NoiseModel(),
 ) -> float:
     """Exact per-trial variance of tau x y, readout noise included.
 

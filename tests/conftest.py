@@ -39,6 +39,16 @@ def no_thread_pool(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
 
 
+def projector(*indices: int) -> np.ndarray:
+    """Read-only projector onto the given basis states: projector(0, 1) is the
+    left-arm Pi_L, projector(2) and projector(3) the right-arm Pi_R+ and Pi_R-."""
+    p = np.zeros((DIM, DIM), dtype=complex)
+    for i in indices:
+        p[i, i] = 1.0
+    p.setflags(write=False)
+    return p
+
+
 def failed_state(coherence, weights, g_a, g_b) -> JointMeterState:
     """The failed-postselection meter state, over diag(p) - K: its
     `grid_moments` norm is P' = 1 - P and its xy moment flips the success one."""

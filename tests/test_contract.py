@@ -3,7 +3,8 @@ takes a coupling or a noise level reject the same values, with
 `ValidationError`; the state optimizer meets a flat objective exactly where
 the indicator bound is 0.0; an entry point that needs one coupling per meter
 rejects a coupling stack with `ValidationError`; an operand that is not
-numbers at all is rejected with `ValidationError` naming it."""
+numbers at all is rejected with `ValidationError` naming it, and so is a
+Hermitian operand with a nan or inf entry."""
 
 import math
 
@@ -18,6 +19,7 @@ from cheshire import (
     PhotonDensity,
     PhotonEffect,
     PhotonKet,
+    TransitionAmplitudes,
     cheshire_analytic,
     classical_mixture_density,
     embed,
@@ -35,6 +37,7 @@ from cheshire import (
     sample_trials,
     success_moments,
     trial_variance,
+    weak_values,
 )
 from cheshire.errors import FlatObjective, ValidationError
 from cheshire.meter import MAX_READOUT_SCALE, Grid
@@ -203,3 +206,52 @@ NON_NUMERIC_OPERANDS = [
 def test_non_numeric_operands_rejected(compute, operand):
     with pytest.raises(ValidationError, match=f"^{operand} must be complex numbers"):
         compute()
+
+
+# branch coherences with a non-finite entry, as matrices and as amplitudes
+NON_FINITE_COHERENCES = [
+    pytest.param(np.full((3, 3), math.nan), id="nan"),
+    pytest.param(np.full((3, 3), math.inf), id="inf"),
+    pytest.param(np.where(np.eye(3) == 1, complex(0.0, math.inf), K), id="inf-imaginary"),
+    pytest.param(TransitionAmplitudes(math.nan, 0.5, 0.5), id="nan-amplitudes"),
+]
+
+
+def coherence_entry_points(k):
+    """Public calls that take the branch coherence, with k."""
+    return {
+        "JointMeterState": lambda: JointMeterState(k, 1.0, 1.0),
+        "success_moments": lambda: success_moments(k, 1.0, 1.0),
+        "local_averages": lambda: local_averages(k, 1.0, 1.0),
+        "weak_values": lambda: weak_values(k),
+        "trial_variance": lambda: trial_variance(k, WEIGHTS, 1.0, 1.0),
+        "meter_negativity": lambda: meter_negativity(JointMeterState(k, 1.0, 1.0)),
+    }
+
+
+@pytest.mark.parametrize("k", NON_FINITE_COHERENCES)
+@pytest.mark.parametrize("name", list(coherence_entry_points(K)))
+def test_non_finite_coherence_rejected(name, k):
+    # a typed error, not a nan result, a RuntimeWarning or numpy's LinAlgError
+    with pytest.raises(ValidationError, match="^branch coherence has non-finite entries$"):
+        coherence_entry_points(k)[name]()
+
+
+def test_validated_coherence_is_read_only():
+    k = K.copy()
+    for source in (k, TransitionAmplitudes(0.5, 0.25, -0.25)):
+        coherence = JointMeterState(source, 1.0, 1.0).coherence
+        with pytest.raises(ValueError, match="read-only"):
+            coherence[0, 0] = math.nan
+    # the caller's own K is copied, not frozen
+    assert k.flags.writeable
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, math.nan)], ids=repr)
+def test_non_finite_gram_matrix_rejected(value):
+    gram = np.eye(3, dtype=complex)
+    gram[1, 1] = value
+    with pytest.raises(ValidationError, match="^gram matrix must be finite$"):
+        gram_orthonormalize(gram)
+    with pytest.raises(ValidationError, match="^gram matrix must be finite$"):
+        gram_orthonormalize(np.stack([np.eye(3), gram]))

@@ -52,6 +52,13 @@ class TestBranchWeights:
         with pytest.raises(ValidationError):
             BranchWeights.from_preparation(PhotonKet([1.0, 1.0, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("weights", [(math.nan, 0.0, 0.0), (0.0, complex(math.nan, 0.0), 0.0),
+                                         (1.0, 0.0, math.inf)], ids=["nan", "nan-complex", "inf"])
+    def test_rejects_non_finite(self, weights):
+        # a nan norm fails the norm test as any other norm off 1 does
+        with pytest.raises(ValidationError, match="norm"):
+            BranchWeights(*weights)
+
 
 class TestSuccessProbability:
     def test_zero_coupling_is_overlap_squared(self, example_prep, example_post):

@@ -26,18 +26,13 @@ from cheshire.entanglement import meter_negativity
 from cheshire.errors import ValidationError
 from cheshire.indicator import cheshire_analytic, moment_decomposition
 from cheshire.meter import Grid, GridMeter
-from cheshire.qsystem import (
-    PI_L,
-    PI_R_MINUS,
-    PI_R_PLUS,
-    SIGMA_R,
-    PhotonEffect,
-    branch_coherence,
-    weak_values,
-)
+from cheshire.qsystem import PhotonEffect, branch_coherence, weak_values
 from cheshire.sampler import sample_estimate, trial_variance
 
-from conftest import failed_state, unit_kets
+from conftest import failed_state, projector, unit_kets
+
+PI_L, PI_R_PLUS, PI_R_MINUS = projector(0, 1), projector(2), projector(3)
+SIGMA_R = PI_R_PLUS - PI_R_MINUS
 
 METER = GridMeter.gaussian(Grid(-14.0, 14.0, 1401))
 couplings = st.floats(min_value=0.1, max_value=3.0)

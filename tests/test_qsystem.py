@@ -9,10 +9,6 @@ from cheshire.indicator import cheshire_analytic
 from cheshire.qsystem import (
     DIM,
     NORM_TOL,
-    PI_L,
-    PI_R_MINUS,
-    PI_R_PLUS,
-    SIGMA_R,
     PhotonDensity,
     PhotonEffect,
     PhotonKet,
@@ -21,7 +17,10 @@ from cheshire.qsystem import (
     weak_values,
 )
 
-from conftest import unit_kets
+from conftest import projector, unit_kets
+
+PI_L, PI_R_PLUS, PI_R_MINUS = projector(0, 1), projector(2), projector(3)
+SIGMA_R = PI_R_PLUS - PI_R_MINUS
 
 
 class TestOperators:
@@ -117,6 +116,12 @@ class TestDensityAndEffect:
     def test_maximally_mixed_density(self):
         rho = PhotonDensity(np.eye(DIM, dtype=complex) / DIM)
         assert np.isclose(np.trace(rho.matrix).real, 1.0)
+
+    def test_operands_in_any_memory_layout(self, example_prep):
+        # a transposed (column-major) complex array is checked like any other
+        m = np.asfortranarray(example_prep.outer())
+        assert np.array_equal(PhotonDensity(m).matrix, PhotonDensity(m.copy(order="C")).matrix)
+        assert np.array_equal(PhotonEffect(m).matrix, PhotonEffect(m.copy(order="C")).matrix)
 
 
 class TestTransitionAmplitudes:

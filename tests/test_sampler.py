@@ -33,7 +33,6 @@ from cheshire.qsystem import (
 )
 from cheshire.sampler import (
     CSV_HEADER,
-    NO_NOISE,
     NoiseModel,
     THREADS_ENV_VAR,
     TRIALS_PER_BATCH,
@@ -62,7 +61,7 @@ ZERO_WEIGHT_AMPS = TransitionAmplitudes(0.1, 0.2, 0.0)
 ZERO_WEIGHT_WEIGHTS = BranchWeights(math.sqrt(0.1), math.sqrt(0.9), 0.0)
 
 
-def example_trials(n, seed, noise=NO_NOISE, threads=None):
+def example_trials(n, seed, noise=NoiseModel(), threads=None):
     """The example's trials, at ``threads`` worker threads if given."""
     with pytest.MonkeyPatch.context() as patch:
         if threads is not None:
@@ -620,7 +619,7 @@ class TestContractLimits:
 
     @pytest.mark.parametrize("g_a, g_b", [(78.0, 78.0), (1e3, 2.0), (2.0, 1e3),
                                           (1e50, 1e50), (1e50, 3.0)])
-    @pytest.mark.parametrize("noise", [NO_NOISE, NoiseModel(0.5, 1e50),
+    @pytest.mark.parametrize("noise", [NoiseModel(), NoiseModel(0.5, 1e50),
                                        NoiseModel(1e50, 1e50)], ids=["0", "0.5-1e50", "1e50"])
     @pytest.mark.parametrize("amps, weights", [(EXAMPLE_AMPS, EXAMPLE_WEIGHTS),
                                                (ZERO_WEIGHT_AMPS, ZERO_WEIGHT_WEIGHTS)],
