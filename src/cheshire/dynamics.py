@@ -35,6 +35,7 @@ from .meter import (
     Grid,
     GridMeter,
     _check_edges,
+    _check_finite,
     _one_coupling_per_meter,
     _shifted,
     _trapezoid_weights,
@@ -243,6 +244,7 @@ def _branch_pairs(meter, shifts, x: np.ndarray) -> np.ndarray:
             raise ValidationError("grid meter branches must be evaluated on the meter's own grid")
         _check_edges(meter, shifts)
         waves = _shifted(meter, shifts)
+        _check_finite(waves)
     return (waves.conj()[:, None] * waves[None, :]).reshape(9, len(x))
 
 

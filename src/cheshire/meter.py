@@ -32,13 +32,6 @@ import numpy as np
 from .errors import GridTooSmall, ValidationError
 from .tolerances import EDGE_AMPLITUDE_TOL, MEAN_TOL, POINTER_NORM_TOL, VARIANCE_TOL
 
-# Samples of shifted waves that `pointer_matrices` may hold at once on a grid
-# meter, counting every shift of a block's rows (128 KiB as real numbers).
-# glibc maps requests of 128 KiB and more afresh by default, so larger blocks
-# pay page faults on every temporary; on the default 4001-point grid a block is
-# one coupling, the three branch shifts of one meter.
-WAVE_SAMPLES_PER_BLOCK = 1 << 14
-
 # The largest coupling or readout-noise width: readouts then stay below about
 # 1e51, so the estimator's sums of squared x * y (below 1e204 per trial), the
 # squared shift gaps and nu_A^2 nu_B^2 stay finite at any trial count.  From
@@ -169,6 +162,14 @@ class GridMeter:
     def gaussian(cls, grid: Grid = DEFAULT_GRID) -> "GridMeter":
         return cls(gaussian_ground_state, grid)
 
+    @cached_property
+    def _edge_mass(self) -> np.ndarray:
+        """Trapezoid mass of |psi0|^2 over the first (row 0) and the last
+        (row 1) k + 1 samples, at column k."""
+        density = np.abs(self.psi0) ** 2
+        pairs = self.grid.spacing * (density[1:] + density[:-1]) / 2.0
+        return np.cumsum([np.r_[0.0, pairs], np.r_[0.0, pairs[::-1]]], axis=1)
+
 
 def parse_complex(text: str) -> complex:
     """Parse ``re+imi`` / ``re-imi`` / plain real, with ``i`` for the unit."""
@@ -190,37 +191,24 @@ def _trapezoid_weights(grid: Grid) -> np.ndarray:
     return w
 
 
-def _edge_loss(meter: GridMeter, shift: float) -> float:
-    """Squared amplitude that a shift pushes past the grid edge."""
-    psi = meter.psi0
-    dx = meter.grid.spacing
-    if shift > 0:
-        n_cut = int(math.ceil(shift / dx))
-        tail = np.abs(psi[max(len(psi) - n_cut - 1, 0):]) ** 2
-        return float(np.trapezoid(tail, dx=dx)) if len(tail) > 1 else 0.0
-    if shift < 0:
-        n_cut = int(math.ceil(-shift / dx))
-        head = np.abs(psi[: n_cut + 1]) ** 2
-        return float(np.trapezoid(head, dx=dx)) if len(head) > 1 else 0.0
-    return 0.0
-
-
 def _check_edges(meter: GridMeter, shifts) -> None:
-    """Raise at the first shift, in row-major order, that would push
-    significant amplitude beyond the grid edges."""
-    shifts = np.asarray(shifts, dtype=float)
-    # the loss grows with the shift on each side, so when the two extreme
-    # shifts keep their amplitude every shift does
-    extremes = (shifts.max(initial=0.0), shifts.min(initial=0.0))
-    if all(_edge_loss(meter, shift) <= EDGE_AMPLITUDE_TOL for shift in extremes):
-        return
-    for shift in shifts.ravel().tolist():
-        lost = _edge_loss(meter, shift)
-        if lost > EDGE_AMPLITUDE_TOL:
-            raise GridTooSmall(
-                f"shift {shift} pushes squared amplitude {lost:.3e} > {EDGE_AMPLITUDE_TOL} "
-                "off the grid"
-            )
+    """Raise at the first shift, in row-major order, that pushes significant
+    amplitude off the grid: shift s moves the first (s < 0) or last (s > 0)
+    ceil(|s| / dx) + 1 samples of |psi0|^2, at most all, past the edge."""
+    shifts, grid = np.asarray(shifts, dtype=float).ravel(), meter.grid
+    # a nan shift moves nothing off the grid; its waves fail `_check_finite`
+    steps = np.nan_to_num(np.ceil(np.minimum(np.abs(shifts) / grid.spacing, grid.n_points - 1)))
+    lost = meter._edge_mass[(shifts > 0).astype(int), steps.astype(int)]
+    failing = lost > EDGE_AMPLITUDE_TOL
+    if failing.any():
+        i = failing.argmax()
+        raise GridTooSmall(f"shift {float(shifts[i])} pushes squared amplitude {lost[i]:.3e} > "
+                           f"{EDGE_AMPLITUDE_TOL} off the grid")
+
+
+def _check_finite(values) -> None:
+    if not np.all(np.isfinite(values)):
+        raise ValidationError("pointer function must be finite at every shifted point")
 
 
 def _shifted(meter: GridMeter, shifts) -> np.ndarray:
@@ -243,14 +231,13 @@ def pointer_matrices(shifts, meter=None) -> tuple[np.ndarray, np.ndarray]:
     shifts per coupling) gives matrices of shape (..., n, n).  ``meter`` is
     None for the Gaussian closed forms M_1 = exp(-(s_j - s_k)^2 / 8),
     M_x = (s_j + s_k) / 2 * M_1, over finite shifts; a `GridMeter` uses
-    trapezoidal quadrature on its own lattice.  The grid path walks the
-    stack in blocks of `WAVE_SAMPLES_PER_BLOCK` // (n * n_points) rows (at
-    least one), so its memory does not grow with the stack.  A shift column
-    repeated across the stack, like the unshifted branches, is evaluated as
-    one column of waves, and each pair of a row's waves is summed in one
-    fixed order, so a row's matrices do not depend on the block that holds
-    it.  Edge errors are raised before any wave is evaluated, at the first
-    failing shift in row-major order (see `_check_edges`).
+    trapezoidal quadrature on its own lattice, one stack row at a time, so
+    its memory does not grow with the stack.  A shift column repeated across
+    the stack, like the unshifted branches, is evaluated as one column of
+    waves, and each pair of a row's waves is summed in one fixed order.  Edge
+    errors are raised before any wave is evaluated, at the first failing
+    shift in row-major order (`_check_edges`); a non-finite wave value raises
+    `ValidationError`.
     """
     s = np.asarray(shifts, dtype=float)
     if meter is None:
@@ -259,28 +246,21 @@ def pointer_matrices(shifts, meter=None) -> tuple[np.ndarray, np.ndarray]:
         return m1, 0.5 * (bra + ket) * m1
     if isinstance(meter, GridMeter):
         rows = s.reshape(math.prod(s.shape[:-1]), s.shape[-1])
-        n, points = rows.shape[1], meter.grid.n_points
         _check_edges(meter, rows)
-        block = max(1, WAVE_SAMPLES_PER_BLOCK // max(1, n * points))
         weights = _trapezoid_weights(meter.grid)
         keys = [column.tobytes() for column in rows.T]
         first = [keys.index(key) for key in keys]
         distinct = sorted(set(first))
         columns, where = rows[:, distinct], np.searchsorted(distinct, first)
-        shape = columns.shape + columns.shape[-1:]
-        m1 = mx = None
-        for lo in range(0, len(rows), block):
-            chunk = columns[lo:lo + block]
-            waves = _shifted(meter, chunk.ravel()).reshape(chunk.shape + (points,))
+        shape, dtype = columns.shape + columns.shape[-1:], _shifted(meter, [0.0]).dtype
+        m1, mx = np.empty(shape, dtype), np.empty(shape, dtype)
+        for row, row_m1, row_mx in zip(columns, m1, mx):
+            waves = _shifted(meter, row)
             bras = waves.conj() * weights
-            if m1 is None:
-                m1, mx = np.empty(shape, dtype=waves.dtype), np.empty(shape, dtype=waves.dtype)
-            # one fixed-order sum per pair, the same in any block
-            np.einsum("rin,rjn->rij", bras, waves, out=m1[lo:lo + block])
-            np.einsum("rin,rjn->rij", bras * meter.grid.points, waves, out=mx[lo:lo + block])
-        if m1 is None:
-            # an empty stack: empty matrices of the dtype its waves would have
-            m1 = mx = np.empty(shape, dtype=_shifted(meter, [0.0]).dtype)
+            np.einsum("in,jn->ij", bras, waves, out=row_m1)
+            np.einsum("in,jn->ij", bras * meter.grid.points, waves, out=row_mx)
+        # every weight is positive, so a non-finite wave value reaches M_1's diagonal
+        _check_finite(m1)
         pair = (slice(None), where[:, None], where[None, :])
-        return m1[pair].reshape(s.shape + (n,)), mx[pair].reshape(s.shape + (n,))
+        return m1[pair].reshape(s.shape + s.shape[-1:]), mx[pair].reshape(s.shape + s.shape[-1:])
     raise ValidationError(f"expected None or a GridMeter, got {type(meter).__name__}")

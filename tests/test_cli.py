@@ -68,6 +68,11 @@ README_TRIALS_SHA256 = "a82f3b5561d122d3e6dbaebb3440c4dc10b871c2295fb0c77165d797
 # closed form) on the README example, pinned
 README_ANALYTIC_SHA256 = "1ad2b7205a8ce003b51712ad0a26f218af0fbc2bd9bd13c8d3243eaef8226622"
 README_SWEEP_SHA256 = "f0667e16a3ef965b3fc0a2124df2ca7d675c6bb7372dfe19cceb628184e3f783"
+# the same sweep at --grid-points N: coarser grids give other bits
+README_SWEEP_GRID_SHA256 = {
+    801: "024372aad9d48a391a183d09ca2341b07851b25c243343b45af178fbb89a72db",
+    2001: "3f5bf0a88723a93b67b7b4ecdb64c5e4c12a0838db266ecfbd4968ec3265dca0",
+}
 
 
 @pytest.fixture()
@@ -350,6 +355,13 @@ class TestSweep:
         code, out, _ = run_cli(capsys, "sweep", "--config", readme_path, "--steps", "161")
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == README_SWEEP_SHA256
+
+    @pytest.mark.parametrize("points", sorted(README_SWEEP_GRID_SHA256))
+    def test_readme_example_bytes_on_coarser_grids(self, capsys, readme_path, points):
+        code, out, _ = run_cli(capsys, "sweep", "--config", readme_path, "--steps", "161",
+                               "--grid-points", str(points))
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == README_SWEEP_GRID_SHA256[points]
 
     def test_grid_too_small_propagates(self, capsys, config_path):
         code, _, err = run_cli(capsys, "sweep", "--config", config_path, "--g-max", "14")

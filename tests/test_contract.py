@@ -4,7 +4,8 @@ takes a coupling or a noise level reject the same values, with
 the indicator bound is 0.0; an entry point that needs one coupling per meter
 rejects a coupling stack with `ValidationError`; an operand that is not
 numbers at all is rejected with `ValidationError` naming it, and so is a
-Hermitian operand with a nan or inf entry."""
+Hermitian operand with a nan or inf entry, and a grid meter whose function
+is not finite at a shifted point."""
 
 import math
 
@@ -40,7 +41,7 @@ from cheshire import (
     weak_values,
 )
 from cheshire.errors import FlatObjective, ValidationError
-from cheshire.meter import MAX_READOUT_SCALE, Grid
+from cheshire.meter import MAX_READOUT_SCALE, Grid, GridMeter, gaussian_ground_state
 
 CONFIG = """
 prep = 0.57735026918962573+0i, 0+0i, 0.57735026918962573+0i, 0.57735026918962573+0i
@@ -255,3 +256,18 @@ def test_non_finite_gram_matrix_rejected(value):
         gram_orthonormalize(gram)
     with pytest.raises(ValidationError, match="^gram matrix must be finite$"):
         gram_orthonormalize(np.stack([np.eye(3), gram]))
+
+
+def nan_past_the_left_edge(x):
+    """The Gaussian pointer, finite on DEFAULT_GRID but nan left of it."""
+    return np.where(x < -20.0, np.nan, gaussian_ground_state(x))
+
+
+@pytest.mark.parametrize("compute", [moment_decomposition, meter_negativity, grid_moments],
+                         ids=lambda compute: compute.__name__)
+def test_non_finite_pointer_values_rejected(compute):
+    # psi0 is finite on the grid; the wave shifted by g_A = 2 is not
+    state = JointMeterState(K, 2.0, 2.0, GridMeter(nan_past_the_left_edge))
+    with pytest.raises(ValidationError,
+                       match="^pointer function must be finite at every shifted point$"):
+        compute(state)

@@ -1,12 +1,14 @@
 """Gaussian pointer-matrix closed forms against the grid quadrature oracle."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cheshire import meter as meter_module
 from cheshire.errors import GridTooSmall, ValidationError
 from cheshire.meter import (
     DEFAULT_GRID,
@@ -14,9 +16,9 @@ from cheshire.meter import (
     MEAN_TOL,
     POINTER_NORM_TOL,
     VARIANCE_TOL,
-    WAVE_SAMPLES_PER_BLOCK,
     Grid,
     GridMeter,
+    _check_edges,
     _validate_couplings,
     gaussian_ground_state,
     parse_complex,
@@ -264,7 +266,6 @@ class TestBlockedGridMatrices:
     """A stack of shift rows against one trapezoid sum per shift pair, each
     shifted wave evaluated on its own from the meter's function."""
 
-    # one row per block on the default grid, several on the coarse one
     GRIDS = {"fine": DEFAULT_GRID, "coarse": Grid(-20.0, 20.0, 801)}
 
     @pytest.fixture(scope="class")
@@ -289,12 +290,10 @@ class TestBlockedGridMatrices:
     @pytest.mark.parametrize("name", ["gaussian", "twisted"])
     def test_matches_per_shift_loop(self, meters, name, grid):
         meter = meters[name, grid]
-        assert (WAVE_SAMPLES_PER_BLOCK // (6 * meter.grid.n_points) > 1) == (grid == "coarse")
         rng = np.random.default_rng(9)
         g = np.concatenate([[0.0], rng.uniform(0.0, 8.0, 24)])
         # both meters' branch shifts side by side, so that repeated columns
-        # (the zeros, and g twice) are evaluated once, across several blocks
-        # of rows
+        # (the zeros, and g twice) are evaluated once across the stack
         shifts = np.stack([g, 0 * g, 0 * g, 0 * g, g, -g], axis=-1).reshape(5, 5, 6)
         m1, mx = pointer_matrices(shifts, meter)
         assert m1.shape == mx.shape == (5, 5, 6, 6)
@@ -330,6 +329,60 @@ class TestBlockedGridMatrices:
         with pytest.raises(GridTooSmall) as info:
             pointer_matrices(rows, meter)
         assert str(info.value) == expected
+
+    def test_non_finite_shifts(self, meters):
+        meter = meters["gaussian", "fine"]
+        # an infinite shift moves the whole state off the grid
+        with pytest.raises(GridTooSmall, match="^shift -inf pushes squared amplitude 1.000e"):
+            pointer_matrices((0.0, -math.inf), meter)
+        # a nan shift moves nothing off it, but its wave is nan
+        with pytest.raises(ValidationError, match="^pointer function must be finite"):
+            pointer_matrices((0.0, math.nan), meter)
+
+
+def edge_loss(meter, shift):
+    """Squared amplitude that a shift pushes past the grid edge: the trapezoid
+    over the ceil(|shift| / dx) + 1 samples at the edge it moves toward."""
+    density = np.abs(meter.psi0) ** 2
+    dx = meter.grid.spacing
+    if shift == 0:
+        return 0.0
+    samples = min(math.ceil(abs(shift) / dx), len(density) - 1) + 1
+    return float(np.trapezoid(density[-samples:] if shift > 0 else density[:samples], dx=dx))
+
+
+class TestEdgeTable:
+    """`_check_edges` reads a per-meter table of head and tail masses; each
+    lookup against `np.trapezoid` over the same samples."""
+
+    # off-centre, so that the two tails differ
+    METERS = [GridMeter.gaussian(), GridMeter(twisted_ground_state, Grid(-9.0, 12.0, 2101))]
+
+    @pytest.mark.parametrize("meter", METERS, ids=["default", "off-centre"])
+    def test_table_matches_trapezoid(self, meter):
+        density = np.abs(meter.psi0) ** 2
+        dx = meter.grid.spacing
+        head, tail = meter._edge_mass
+        for k in range(len(density)):
+            assert head[k] == pytest.approx(np.trapezoid(density[:k + 1], dx=dx), rel=1e-12)
+            assert tail[k] == pytest.approx(np.trapezoid(density[len(density) - 1 - k:], dx=dx),
+                                            rel=1e-12)
+
+    # in grid steps: exact multiples, below one step, past the whole grid
+    @pytest.mark.parametrize("steps", [0.0, 1e-9, 0.5, 1.0, 3.0, 250.0, 750.25, 2100.0, 2100.5,
+                                       1e6])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("meter", METERS, ids=["default", "off-centre"])
+    def test_lookup_matches_trapezoid(self, monkeypatch, meter, sign, steps):
+        shift = sign * steps * meter.grid.spacing
+        expected = edge_loss(meter, shift)
+        # just above the loss no shift fails; just below, this one does
+        monkeypatch.setattr(meter_module, "EDGE_AMPLITUDE_TOL", expected * (1.0 + 1e-9))
+        _check_edges(meter, [shift])
+        if expected > 0.0:
+            monkeypatch.setattr(meter_module, "EDGE_AMPLITUDE_TOL", expected * (1.0 - 1e-9))
+            with pytest.raises(GridTooSmall, match=re.escape(f"shift {shift} pushes squared ")):
+                _check_edges(meter, [shift])
 
 
 class TestStateFile:

@@ -19,7 +19,7 @@ from cheshire.errors import (
     OrthogonalPostselection,
 )
 from cheshire.indicator import cheshire_analytic, moment_decomposition
-from cheshire.meter import WAVE_SAMPLES_PER_BLOCK, Grid, GridMeter
+from cheshire.meter import Grid, GridMeter
 from cheshire.qsystem import PhotonEffect, PhotonKet
 
 README_TEXT = """
@@ -189,12 +189,12 @@ class TestErrorsMatchRowLoop:
 
 
 class TestSweepMemory:
-    # each array of a grid block (targets, waves, weighted bras, their
-    # x-weighted copy, the generator's temporaries) holds at most
-    # WAVE_SAMPLES_PER_BLOCK samples of 16 bytes at most
-    BLOCK_BYTES = 6 * 16 * WAVE_SAMPLES_PER_BLOCK
+    # each array of a coupling row (targets, waves, weighted bras, their
+    # x-weighted copy, the generator's temporaries) holds one meter's three
+    # branch shifts of n_points samples of 16 bytes at most
+    ROW_BYTES = 6 * 16 * 3 * README.grid.n_points
 
-    def test_heap_bounded_by_block_budget(self):
+    def test_heap_bounded_by_one_row(self):
         sweep_rows(README, 0.0, 8.0, 161)
         tracemalloc.start()
         try:
@@ -204,5 +204,5 @@ class TestSweepMemory:
             tracemalloc.stop()
         # every shifted wave of the sweep at once would take 161 * 2 * 4001
         # samples, 10 MB even as real numbers
-        assert peak < self.BLOCK_BYTES + 2 ** 20
-        assert self.BLOCK_BYTES + 2 ** 20 < 161 * 2 * 4001 * 8
+        assert peak < self.ROW_BYTES + 2 ** 20
+        assert self.ROW_BYTES + 2 ** 20 < 161 * 2 * 4001 * 8
