@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import io
 import math
 import os
 import stat
@@ -67,12 +65,18 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _effective_config(args) -> ExperimentConfig:
+def _effective_config(args) -> ExperimentConfig | None:
+    """The config file with the command-line overrides applied; None for
+    ``optimize``'s state search, the one run that takes no config."""
     if not args.config:
-        raise ValidationError("config: --config PATH is required for this command")
+        if args.command != "optimize":
+            raise ValidationError("config: --config PATH is required for this command")
+        if args.dump_config:
+            raise ValidationError("config: --dump-config needs --config")
+        return None
     try:
         config = load_config(args.config)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"config: cannot read {args.config}: {exc}") from exc
     overrides = {}
     if args.seed is not None:
@@ -82,12 +86,6 @@ def _effective_config(args) -> ExperimentConfig:
     if args.grid_points is not None:
         overrides["grid"] = Grid(config.grid.x_min, config.grid.x_max, args.grid_points)
     return replace(config, **overrides) if overrides else config
-
-
-def _handle_dump(args, config: ExperimentConfig) -> bool:
-    if args.dump_config:
-        _emit(dump_config(config), args.out)
-    return args.dump_config
 
 
 def analytic_report(config: ExperimentConfig) -> list[tuple[str, str]]:
@@ -125,13 +123,12 @@ def _or_undefined(compute, undefined):
         return undefined
 
 
-def cmd_analytic(args) -> int:
-    config = _effective_config(args)
-    if _handle_dump(args, config):
-        return 0
-    lines = [f"{key}={value}" for key, value in analytic_report(config)]
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+def _lines(lines) -> str:
+    return "".join(line + "\n" for line in lines)
+
+
+def cmd_analytic(args, config: ExperimentConfig) -> str:
+    return _lines(f"{key}={value}" for key, value in analytic_report(config))
 
 
 def sweep_rows(config: ExperimentConfig, g_min: float, g_max: float, steps: int):
@@ -189,23 +186,16 @@ def locate_max(rows) -> tuple[float, float, float]:
 
 
 def format_sweep_csv(rows) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(SWEEP_COLUMNS)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
     g_a, g_b, c = locate_max(rows)
-    buffer.write(f"# max |c_analytic| at g_a={_fmt(g_a)} g_b={_fmt(g_b)}: c_analytic={_fmt(c)}\n")
-    return buffer.getvalue()
+    return _lines([
+        ",".join(SWEEP_COLUMNS),
+        *(",".join(map(_fmt, row)) for row in rows),
+        f"# max |c_analytic| at g_a={_fmt(g_a)} g_b={_fmt(g_b)}: c_analytic={_fmt(c)}",
+    ])
 
 
-def cmd_sweep(args) -> int:
-    config = _effective_config(args)
-    if _handle_dump(args, config):
-        return 0
-    rows = sweep_rows(config, args.g_min, args.g_max, args.steps)
-    _emit(format_sweep_csv(rows), args.out)
-    return 0
+def cmd_sweep(args, config: ExperimentConfig) -> str:
+    return format_sweep_csv(sweep_rows(config, args.g_min, args.g_max, args.steps))
 
 
 def _sample_to_csv(path, run, draws):
@@ -228,10 +218,7 @@ def _sample_to_csv(path, run, draws):
             raise
 
 
-def cmd_montecarlo(args) -> int:
-    config = _effective_config(args)
-    if _handle_dump(args, config):
-        return 0
+def cmd_montecarlo(args, config: ExperimentConfig) -> str:
     if config.n_trials < 100:
         raise ValidationError("n_trials: the Monte Carlo run needs at least 100 trials")
     run = (config.coherence(), config.weights(), config.g_a, config.g_b)
@@ -248,7 +235,7 @@ def cmd_montecarlo(args) -> int:
         estimate = sample_estimate(*run, **draws)
     exact = cheshire_analytic(config.postselection, config.prep, config.g_a, config.g_b)
     z = (estimate.c_hat - exact.c_value) / estimate.std_error if estimate.std_error > 0.0 else math.nan
-    lines = [
+    return _lines([
         f"c_hat={_fmt(estimate.c_hat)}",
         f"std_error={_fmt(estimate.std_error)}",
         f"p_hat={_fmt(estimate.p_hat)}",
@@ -256,38 +243,28 @@ def cmd_montecarlo(args) -> int:
         f"c_analytic={_fmt(exact.c_value)}",
         f"z_score={_fmt(z)}",
         f"seed={config.seed}",
-    ]
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    ])
 
 
-def cmd_optimize(args) -> int:
-    if args.config:
-        config = _effective_config(args)
-        if _handle_dump(args, config):
-            return 0
+def cmd_optimize(args, config: ExperimentConfig | None) -> str:
+    if config is not None:
         optimum = optimize_couplings(config.postselection, config.prep, g_max=args.search_max)
-        lines = [
+        return _lines([
             f"g_a_optimal={_fmt(optimum.g_a)}",
             f"g_b_optimal={_fmt(optimum.g_b)}",
             f"c_optimal={_fmt(optimum.c_value)}",
-        ]
-    else:
-        if args.dump_config:
-            raise ValidationError("config: --dump-config needs --config")
-        optimum = optimize_states(args.g_a, args.g_b)
-        amps = ",".join(format_complex(z) for z in optimum.prep.amplitudes)
-        post = ",".join(format_complex(z) for z in optimum.post.amplitudes)
-        lines = [
-            f"c_optimal={_fmt(optimum.c_value)}",
-            f"trace_term={format_complex(optimum.trace_term)}",
-            f"prep={amps}",
-            f"post={post}",
-            f"g_a={_fmt(args.g_a)}",
-            f"g_b={_fmt(args.g_b)}",
-        ]
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+        ])
+    optimum = optimize_states(args.g_a, args.g_b)
+    amps = ",".join(format_complex(z) for z in optimum.prep.amplitudes)
+    post = ",".join(format_complex(z) for z in optimum.post.amplitudes)
+    return _lines([
+        f"c_optimal={_fmt(optimum.c_value)}",
+        f"trace_term={format_complex(optimum.trace_term)}",
+        f"prep={amps}",
+        f"post={post}",
+        f"g_a={_fmt(args.g_a)}",
+        f"g_b={_fmt(args.g_b)}",
+    ])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,9 +315,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand: the effective config first, then --dump-config or
+    the subcommand, then stdout or --out, written only once the run succeeds."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        config = _effective_config(args)
+        _emit(dump_config(config) if args.dump_config else args.func(args, config), args.out)
+        return 0
     except (ValidationError, GridTooSmall, OrthogonalPostselection, FlatObjective) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

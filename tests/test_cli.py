@@ -182,6 +182,13 @@ class TestExitCodes:
         assert code == 2
         assert "config" in err
 
+    def test_config_that_is_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"prep=1,0,0,0\npost=1,0,0,0\n# caf\xe9\n")
+        code, out, err = run_cli(capsys, "analytic", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: config: cannot read {path}: ") and err.count("\n") == 1
+
     def test_invalid_field_names_it(self, capsys, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text(EXAMPLE_TEXT.replace("g_a=2", "g_a=-1"), encoding="utf-8")
@@ -318,6 +325,36 @@ class TestDumpConfig:
         report = key_values(out)
         assert report["seed"] == "9"
         assert report["n_trials"] == "555"
+
+
+class TestPipelineOrder:
+    """The config first, then --dump-config, then the subcommand, then --out."""
+
+    def test_dump_config_answers_before_the_trial_minimum(self, capsys, config_path):
+        code, out, _ = run_cli(capsys, "montecarlo", "--config", config_path,
+                               "--trials", "50", "--dump-config")
+        assert code == 0
+        assert key_values(out)["n_trials"] == "50"
+
+    def test_dump_config_goes_to_out(self, capsys, config_path, tmp_path):
+        target = tmp_path / "dump.cfg"
+        code, out, err = run_cli(capsys, "analytic", "--config", config_path,
+                                 "--dump-config", "--out", str(target))
+        assert (code, out, err) == (0, "", "")
+        from cheshire.config import dump_config, load_config
+        assert target.read_text(encoding="utf-8") == dump_config(load_config(config_path))
+
+    @pytest.mark.parametrize("argv", [
+        ("optimize", "--g-a", "0", "--g-b", "2"),
+        ("sweep", "--g-max", "30", "--steps", "3", "--config"),
+    ], ids=["flat-objective", "grid-too-small"])
+    def test_failed_run_leaves_out_as_it_was(self, capsys, config_path, tmp_path, argv):
+        target = tmp_path / "out.txt"
+        target.write_text("keep", encoding="utf-8")
+        argv = argv + (config_path,) if argv[-1] == "--config" else argv
+        code, out, _ = run_cli(capsys, *argv, "--out", str(target))
+        assert (code, out) == (2, "")
+        assert target.read_text(encoding="utf-8") == "keep"
 
 
 class TestSweep:
