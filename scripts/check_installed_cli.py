@@ -1,0 +1,78 @@
+#!/usr/bin/env python3
+"""Hold a `cheshire` command to the outputs that tests/test_cli.py pins.
+
+In the current directory, runs the command on the README config:
+`analytic`, `sweep --steps 161` and `montecarlo --trials 140000
+--dump-trials trials.csv`.  The analytic report, the sweep CSV and the trial
+CSV must match their pinned sha256 digests, and the Monte Carlo summary its
+pinned text.  It also runs and prints `optimize --g-a 2 --g-b 2`, which must
+report `c_optimal=`.  Every output stays in the directory.  Prints one
+OK/FAILED line per output and exits 1 if any failed.
+
+    python scripts/check_installed_cli.py                           # `cheshire`
+    python scripts/check_installed_cli.py python -m cheshire.cli    # any command
+
+The pins are read from the test module's source, so the check imports
+neither the tests nor the package.
+"""
+
+import ast
+import hashlib
+import os
+import subprocess
+import sys
+
+TEST_CLI = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "tests", "test_cli.py")
+PINS = ("README_TEXT", "README_MONTECARLO", "README_ANALYTIC_SHA256", "README_SWEEP_SHA256",
+        "README_TRIALS_SHA256")
+RUNS = {
+    "optimize.txt": ["optimize", "--g-a", "2", "--g-b", "2"],
+    "analytic.txt": ["analytic", "--config", "readme.cfg"],
+    "sweep.csv": ["sweep", "--config", "readme.cfg", "--steps", "161"],
+    "montecarlo.txt": ["montecarlo", "--config", "readme.cfg", "--trials", "140000",
+                       "--dump-trials", "trials.csv"],
+}
+
+
+def read_pins(path: str = TEST_CLI) -> dict:
+    """The pinned module-level constants of tests/test_cli.py, by name."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    return {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
+            if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in PINS}
+
+
+def _read(name: str) -> bytes:
+    with open(name, "rb") as fh:
+        return fh.read()
+
+
+def main(argv=None) -> int:
+    command = (sys.argv[1:] if argv is None else argv) or ["cheshire"]
+    pins = read_pins()
+    with open("readme.cfg", "w", encoding="utf-8") as fh:
+        fh.write(pins["README_TEXT"])
+    exited_0 = {}
+    for name, args in RUNS.items():
+        with open(name, "wb") as fh:
+            exited_0[name] = subprocess.run([*command, *args], stdout=fh).returncode == 0
+    exited_0["trials.csv"] = exited_0["montecarlo.txt"]
+    sys.stdout.write(_read("optimize.txt").decode())
+
+    ok = {"optimize.txt": exited_0["optimize.txt"] and b"\nc_optimal=" in b"\n" + _read("optimize.txt")}
+    digests = {
+        "analytic.txt": pins["README_ANALYTIC_SHA256"],
+        "sweep.csv": pins["README_SWEEP_SHA256"],
+        "montecarlo.txt": hashlib.sha256(pins["README_MONTECARLO"].encode()).hexdigest(),
+        "trials.csv": pins["README_TRIALS_SHA256"],
+    }
+    for name, digest in digests.items():
+        ok[name] = exited_0[name] and hashlib.sha256(_read(name)).hexdigest() == digest
+    for name, matched in ok.items():
+        print(f"{name}: {'OK' if matched else 'FAILED'}")
+    return 0 if all(ok.values()) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,7 +10,8 @@ the PPT negativity of the embedded two-meter state certifies that a
 nonzero indicator really is entanglement.
 """
 
-from .config import ExperimentConfig, dump_config, load_config, parse_config_text
+from .config import (ExperimentConfig, dump_config, format_complex, load_config, parse_complex,
+                     parse_config_text)
 from .dynamics import (
     BranchWeights,
     JointMeterState,
@@ -54,9 +55,7 @@ from .meter import (
     DEFAULT_GRID,
     Grid,
     GridMeter,
-    format_complex,
     gaussian_ground_state,
-    parse_complex,
 )
 from .qsystem import (
     PhotonDensity,

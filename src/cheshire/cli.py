@@ -18,7 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import ExperimentConfig, dump_config, load_config
+from .config import ExperimentConfig, _format_vector, dump_config, format_complex, load_config
 from .dynamics import JointMeterState
 from .entanglement import meter_negativity
 from .errors import (
@@ -36,7 +36,7 @@ from .indicator import (
     optimize_couplings,
     optimize_states,
 )
-from .meter import Grid, GridMeter, format_complex
+from .meter import Grid, GridMeter
 from .qsystem import WeakValues, weak_values
 from .sampler import (
     NoiseModel,
@@ -255,13 +255,11 @@ def cmd_optimize(args, config: ExperimentConfig | None) -> str:
             f"c_optimal={_fmt(optimum.c_value)}",
         ])
     optimum = optimize_states(args.g_a, args.g_b)
-    amps = ",".join(format_complex(z) for z in optimum.prep.amplitudes)
-    post = ",".join(format_complex(z) for z in optimum.post.amplitudes)
     return _lines([
         f"c_optimal={_fmt(optimum.c_value)}",
         f"trace_term={format_complex(optimum.trace_term)}",
-        f"prep={amps}",
-        f"post={post}",
+        f"prep={_format_vector(optimum.prep.amplitudes)}",
+        f"post={_format_vector(optimum.post.amplitudes)}",
         f"g_a={_fmt(args.g_a)}",
         f"g_b={_fmt(args.g_b)}",
     ])

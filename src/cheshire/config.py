@@ -16,7 +16,7 @@ import numpy as np
 
 from .dynamics import BranchWeights
 from .errors import ValidationError
-from .meter import DEFAULT_GRID, MAX_READOUT_SCALE, Grid, _real_scales, format_complex, parse_complex
+from .meter import DEFAULT_GRID, Grid, _readout_scale
 from .qsystem import (
     PhotonEffect,
     PhotonKet,
@@ -27,23 +27,6 @@ from .qsystem import (
 from .tolerances import NORM_SNAP_TOL
 
 MAX_SEED = 2 ** 64
-
-
-def _snap_normalized(values, fieldname: str) -> PhotonKet:
-    """Accept amplitudes up to 1e-6 off normalization; keep exact bits
-    when already normalized to working precision."""
-    amps = np.asarray(values, dtype=complex)
-    if amps.shape != (4,):
-        raise ValidationError(f"{fieldname}: expected 4 amplitudes, got {amps.shape}")
-    try:
-        return PhotonKet(amps)
-    except ValidationError:
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) <= NORM_SNAP_TOL:
-            return PhotonKet(amps / norm)
-        raise ValidationError(
-            f"{fieldname}: state norm {norm:.9g} is further than {NORM_SNAP_TOL} from 1"
-        ) from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,11 +50,7 @@ class ExperimentConfig:
         if (self.post is None) == (self.post_effect is None):
             raise ValidationError("post: provide exactly one of post or post_effect")
         for name in ("g_a", "g_b", "noise_a", "noise_b"):
-            value = getattr(self, name)
-            if np.ndim(value) or not _real_scales(value):
-                raise ValidationError(
-                    f"{name}: must be a finite real in [0, {MAX_READOUT_SCALE:g}], got {value!r}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, _readout_scale(f"{name}:", getattr(self, name)))
         if not (type(self.n_trials) is int and self.n_trials >= 1):
             raise ValidationError(f"n_trials: must be a positive integer, got {self.n_trials!r}")
         if not (type(self.seed) is int and 0 <= self.seed < MAX_SEED):
@@ -104,42 +83,83 @@ class ExperimentConfig:
         return BranchWeights.from_preparation(self.prep)
 
 
-_KNOWN_KEYS = (
-    "prep", "post", "post_effect", "g_a", "g_b",
-    "noise_a", "noise_b", "n_trials", "seed", "grid",
-)
-
-
-def _parse_float(fieldname: str, raw: str) -> float:
+def parse_complex(text: str) -> complex:
+    """Parse ``re+imi`` / ``re-imi`` / plain real, with ``i`` for the unit."""
+    cleaned = text.strip().replace("I", "i")
     try:
-        return float(raw)
+        return complex(cleaned.replace("i", "j"))
     except ValueError as exc:
-        raise ValidationError(f"{fieldname}: cannot parse {raw!r} as a real number") from exc
+        raise ValidationError(f"cannot parse complex value {text!r}") from exc
 
 
-def _parse_int(fieldname: str, raw: str) -> int:
+def format_complex(z: complex) -> str:
+    return f"{z.real:.17g}{z.imag:+.17g}i"
+
+
+def _parse_number(raw: str, kind=float):
     try:
-        return int(raw)
+        return kind(raw)
     except ValueError as exc:
-        raise ValidationError(f"{fieldname}: cannot parse {raw!r} as an integer") from exc
+        what = "an integer" if kind is int else "a real number"
+        raise ValidationError(f"cannot parse {raw!r} as {what}") from exc
 
 
-def _parse_complex_vector(fieldname: str, raw: str, count: int) -> np.ndarray:
+def _complex_values(raw: str, count: int) -> np.ndarray:
     parts = [p for p in (s.strip() for s in raw.split(",")) if p]
     if len(parts) != count:
-        raise ValidationError(f"{fieldname}: expected {count} comma-separated values, got {len(parts)}")
+        raise ValidationError(f"expected {count} comma-separated values, got {len(parts)}")
+    return np.array([parse_complex(p) for p in parts])
+
+
+def _parse_ket(raw: str) -> PhotonKet:
+    """Accept amplitudes up to 1e-6 off normalization; keep exact bits
+    when already normalized to working precision."""
+    amps = _complex_values(raw, 4)
     try:
-        return np.array([parse_complex(p) for p in parts])
-    except ValidationError as exc:
-        raise ValidationError(f"{fieldname}: {exc}") from exc
+        return PhotonKet(amps)
+    except ValidationError:
+        norm = float(np.linalg.norm(amps))
+        if abs(norm - 1.0) <= NORM_SNAP_TOL:
+            return PhotonKet(amps / norm)
+        raise ValidationError(f"state norm {norm:.9g} is further than {NORM_SNAP_TOL} from 1") from None
 
 
 def _parse_grid(raw: str) -> Grid:
     parts = [s.strip() for s in raw.split(",")]
     if len(parts) != 3:
-        raise ValidationError(f"grid: expected min,max,points, got {raw!r}")
-    return Grid(_parse_float("grid", parts[0]), _parse_float("grid", parts[1]),
-                _parse_int("grid", parts[2]))
+        raise ValidationError(f"expected min,max,points, got {raw!r}")
+    return Grid(_parse_number(parts[0]), _parse_number(parts[1]), _parse_number(parts[2], int))
+
+
+def _format_vector(values) -> str:
+    return ",".join(format_complex(complex(z)) for z in np.asarray(values).ravel())
+
+
+_format_real = "{:.17g}".format
+
+
+# The text format: each key, in field order, with the parser and the formatter
+# of its value.  `_parse_value` opens every parse error with the key.
+_KEYS = {
+    "prep": (_parse_ket, lambda ket: _format_vector(ket.amplitudes)),
+    "post": (_parse_ket, lambda ket: _format_vector(ket.amplitudes)),
+    "post_effect": (lambda raw: PhotonEffect(_complex_values(raw, 16).reshape(4, 4)),
+                    lambda effect: _format_vector(effect.matrix)),
+    "g_a": (_parse_number, _format_real),
+    "g_b": (_parse_number, _format_real),
+    "noise_a": (_parse_number, _format_real),
+    "noise_b": (_parse_number, _format_real),
+    "n_trials": (lambda raw: _parse_number(raw, int), str),
+    "seed": (lambda raw: _parse_number(raw, int), str),
+    "grid": (_parse_grid, lambda grid: f"{grid.x_min:.17g},{grid.x_max:.17g},{grid.n_points}"),
+}
+
+
+def _parse_value(key: str, raw: str):
+    try:
+        return _KEYS[key][0](raw)
+    except ValidationError as exc:
+        raise ValidationError(f"{key}: {exc}") from exc
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -153,7 +173,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if not sep:
             raise ValidationError(f"line {line_no}: expected key=value, got {stripped!r}")
         key = key.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ValidationError(f"{key}: unknown configuration key")
         if key in entries:
             raise ValidationError(f"{key}: duplicate configuration key")
@@ -163,25 +183,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         raise ValidationError("prep: missing required key")
     if "post" not in entries and "post_effect" not in entries:
         raise ValidationError("post: missing required key (post or post_effect)")
-
-    kwargs: dict = {"prep": _snap_normalized(_parse_complex_vector("prep", entries["prep"], 4), "prep")}
-    if "post" in entries:
-        kwargs["post"] = _snap_normalized(_parse_complex_vector("post", entries["post"], 4), "post")
-    if "post_effect" in entries:
-        flat = _parse_complex_vector("post_effect", entries["post_effect"], 16)
-        try:
-            kwargs["post_effect"] = PhotonEffect(flat.reshape(4, 4))
-        except ValidationError as exc:
-            raise ValidationError(f"post_effect: {exc}") from exc
-    for name in ("g_a", "g_b", "noise_a", "noise_b"):
-        if name in entries:
-            kwargs[name] = _parse_float(name, entries[name])
-    for name in ("n_trials", "seed"):
-        if name in entries:
-            kwargs[name] = _parse_int(name, entries[name])
-    if "grid" in entries:
-        kwargs["grid"] = _parse_grid(entries["grid"])
-    return ExperimentConfig(**kwargs)
+    return ExperimentConfig(**{key: _parse_value(key, entries[key]) for key in _KEYS if key in entries})
 
 
 def load_config(path) -> ExperimentConfig:
@@ -189,24 +191,7 @@ def load_config(path) -> ExperimentConfig:
         return parse_config_text(fh.read())
 
 
-def _format_vector(values) -> str:
-    return ",".join(format_complex(complex(z)) for z in np.asarray(values).ravel())
-
-
 def dump_config(config: ExperimentConfig) -> str:
     """Canonical key=value text; parsing it recreates the experiment."""
-    lines = [f"prep={_format_vector(config.prep.amplitudes)}"]
-    if config.post is not None:
-        lines.append(f"post={_format_vector(config.post.amplitudes)}")
-    else:
-        lines.append(f"post_effect={_format_vector(config.post_effect.matrix)}")
-    lines.extend([
-        f"g_a={config.g_a:.17g}",
-        f"g_b={config.g_b:.17g}",
-        f"noise_a={config.noise_a:.17g}",
-        f"noise_b={config.noise_b:.17g}",
-        f"n_trials={config.n_trials}",
-        f"seed={config.seed}",
-        f"grid={config.grid.x_min:.17g},{config.grid.x_max:.17g},{config.grid.n_points}",
-    ])
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key}={text(value)}\n" for key, (_, text) in _KEYS.items()
+                   if (value := getattr(config, key)) is not None)

@@ -50,6 +50,15 @@ def _real_scales(values) -> bool:
     return real and bool(np.all((array >= 0.0) & (array <= np.float64(MAX_READOUT_SCALE))))
 
 
+def _readout_scale(label: str, value) -> float:
+    """One coupling or noise width, as a float, if it passes `_real_scales`;
+    else a `ValidationError` whose message opens with ``label``."""
+    if np.ndim(value) or not _real_scales(value):
+        raise ValidationError(
+            f"{label} must be a finite real in [0, {MAX_READOUT_SCALE:g}], got {value!r}")
+    return float(value)
+
+
 def _validate_couplings(*couplings) -> None:
     """Each coupling, a scalar or a stack, must pass `_real_scales`.  Stacks
     must broadcast together."""
@@ -169,19 +178,6 @@ class GridMeter:
         density = np.abs(self.psi0) ** 2
         pairs = self.grid.spacing * (density[1:] + density[:-1]) / 2.0
         return np.cumsum([np.r_[0.0, pairs], np.r_[0.0, pairs[::-1]]], axis=1)
-
-
-def parse_complex(text: str) -> complex:
-    """Parse ``re+imi`` / ``re-imi`` / plain real, with ``i`` for the unit."""
-    cleaned = text.strip().replace("I", "i")
-    try:
-        return complex(cleaned.replace("i", "j"))
-    except ValueError as exc:
-        raise ValidationError(f"cannot parse complex value {text!r}") from exc
-
-
-def format_complex(z: complex) -> str:
-    return f"{z.real:.17g}{z.imag:+.17g}i"
 
 
 def _trapezoid_weights(grid: Grid) -> np.ndarray:

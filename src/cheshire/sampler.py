@@ -65,7 +65,7 @@ import numpy as np
 from .dynamics import _branch_shifts, _check_realizable, _unstack, BranchWeights
 from .errors import PositivityError, ValidationError
 from .indicator import _indicator
-from .meter import MAX_READOUT_SCALE, _one_coupling_per_meter, _real_scales, _validate_couplings
+from .meter import _one_coupling_per_meter, _readout_scale, _validate_couplings
 from .qsystem import _coherence
 from .tolerances import ACCEPTANCE_BOUND
 
@@ -89,10 +89,8 @@ class NoiseModel:
     nu_b: float = 0.0
 
     def __post_init__(self):
-        for name, nu in (("nu_a", self.nu_a), ("nu_b", self.nu_b)):
-            if np.ndim(nu) or not _real_scales(nu):
-                raise ValidationError(
-                    f"{name} must be a finite real in [0, {MAX_READOUT_SCALE:g}], got {nu!r}")
+        _readout_scale("nu_a", self.nu_a)
+        _readout_scale("nu_b", self.nu_b)
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,7 +14,7 @@ import pytest
 import cheshire
 from cheshire.cli import locate_max, main
 from cheshire.errors import ValidationError
-from cheshire.meter import format_complex, parse_complex
+from cheshire.config import format_complex, parse_complex
 
 R3 = repr(1.0 / math.sqrt(3.0))
 RH = repr(math.sqrt(0.5))

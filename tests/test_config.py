@@ -1,15 +1,17 @@
 """Configuration parsing, validation, and round-trip serialization tests."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from cheshire.config import (
+    _KEYS,
     ExperimentConfig,
     dump_config,
     load_config,
+    parse_complex,
     parse_config_text,
 )
 from cheshire.errors import ValidationError
@@ -31,6 +33,60 @@ def example_config(**overrides) -> ExperimentConfig:
     base = dict(prep=prep, post=post, g_a=2.0, g_b=2.0, seed=42)
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+EXAMPLE_EFFECT = PhotonEffect(np.diag([1.0, 1.0, 0.5, 0.0]))
+
+# malformed values for every key of the text format, in field order; the grid
+# ones after the first three fail in `Grid` itself
+MALFORMED = {
+    "prep": ["1,0,0", "1,0,zebra,0", "1,1,1,1", "nan,0,0,0"],
+    "post": ["1,0,0,0,0", "1,0,0,spam", "0,0,0,0"],
+    "post_effect": [",".join(["0"] * 15), ",".join(["1+1i"] * 16),
+                    ",".join("2" if i % 5 == 0 else "0" for i in range(16))],
+    "g_a": ["fast"],
+    "g_b": ["1,2"],
+    "noise_a": ["0.1i"],
+    "noise_b": [""],
+    "n_trials": ["1e6"],
+    "seed": ["seven"],
+    "grid": ["0, 1", "0, x, 5", "0, 1, 4.5", "1, 0, 5", "0, 1, 1", "-inf, 20, 5"],
+}
+
+
+class TestStateFile:
+    """The ``re+imi`` text form of complex values in config files."""
+
+    def test_parse_complex_forms(self):
+        assert parse_complex("1.5") == 1.5
+        assert parse_complex("1.5+0.25i") == 1.5 + 0.25j
+        assert parse_complex("-2e-3-1i") == -2e-3 - 1j
+        with pytest.raises(ValidationError):
+            parse_complex("spam")
+
+
+class TestKeyTable:
+    """One table of keys gives the parser, the formatter and the known keys."""
+
+    def test_keys_are_the_config_fields_in_order(self):
+        assert list(_KEYS) == [f.name for f in fields(ExperimentConfig)] == list(MALFORMED)
+
+    @pytest.mark.parametrize("key, raw", [(k, raw) for k, values in MALFORMED.items() for raw in values])
+    def test_malformed_value_error_names_its_key_once(self, key, raw):
+        entries = {"prep": "1,0,0,0", "post": "0,0,1,0", key: raw}
+        if key == "post_effect":
+            del entries["post"]
+        text = "".join(f"{k} = {v}\n" for k, v in entries.items())
+        with pytest.raises(ValidationError) as info:
+            parse_config_text(text)
+        message = str(info.value)
+        assert message.startswith(f"{key}: ") and message.count(f"{key}: ") == 1, message
+
+    def test_dump_writes_exactly_the_keys_that_are_set(self):
+        pure, effect = example_config(), example_config(post=None, post_effect=EXAMPLE_EFFECT)
+        for config, unset in ((pure, "post_effect"), (effect, "post")):
+            keys = [line.partition("=")[0] for line in dump_config(config).splitlines()]
+            assert keys == [f.name for f in fields(ExperimentConfig) if f.name != unset]
 
 
 class TestParsing:
@@ -205,12 +261,11 @@ class TestRoundTrip:
         assert again.grid == config.grid
 
     def test_effect_round_trip(self):
-        effect = PhotonEffect(np.diag([1.0, 1.0, 0.5, 0.0]))
-        config = example_config(post=None, post_effect=effect)
+        config = example_config(post=None, post_effect=EXAMPLE_EFFECT)
         text = dump_config(config)
         again = parse_config_text(text)
         assert dump_config(again) == text
-        assert np.array_equal(again.post_effect.matrix, effect.matrix)
+        assert np.array_equal(again.post_effect.matrix, EXAMPLE_EFFECT.matrix)
 
     def test_complex_amplitudes_round_trip(self):
         prep = PhotonKet.normalized([1.0 + 0.5j, 0.25j, -0.75, 0.125 - 0.625j])

@@ -21,7 +21,6 @@ from cheshire.meter import (
     _check_edges,
     _validate_couplings,
     gaussian_ground_state,
-    parse_complex,
     pointer_matrices,
 )
 
@@ -384,13 +383,3 @@ class TestEdgeTable:
             with pytest.raises(GridTooSmall, match=re.escape(f"shift {shift} pushes squared ")):
                 _check_edges(meter, [shift])
 
-
-class TestStateFile:
-    """The ``re+imi`` text form of complex values in config files."""
-
-    def test_parse_complex_forms(self):
-        assert parse_complex("1.5") == 1.5
-        assert parse_complex("1.5+0.25i") == 1.5 + 0.25j
-        assert parse_complex("-2e-3-1i") == -2e-3 - 1j
-        with pytest.raises(ValidationError):
-            parse_complex("spam")

@@ -1,5 +1,5 @@
-"""The README's quick start and the two experiment scripts in ``scripts/``
-run end to end, the scripts at small sizes."""
+"""The README's quick start, the noise-study script at small sizes, and the
+installed-command check in ``scripts/`` run end to end."""
 
 import contextlib
 import csv
@@ -7,9 +7,9 @@ import importlib.util
 import io
 import os
 import re
+import sys
 
-from cheshire import ExperimentConfig, PhotonKet
-from cheshire.cli import format_sweep_csv, sweep_rows
+import cheshire
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCRIPTS = os.path.join(ROOT, "scripts")
@@ -33,14 +33,6 @@ def test_readme_quick_start_prints_its_values():
     assert float(negativity) > 0.0
 
 
-def test_coupling_sweep_writes_the_sweep_csv(tmp_path):
-    out = tmp_path / "sweep.csv"
-    assert load_script("coupling_sweep").main(["--steps", "5", "--out", str(out)]) == 0
-    example = ExperimentConfig(prep=PhotonKet.normalized([1.0, 0.0, 1.0, 1.0]),
-                               post=PhotonKet.normalized([1.0, 0.0, 1.0, -1.0]))
-    assert out.read_text(encoding="utf-8") == format_sweep_csv(sweep_rows(example, 0.0, 8.0, 5))
-
-
 def test_noise_study_writes_one_row_per_level(tmp_path):
     out = tmp_path / "noise.csv"
     argv = ["--levels", "2", "--trials", "1000", "--out", str(out)]
@@ -59,3 +51,37 @@ def test_noise_study_rejects_noise_beyond_the_readout_bound(capsys, tmp_path):
     err = capsys.readouterr().err
     assert err.startswith("error: nu_a ") and err.count("\n") == 1
     assert not out.exists()
+
+
+# the CLI with one byte of its sweep CSV changed, as a stand-in for a broken
+# installed command
+ONE_BYTE_OFF = """
+import contextlib, io, sys
+from cheshire.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(sys.argv[1:])
+text = out.getvalue()
+if sys.argv[1] == "sweep":
+    text = text[:-2] + chr(ord(text[-2]) ^ 1) + text[-1]
+sys.stdout.write(text)
+sys.exit(code)
+"""
+
+
+def test_installed_cli_check_passes_on_the_pins_and_fails_on_one_changed_byte(
+        capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("PYTHONPATH", os.path.dirname(os.path.dirname(cheshire.__file__)))
+    monkeypatch.chdir(tmp_path)
+    check = load_script("check_installed_cli")
+    assert check.main([sys.executable, "-m", "cheshire.cli"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("c_optimal=")
+    assert lines[-5:] == [f"{name}: OK" for name in
+                          ("optimize.txt", "analytic.txt", "sweep.csv", "montecarlo.txt", "trials.csv")]
+
+    (tmp_path / "one_byte_off.py").write_text(ONE_BYTE_OFF, encoding="utf-8")
+    assert check.main([sys.executable, "one_byte_off.py"]) == 1
+    assert capsys.readouterr().out.splitlines()[-5:] == [
+        "optimize.txt: OK", "analytic.txt: OK", "sweep.csv: FAILED", "montecarlo.txt: OK",
+        "trials.csv: OK"]
