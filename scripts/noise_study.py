@@ -9,7 +9,6 @@ per-trial variance.
 """
 
 import argparse
-import csv
 import math
 import sys
 
@@ -46,17 +45,21 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
+    lines = ["nu_a,nu_b,c_hat,std_error,n_required\n"]
+    for row in rows:
+        n_req = "inf" if math.isinf(row.n_required) else f"{int(row.n_required)}"
+        lines.append(f"{row.nu_a:.17g},{row.nu_b:.17g},{row.c_hat:.17g},"
+                     f"{row.std_error:.17g},{n_req}\n")
+    text = "".join(lines)
+    if not args.out:
+        sys.stdout.write(text)
+        return 0
     try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(("nu_a", "nu_b", "c_hat", "std_error", "n_required"))
-        for row in rows:
-            n_req = "inf" if math.isinf(row.n_required) else f"{int(row.n_required)}"
-            writer.writerow((f"{row.nu_a:.17g}", f"{row.nu_b:.17g}",
-                             f"{row.c_hat:.17g}", f"{row.std_error:.17g}", n_req))
-    finally:
-        if args.out:
-            out.close()
+        with open(args.out, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: out: cannot write {args.out}: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -170,9 +170,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if not stripped or stripped.startswith("#"):
             continue
         key, sep, value = stripped.partition("=")
-        if not sep:
-            raise ValidationError(f"line {line_no}: expected key=value, got {stripped!r}")
         key = key.strip()
+        if not (sep and key):
+            raise ValidationError(f"line {line_no}: expected key=value, got {stripped!r}")
         if key not in _KEYS:
             raise ValidationError(f"{key}: unknown configuration key")
         if key in entries:
@@ -187,7 +187,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark some editors write before the first key
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_config_text(fh.read())
 
 

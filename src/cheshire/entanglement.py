@@ -31,8 +31,7 @@ def gram_orthonormalize(gram: np.ndarray) -> np.ndarray:
     (..., n, r) with r the largest rank in the stack; an entry of lower
     rank has zero columns in place of its dropped directions.
     """
-    g = _hermitian(gram, "gram matrix", None,
-                   ("{what} must be square", "{what} must be finite", "{what} must be Hermitian"))
+    g = _hermitian(gram, "gram matrix", None)
     eigenvalues, vectors = np.linalg.eigh(g)
     if eigenvalues.min() < -EIGENVALUE_TOL:
         raise ValidationError(f"gram matrix has negative eigenvalue {eigenvalues.min()!r}")

@@ -64,28 +64,25 @@ class PhotonKet:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
 
-_OPERATOR_MESSAGES = ("{what} must be {shape[0]}x{shape[1]}, got {m.shape}", "{what} must be finite",
-                      "{what} is not Hermitian within {tol}")
-
-
 def _hermitian(values, what: str, shape: tuple[int, int] | None = (DIM, DIM),
-               messages: tuple[str, ...] = _OPERATOR_MESSAGES, symmetrize: bool = False) -> np.ndarray:
+               symmetrize: bool = False) -> np.ndarray:
     """The one check of every Hermitian operand (densities, effects, K, Gram
     stacks): ``values`` must have ``shape`` (None: any stack of square
     matrices), then finite entries, then lie within `HERMITIAN_TOL` of its
-    conjugate transpose, or `ValidationError` gives that check's ``messages``
-    entry.  Returns, read-only, the Hermitian part if ``symmetrize``, else a
+    conjugate transpose, or `ValidationError` names ``what`` and the failed
+    check.  Returns, read-only, the Hermitian part if ``symmetrize``, else a
     copy with the input's bits."""
     m = _complex_array(values, what)
-    fields = {"what": what, "m": m, "shape": shape, "tol": HERMITIAN_TOL}
-    square = m.ndim >= 2 and m.shape[-2] == m.shape[-1]
-    if not (square if shape is None else m.shape == shape):
-        raise ValidationError(messages[0].format(**fields))
+    if shape is None:
+        if not (m.ndim >= 2 and m.shape[-2] == m.shape[-1]):
+            raise ValidationError(f"{what} must be square, got shape {m.shape}")
+    elif m.shape != shape:
+        raise ValidationError(f"{what} must be {shape[0]}x{shape[1]}, got {m.shape}")
     if not np.isfinite(m).all():
-        raise ValidationError(messages[1].format(**fields))
+        raise ValidationError(f"{what} must be finite")
     adjoint = m.conj().swapaxes(-2, -1)
     if np.abs(m - adjoint).max() > HERMITIAN_TOL:
-        raise ValidationError(messages[2].format(**fields))
+        raise ValidationError(f"{what} is not Hermitian within {HERMITIAN_TOL}")
     m = 0.5 * (m + adjoint) if symmetrize else m.copy()
     m.setflags(write=False)
     return m
@@ -192,6 +189,4 @@ def _coherence(source) -> np.ndarray:
     case `TransitionAmplitudes.coherence`."""
     if isinstance(source, TransitionAmplitudes):
         source = source.coherence()
-    malformed = "{what} must be a Hermitian 3x3 matrix, got {m!r}"
-    return _hermitian(source, "branch coherence", (3, 3),
-                      (malformed, "{what} has non-finite entries", malformed))
+    return _hermitian(source, "branch coherence", (3, 3))

@@ -51,7 +51,6 @@ stored trial stream and returns the identical result.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import functools
 import math
@@ -71,10 +70,10 @@ from .tolerances import ACCEPTANCE_BOUND
 
 TRIALS_PER_BATCH = 1 << 15
 THREADS_ENV_VAR = "CHESHIRE_THREADS"
-# The most worker threads a call may ask for.  Each worker holds its own
-# 2.1 MB workspace, and the pool starts a new thread for each submitted batch
-# while none is idle, so an unbounded count could start one thread and one
-# workspace per batch; 64 is far beyond any gain on the batch kernel.
+# The most worker threads a call may ask for.  A call starts all of its workers
+# at once, each with its own 2.1 MB workspace, so an unbounded count could start
+# one thread and one workspace per batch; 64 is far beyond any gain on the
+# batch kernel.
 MAX_THREADS = 64
 
 DETECTION_Z = 5.0
@@ -268,26 +267,60 @@ def _batch_kernel(
 def _map_batches(fn, n: int):
     """fn(b) for every batch b of n trials, yielded in batch order.
 
-    With more than one worker thread the batches run concurrently, at most
-    one per worker at a time and workers + 1 in flight, whatever n is; the
-    order of the results never changes.
+    With more than one worker and more than one batch, plain threads run the
+    batches: each worker takes the next unstarted batch, and no batch starts
+    more than workers ahead of the one the caller waits for, so at most
+    workers + 1 are started and not yet yielded whatever n is.  A batch's
+    exception is raised in its place, and no batch beyond the window starts
+    after it.  The workers are joined before the generator returns, is closed
+    or raises; one worker or one batch starts no thread.
     """
     n_batches = (n + TRIALS_PER_BATCH - 1) // TRIALS_PER_BATCH
-    workers = max_threads()
-    if workers > 1 and n_batches > 1:
-        # imported here: a process that starts no pool saves about 7 ms and 0.6 MB of RSS
-        from concurrent.futures import ThreadPoolExecutor
-
-        window = collections.deque()
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for b in range(n_batches):
-                if len(window) > workers:
-                    yield window.popleft().result()
-                window.append(pool.submit(fn, b))
-            while window:
-                yield window.popleft().result()
-    else:
+    workers = min(max_threads(), n_batches)
+    if workers < 2:
         yield from map(fn, range(n_batches))
+        return
+    cond = threading.Condition()
+    done = {}  # batch -> (raised, fn's result or its exception)
+    started = wanted = 0  # batches started; the batch the caller waits for
+    stop = False
+
+    def work():
+        nonlocal started
+        while True:
+            with cond:
+                cond.wait_for(lambda: stop or started <= wanted + workers)
+                b = started
+                if stop or b >= n_batches:
+                    return
+                started += 1
+            try:
+                result = False, fn(b)
+            except BaseException as exc:
+                result = True, exc
+            with cond:
+                done[b] = result
+                cond.notify_all()
+
+    threads = [threading.Thread(target=work) for _ in range(workers)]
+    try:
+        for thread in threads:
+            thread.start()
+        for wanted in range(n_batches):
+            with cond:
+                cond.notify_all()  # the window has moved on to `wanted`
+                cond.wait_for(lambda: wanted in done)
+                raised, value = done.pop(wanted)
+            if raised:
+                raise value
+            yield value
+    finally:
+        with cond:
+            stop = True
+            cond.notify_all()
+        for thread in threads:
+            if thread.ident is not None:
+                thread.join()
 
 
 def _moments(accepted: np.ndarray, x: np.ndarray, y: np.ndarray, spent=None):

@@ -1,6 +1,6 @@
 """Shared fixtures and hypothesis strategies."""
 
-import concurrent.futures
+import threading
 
 import numpy as np
 import pytest
@@ -31,12 +31,13 @@ def no_eigensolver(monkeypatch):
 
 
 @pytest.fixture
-def no_thread_pool(monkeypatch):
-    """Starting a thread pool raises, so a test can show that none starts."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("a thread pool was started")
+def no_worker_threads(monkeypatch):
+    """Starting a thread raises, so a test can show that the sampler, whose
+    workers are plain `threading.Thread`s, starts none."""
+    def refuse(self):
+        raise AssertionError(f"thread {self.name} was started")
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
 
 
 def projector(*indices: int) -> np.ndarray:

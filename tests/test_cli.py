@@ -451,7 +451,7 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("raw", ["65", str(10**6)])
     def test_thread_count_above_the_bound_exits_two(self, capsys, config_path, monkeypatch,
-                                                    no_thread_pool, raw):
+                                                    no_worker_threads, raw):
         monkeypatch.setenv("CHESHIRE_THREADS", raw)
         code, out, err = run_cli(capsys, "montecarlo", "--config", config_path, "--trials", "100")
         assert code == 2 and out == ""
@@ -631,13 +631,20 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
-    def test_import_does_not_load_the_thread_pool(self):
-        # concurrent.futures is loaded only when a sampler pool starts
+    def test_import_does_not_load_the_thread_pool(self, config_path, tmp_path, monkeypatch):
+        # the sampler's workers are plain threads: neither importing the package
+        # nor a four-batch run on two workers loads concurrent.futures or logging
+        monkeypatch.setenv("CHESHIRE_THREADS", "2")
+        argv = ["montecarlo", "--config", config_path, "--trials", "100000",
+                "--out", str(tmp_path / "report.txt")]
         probe = ("import sys, cheshire; print('concurrent.futures' in sys.modules); "
-                 "import cheshire.cli; print('concurrent.futures' in sys.modules)")
+                 "import cheshire.cli; print('concurrent.futures' in sys.modules); "
+                 f"print(cheshire.cli.main({argv!r})); "
+                 "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
         proc = _run_python("-c", probe)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False", "False"]
+        assert proc.stdout.splitlines() == ["False", "False", "0", "[]"]
+        assert (tmp_path / "report.txt").read_text(encoding="utf-8").startswith("c_hat=")
 
     def test_every_subcommand_runs_without_scipy(self, config_path):
         # a None entry in sys.modules makes `import scipy` raise ImportError

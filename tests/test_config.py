@@ -38,19 +38,21 @@ def example_config(**overrides) -> ExperimentConfig:
 EXAMPLE_EFFECT = PhotonEffect(np.diag([1.0, 1.0, 0.5, 0.0]))
 
 # malformed values for every key of the text format, in field order; the grid
-# ones after the first three fail in `Grid` itself
+# ones after the first three fail in `Grid` itself, the last prep is 0.1 % off norm
 MALFORMED = {
-    "prep": ["1,0,0", "1,0,zebra,0", "1,1,1,1", "nan,0,0,0"],
-    "post": ["1,0,0,0,0", "1,0,0,spam", "0,0,0,0"],
+    "prep": ["1,0,0", "1,0,zebra,0", "1,1,1,1", "nan,0,0,0",
+             ",".join(repr(v * 1.001) for v in (R3, 0.0, R3, R3))],
+    "post": ["1,0,0,0,0", "1,0,0,spam", "0,0,0,0", "1,0,zebra,0"],
     "post_effect": [",".join(["0"] * 15), ",".join(["1+1i"] * 16),
                     ",".join("2" if i % 5 == 0 else "0" for i in range(16))],
     "g_a": ["fast"],
-    "g_b": ["1,2"],
+    "g_b": ["1,2", "fast"],
     "noise_a": ["0.1i"],
     "noise_b": [""],
     "n_trials": ["1e6"],
     "seed": ["seven"],
-    "grid": ["0, 1", "0, x, 5", "0, 1, 4.5", "1, 0, 5", "0, 1, 1", "-inf, 20, 5"],
+    "grid": ["0, 1", "0, x, 5", "0, 1, 4.5", "1, 0, 5", "0, 1, 1", "-inf, 20, 5",
+             "-20, inf, 4001"],
 }
 
 
@@ -162,21 +164,9 @@ class TestValidation:
         with pytest.raises(ValidationError, match="line 2"):
             parse_config_text("prep=1,0,0,0\nnonsense line\n")
 
-    def test_bad_complex_names_field(self):
-        with pytest.raises(ValidationError, match="post"):
-            parse_config_text("prep=1,0,0,0\npost=1,0,zebra,0\n")
-
-    def test_wrong_vector_length_names_field(self):
-        with pytest.raises(ValidationError, match="prep"):
-            parse_config_text("prep=1,0,0\npost=1,0,0,0\n")
-
-    def test_bad_float_names_field(self):
-        with pytest.raises(ValidationError, match="g_b"):
-            parse_config_text(MINIMAL_TEXT + "g_b=fast\n")
-
-    def test_bad_int_names_field(self):
-        with pytest.raises(ValidationError, match="n_trials"):
-            parse_config_text(MINIMAL_TEXT + "n_trials=1e6\n")
+    def test_line_with_empty_key_rejected(self):
+        with pytest.raises(ValidationError, match="^line 3: expected key=value, got '=3'$"):
+            parse_config_text("prep=1,0,0,0\npost=1,0,0,0\n  =3\n")
 
     def test_negative_coupling_names_field(self):
         with pytest.raises(ValidationError, match="g_a"):
@@ -215,17 +205,6 @@ class TestValidation:
         assert example_config(g_a=15.0).g_a == 15.0
         assert example_config(grid=Grid(-4.0, 4.0, 401)).grid == Grid(-4.0, 4.0, 401)
 
-    @pytest.mark.parametrize("bounds", ["-inf, 20, 4001", "-20, inf, 4001"])
-    def test_non_finite_grid_bounds_rejected(self, bounds):
-        with pytest.raises(ValidationError, match="grid"):
-            parse_config_text(MINIMAL_TEXT + f"grid = {bounds}\n")
-
-    def test_effect_eigenvalues_checked(self):
-        entries = ",".join("2+0i" if i % 5 == 0 else "0+0i" for i in range(16))
-        text = f"prep={R3!r},0,{R3!r},{R3!r}\npost_effect={entries}\n"
-        with pytest.raises(ValidationError, match="post_effect"):
-            parse_config_text(text)
-
 
 class TestNormalization:
     def test_small_error_renormalized(self):
@@ -233,12 +212,6 @@ class TestNormalization:
         text = "prep=" + ",".join(repr(float(v)) for v in off) + "\npost=1,0,0,0\n"
         config = parse_config_text(text)
         assert np.linalg.norm(config.prep.amplitudes) == pytest.approx(1.0, abs=1e-14)
-
-    def test_large_error_rejected_naming_field(self):
-        off = np.array([1.0, 0.0, 1.0, 1.0]) / math.sqrt(3.0) * 1.001
-        text = "prep=" + ",".join(repr(float(v)) for v in off) + "\npost=1,0,0,0\n"
-        with pytest.raises(ValidationError, match="prep"):
-            parse_config_text(text)
 
     def test_exact_amplitudes_kept_bitwise(self):
         config = parse_config_text(MINIMAL_TEXT)
@@ -281,6 +254,14 @@ class TestRoundTrip:
         path.write_text(dump_config(config), encoding="utf-8")
         again = load_config(path)
         assert dump_config(again) == dump_config(config)
+
+    def test_file_with_byte_order_mark_loads(self, tmp_path):
+        # as some editors save UTF-8; the mark is not part of the first key
+        config = example_config(seed=7)
+        path = tmp_path / "experiment.cfg"
+        path.write_text(dump_config(config), encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbfprep=")
+        assert dump_config(load_config(path)) == dump_config(config)
 
     def test_with_overrides(self):
         # dataclasses.replace runs the config's own validation

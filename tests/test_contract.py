@@ -234,7 +234,7 @@ def coherence_entry_points(k):
 @pytest.mark.parametrize("name", list(coherence_entry_points(K)))
 def test_non_finite_coherence_rejected(name, k):
     # a typed error, not a nan result, a RuntimeWarning or numpy's LinAlgError
-    with pytest.raises(ValidationError, match="^branch coherence has non-finite entries$"):
+    with pytest.raises(ValidationError, match="^branch coherence must be finite$"):
         coherence_entry_points(k)[name]()
 
 

@@ -353,7 +353,7 @@ class TestRealizability:
 
     def test_nan_rejected(self):
         k = np.full((3, 3), np.nan + 0j)
-        with pytest.raises(ValidationError, match="non-finite"):
+        with pytest.raises(ValidationError, match="must be finite"):
             _check_realizable(k, self.WEIGHTS[0])
 
     def test_passing_check_makes_no_lapack_call(self, monkeypatch):

@@ -92,7 +92,7 @@ def test_malformed_coherence_rejected(k):
     routes = (weak_values, lambda k: success_moments(k, 1.0, 1.0),
               lambda k: meter_negativity(JointMeterState(k, 1.0, 1.0)))
     for route in routes:
-        with pytest.raises(ValidationError, match="Hermitian 3x3"):
+        with pytest.raises(ValidationError, match="^branch coherence (must be 3x3|is not Hermitian)"):
             route(k)
 
 

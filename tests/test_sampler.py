@@ -149,13 +149,20 @@ class TestDeterminism:
     @ROUTES
     @pytest.mark.parametrize("raw", ["65", str(10**6)])
     def test_thread_count_above_the_bound_starts_no_pool(self, route, raw, monkeypatch,
-                                                         no_thread_pool):
+                                                         no_worker_threads):
         # rejected, not clamped, before any batch is drawn
         monkeypatch.setenv("CHESHIRE_THREADS", raw)
         threads = threading.active_count()
         with pytest.raises(ValidationError, match=f"CHESHIRE_THREADS must be in \\[1, 64\\], got {raw}"):
             route(EXAMPLE_AMPS, EXAMPLE_WEIGHTS, 2.0, 2.0, n=3 * TRIALS_PER_BATCH, seed=1)
         assert threading.active_count() == threads
+
+    @ROUTES
+    @pytest.mark.parametrize("threads, n", [("1", 3 * TRIALS_PER_BATCH), ("2", TRIALS_PER_BATCH)])
+    def test_one_worker_or_one_batch_starts_no_thread(self, route, threads, n, monkeypatch,
+                                                      no_worker_threads):
+        monkeypatch.setenv(THREADS_ENV_VAR, threads)
+        route(EXAMPLE_AMPS, EXAMPLE_WEIGHTS, 2.0, 2.0, n=n, seed=1)
 
 
 class TestDistribution:
@@ -437,6 +444,62 @@ class TestWorkspace:
             route(*self.ARGS, n=12 * TRIALS_PER_BATCH, seed=3)
         assert threading.active_count() == threads
         assert 5 in started and max(started) <= 5 + workers
+
+
+class TestScheduler:
+    """`_map_batches` runs the batches on plain worker threads, in a window
+    of workers + 1, and joins every worker however the caller stops."""
+
+    N = 8 * TRIALS_PER_BATCH
+
+    @pytest.mark.parametrize("workers", [2, 5])
+    def test_results_in_batch_order_within_the_window(self, workers, monkeypatch):
+        # more workers than cores, switching often
+        monkeypatch.setenv(THREADS_ENV_VAR, str(workers))
+        started = []
+
+        def fn(b):
+            started.append(b)
+            time.sleep(0.01 * (b % 3 == 0))  # every third batch finishes late
+            return b
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for b, value in enumerate(sampler._map_batches(fn, self.N)):
+                assert value == b
+                # batch b is yielded and not yet followed by b + 1
+                assert max(started) <= b + workers
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(started) == list(range(8))
+
+    def test_closing_early_joins_the_workers(self, monkeypatch):
+        monkeypatch.setenv(THREADS_ENV_VAR, "2")
+        threads = threading.active_count()
+        batches = sampler._map_batches(lambda b: b, self.N)
+        assert next(batches) == 0
+        assert threading.active_count() > threads
+        batches.close()
+        assert threading.active_count() == threads
+
+    def test_base_exception_in_a_batch_joins_the_workers(self, monkeypatch):
+        monkeypatch.setenv(THREADS_ENV_VAR, "2")
+
+        class Interrupt(BaseException):
+            pass
+
+        def fn(b):
+            if b == 2:
+                raise Interrupt
+            return b
+
+        threads = threading.active_count()
+        yielded = []
+        with pytest.raises(Interrupt):
+            yielded.extend(sampler._map_batches(fn, self.N))
+        assert yielded == [0, 1]
+        assert threading.active_count() == threads
 
 
 class TestTrialVariance:

@@ -53,6 +53,15 @@ def test_noise_study_rejects_noise_beyond_the_readout_bound(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_noise_study_unwritable_out_exits_two(capsys, tmp_path):
+    # as `cheshire ... --out` does: one error line, not a traceback
+    out = tmp_path / "missing" / "noise.csv"
+    argv = ["--levels", "2", "--trials", "1000", "--out", str(out)]
+    assert load_script("noise_study").main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: out: cannot write {out}: ") and err.count("\n") == 1
+
+
 # the CLI with one byte of its sweep CSV changed, as a stand-in for a broken
 # installed command
 ONE_BYTE_OFF = """
