@@ -168,6 +168,14 @@ class TestValidation:
         with pytest.raises(ValidationError, match="^line 3: expected key=value, got '=3'$"):
             parse_config_text("prep=1,0,0,0\npost=1,0,0,0\n  =3\n")
 
+    def test_wrong_vector_length_names_field(self):
+        with pytest.raises(ValidationError, match="prep"):
+            parse_config_text("prep=1,0,0\npost=1,0,0,0\n")
+
+    def test_bad_int_names_field(self):
+        with pytest.raises(ValidationError, match="n_trials"):
+            parse_config_text(MINIMAL_TEXT + "n_trials=1e6\n")
+
     def test_negative_coupling_names_field(self):
         with pytest.raises(ValidationError, match="g_a"):
             example_config(g_a=-1.0)
@@ -204,6 +212,17 @@ class TestValidation:
         # only the sweep's oracle uses the grid, and it checks its own range
         assert example_config(g_a=15.0).g_a == 15.0
         assert example_config(grid=Grid(-4.0, 4.0, 401)).grid == Grid(-4.0, 4.0, 401)
+
+    @pytest.mark.parametrize("bounds", ["-inf, 20, 4001", "-20, inf, 4001"])
+    def test_non_finite_grid_bounds_rejected(self, bounds):
+        with pytest.raises(ValidationError, match="grid"):
+            parse_config_text(MINIMAL_TEXT + f"grid = {bounds}\n")
+
+    def test_effect_eigenvalues_checked(self):
+        entries = ",".join("2+0i" if i % 5 == 0 else "0+0i" for i in range(16))
+        text = f"prep={R3!r},0,{R3!r},{R3!r}\npost_effect={entries}\n"
+        with pytest.raises(ValidationError, match="post_effect"):
+            parse_config_text(text)
 
 
 class TestNormalization:
