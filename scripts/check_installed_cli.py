@@ -5,9 +5,11 @@ In the current directory, runs the command on the README config:
 `analytic`, `sweep --steps 161` and `montecarlo --trials 140000
 --dump-trials trials.csv`.  The analytic report, the sweep CSV and the trial
 CSV must match their pinned sha256 digests, and the Monte Carlo summary its
-pinned text.  It also runs and prints `optimize --g-a 2 --g-b 2`, which must
-report `c_optimal=`.  Every output stays in the directory.  Prints one
-OK/FAILED line per output and exits 1 if any failed.
+pinned text.  It also runs and prints `optimize --g-a 2 --g-b 2 --seed 7`,
+which must report `c_optimal=`, and runs `analytic --config readme.cfg
+--trials 5`, a flag `analytic` does not take, which must exit 2 with
+argparse's `unrecognized arguments`.  Every output stays in the directory.
+Prints one OK/FAILED line per output and exits 1 if any failed.
 
     python scripts/check_installed_cli.py                           # `cheshire`
     python scripts/check_installed_cli.py python -m cheshire.cli    # any command
@@ -27,12 +29,13 @@ TEST_CLI = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__
 PINS = ("README_TEXT", "README_MONTECARLO", "README_ANALYTIC_SHA256", "README_SWEEP_SHA256",
         "README_TRIALS_SHA256")
 RUNS = {
-    "optimize.txt": ["optimize", "--g-a", "2", "--g-b", "2"],
+    "optimize.txt": ["optimize", "--g-a", "2", "--g-b", "2", "--seed", "7"],
     "analytic.txt": ["analytic", "--config", "readme.cfg"],
     "sweep.csv": ["sweep", "--config", "readme.cfg", "--steps", "161"],
     "montecarlo.txt": ["montecarlo", "--config", "readme.cfg", "--trials", "140000",
                        "--dump-trials", "trials.csv"],
 }
+REFUSED = ["analytic", "--config", "readme.cfg", "--trials", "5"]
 
 
 def read_pins(path: str = TEST_CLI) -> dict:
@@ -58,6 +61,8 @@ def main(argv=None) -> int:
         with open(name, "wb") as fh:
             exited_0[name] = subprocess.run([*command, *args], stdout=fh).returncode == 0
     exited_0["trials.csv"] = exited_0["montecarlo.txt"]
+    with open("refused.txt", "wb") as fh:
+        refused = subprocess.run([*command, *REFUSED], stdout=fh, stderr=fh).returncode == 2
     sys.stdout.write(_read("optimize.txt").decode())
 
     ok = {"optimize.txt": exited_0["optimize.txt"] and b"\nc_optimal=" in b"\n" + _read("optimize.txt")}
@@ -69,6 +74,7 @@ def main(argv=None) -> int:
     }
     for name, digest in digests.items():
         ok[name] = exited_0[name] and hashlib.sha256(_read(name)).hexdigest() == digest
+    ok["refused.txt"] = refused and b"unrecognized arguments: --trials 5" in _read("refused.txt")
     for name, matched in ok.items():
         print(f"{name}: {'OK' if matched else 'FAILED'}")
     return 0 if all(ok.values()) else 1

@@ -12,7 +12,7 @@ import argparse
 import math
 import sys
 
-from cheshire import (BranchWeights, PhotonKet, ValidationError, noise_robustness,
+from cheshire import (BranchWeights, CheshireError, PhotonKet, noise_robustness,
                       transition_amplitudes)
 
 
@@ -41,9 +41,9 @@ def main(argv=None) -> int:
     try:
         rows = noise_robustness(amps, weights, args.g, args.g, nu_grid,
                                 n=args.trials, seed=args.seed)
-    except ValidationError as exc:
+    except CheshireError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
 
     lines = ["nu_a,nu_b,c_hat,std_error,n_required\n"]
     for row in rows:
@@ -59,7 +59,7 @@ def main(argv=None) -> int:
             fh.write(text)
     except OSError as exc:
         print(f"error: out: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 2
+        return CheshireError.exit_code
     return 0
 
 

@@ -3,7 +3,8 @@ runs, and state/coupling optimization.
 
 All output is machine-readable: key=value lines for scalar reports and
 RFC-4180-style CSV (17 significant digits) for tables.  Exit codes: 0 on
-success, 2 for configuration errors, 3 for numerical-consistency errors.
+success; a package error exits with its ``exit_code``, 2 for bad input and 3
+for an internal inconsistency; a refused allocation and a usage error exit 2.
 """
 
 from __future__ import annotations
@@ -18,17 +19,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import ExperimentConfig, _format_vector, dump_config, format_complex, load_config
+from .config import (ExperimentConfig, _format_real, _format_vector, dump_config, format_complex,
+                     load_config)
 from .dynamics import JointMeterState
 from .entanglement import meter_negativity
-from .errors import (
-    CheshireError,
-    ConsistencyError,
-    FlatObjective,
-    GridTooSmall,
-    OrthogonalPostselection,
-    ValidationError,
-)
+from .errors import CheshireError, ConsistencyError, OrthogonalPostselection, ValidationError
 from .indicator import (
     cheshire_analytic,
     local_averages,
@@ -36,7 +31,7 @@ from .indicator import (
     optimize_couplings,
     optimize_states,
 )
-from .meter import Grid, GridMeter
+from .meter import GridMeter
 from .qsystem import WeakValues, weak_values
 from .sampler import (
     NoiseModel,
@@ -48,10 +43,6 @@ from .sampler import (
 from .tolerances import ORACLE_AGREEMENT_TOL
 
 SWEEP_COLUMNS = ("g_a", "g_b", "c_analytic", "c_grid", "p_success", "negativity")
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
 
 
 def _emit(text: str, out_path) -> None:
@@ -78,41 +69,8 @@ def _effective_config(args) -> ExperimentConfig | None:
         config = load_config(args.config)
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"config: cannot read {args.config}: {exc}") from exc
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.trials is not None:
-        overrides["n_trials"] = args.trials
-    if args.grid_points is not None:
-        overrides["grid"] = Grid(config.grid.x_min, config.grid.x_max, args.grid_points)
-    return replace(config, **overrides) if overrides else config
-
-
-def analytic_report(config: ExperimentConfig) -> list[tuple[str, str]]:
-    """Key/value pairs of every exact quantity for one configuration.
-
-    Quantities that are undefined for an orthogonal postselection (weak
-    values, local averages, negativity) are nan.
-    """
-    result = cheshire_analytic(config.postselection, config.prep, config.g_a, config.g_b)
-    k, g_a, g_b = config.coherence(), config.g_a, config.g_b
-    nan = complex(math.nan, math.nan)
-    values = _or_undefined(lambda: weak_values(k), WeakValues(nan, nan))
-    x_mean, y_mean, _ = _or_undefined(lambda: local_averages(k, g_a, g_b), (math.nan,) * 3)
-    state = JointMeterState(k, g_a, g_b)
-    neg = _or_undefined(lambda: meter_negativity(state).negativity, math.nan)
-    return [
-        ("c_analytic", _fmt(result.c_value)),
-        ("p_success", _fmt(result.p_success)),
-        ("trace_term", format_complex(result.trace_term)),
-        ("weak_value_presence", format_complex(values.L_w)),
-        ("weak_value_polarization", format_complex(values.Sigma_w)),
-        ("x_mean", _fmt(x_mean)),
-        ("y_mean", _fmt(y_mean)),
-        ("negativity", _fmt(neg)),
-        ("g_a", _fmt(g_a)),
-        ("g_b", _fmt(g_b)),
-    ]
+    overrides = {"seed": args.seed, "n_trials": args.trials}
+    return replace(config, **{key: value for key, value in overrides.items() if value is not None})
 
 
 def _or_undefined(compute, undefined):
@@ -128,7 +86,30 @@ def _lines(lines) -> str:
 
 
 def cmd_analytic(args, config: ExperimentConfig) -> str:
-    return _lines(f"{key}={value}" for key, value in analytic_report(config))
+    """One key=value line per exact quantity of the configuration.
+
+    Quantities that are undefined for an orthogonal postselection (weak
+    values, local averages, negativity) are nan.
+    """
+    result = cheshire_analytic(config.postselection, config.prep, config.g_a, config.g_b)
+    k, g_a, g_b = config.coherence(), config.g_a, config.g_b
+    nan = complex(math.nan, math.nan)
+    values = _or_undefined(lambda: weak_values(k), WeakValues(nan, nan))
+    x_mean, y_mean, _ = _or_undefined(lambda: local_averages(k, g_a, g_b), (math.nan,) * 3)
+    state = JointMeterState(k, g_a, g_b)
+    neg = _or_undefined(lambda: meter_negativity(state).negativity, math.nan)
+    return _lines([
+        f"c_analytic={_format_real(result.c_value)}",
+        f"p_success={_format_real(result.p_success)}",
+        f"trace_term={format_complex(result.trace_term)}",
+        f"weak_value_presence={format_complex(values.L_w)}",
+        f"weak_value_polarization={format_complex(values.Sigma_w)}",
+        f"x_mean={_format_real(x_mean)}",
+        f"y_mean={_format_real(y_mean)}",
+        f"negativity={_format_real(neg)}",
+        f"g_a={_format_real(g_a)}",
+        f"g_b={_format_real(g_b)}",
+    ])
 
 
 def sweep_rows(config: ExperimentConfig, g_min: float, g_max: float, steps: int):
@@ -185,17 +166,14 @@ def locate_max(rows) -> tuple[float, float, float]:
     return (best[0], best[1], best[2])
 
 
-def format_sweep_csv(rows) -> str:
-    g_a, g_b, c = locate_max(rows)
+def cmd_sweep(args, config: ExperimentConfig) -> str:
+    rows = sweep_rows(config, args.g_min, args.g_max, args.steps)
+    g_a, g_b, c = map(_format_real, locate_max(rows))
     return _lines([
         ",".join(SWEEP_COLUMNS),
-        *(",".join(map(_fmt, row)) for row in rows),
-        f"# max |c_analytic| at g_a={_fmt(g_a)} g_b={_fmt(g_b)}: c_analytic={_fmt(c)}",
+        *(",".join(map(_format_real, row)) for row in rows),
+        f"# max |c_analytic| at g_a={g_a} g_b={g_b}: c_analytic={c}",
     ])
-
-
-def cmd_sweep(args, config: ExperimentConfig) -> str:
-    return format_sweep_csv(sweep_rows(config, args.g_min, args.g_max, args.steps))
 
 
 def _sample_to_csv(path, run, draws):
@@ -236,12 +214,12 @@ def cmd_montecarlo(args, config: ExperimentConfig) -> str:
     exact = cheshire_analytic(config.postselection, config.prep, config.g_a, config.g_b)
     z = (estimate.c_hat - exact.c_value) / estimate.std_error if estimate.std_error > 0.0 else math.nan
     return _lines([
-        f"c_hat={_fmt(estimate.c_hat)}",
-        f"std_error={_fmt(estimate.std_error)}",
-        f"p_hat={_fmt(estimate.p_hat)}",
+        f"c_hat={_format_real(estimate.c_hat)}",
+        f"std_error={_format_real(estimate.std_error)}",
+        f"p_hat={_format_real(estimate.p_hat)}",
         f"n_trials={estimate.n_trials}",
-        f"c_analytic={_fmt(exact.c_value)}",
-        f"z_score={_fmt(z)}",
+        f"c_analytic={_format_real(exact.c_value)}",
+        f"z_score={_format_real(z)}",
         f"seed={config.seed}",
     ])
 
@@ -250,37 +228,38 @@ def cmd_optimize(args, config: ExperimentConfig | None) -> str:
     if config is not None:
         optimum = optimize_couplings(config.postselection, config.prep, g_max=args.search_max)
         return _lines([
-            f"g_a_optimal={_fmt(optimum.g_a)}",
-            f"g_b_optimal={_fmt(optimum.g_b)}",
-            f"c_optimal={_fmt(optimum.c_value)}",
+            f"g_a_optimal={_format_real(optimum.g_a)}",
+            f"g_b_optimal={_format_real(optimum.g_b)}",
+            f"c_optimal={_format_real(optimum.c_value)}",
         ])
     optimum = optimize_states(args.g_a, args.g_b)
     return _lines([
-        f"c_optimal={_fmt(optimum.c_value)}",
+        f"c_optimal={_format_real(optimum.c_value)}",
         f"trace_term={format_complex(optimum.trace_term)}",
         f"prep={_format_vector(optimum.prep.amplitudes)}",
         f"post={_format_vector(optimum.post.amplitudes)}",
-        f"g_a={_fmt(args.g_a)}",
-        f"g_b={_fmt(args.g_b)}",
+        f"g_a={_format_real(args.g_a)}",
+        f"g_b={_format_real(args.g_b)}",
     ])
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand takes only the flags it reads."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="experiment config file (flat key=value)")
-    common.add_argument("--seed", type=int, metavar="N", help="override the config seed")
     common.add_argument("--out", metavar="PATH", help="write output to this file instead of stdout")
-    common.add_argument("--trials", type=int, metavar="N", help="override the config trial count")
-    common.add_argument("--grid-points", type=int, metavar="N",
-                        help="override the config grid resolution")
     common.add_argument("--dump-config", action="store_true",
                         help="print the effective config and exit without running")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, metavar="N", help="override the config seed")
 
     parser = argparse.ArgumentParser(
         prog="cheshire",
         description="Postselected two-meter simulator: exact, grid, and Monte Carlo "
                     "values of the signed cross-moment entanglement indicator.",
     )
+    # the config overrides of a subcommand that takes none
+    parser.set_defaults(seed=None, trials=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_analytic = sub.add_parser("analytic", parents=[common],
@@ -294,13 +273,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--steps", type=int, default=161, help="number of sweep points (default 161)")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_mc = sub.add_parser("montecarlo", parents=[common],
+    p_mc = sub.add_parser("montecarlo", parents=[common, seeded],
                           help="seeded Monte Carlo estimate of the indicator")
+    p_mc.add_argument("--trials", type=int, metavar="N", help="override the config trial count")
     p_mc.add_argument("--dump-trials", metavar="PATH", help="also write the raw trial CSV here")
     p_mc.set_defaults(func=cmd_montecarlo)
 
     p_opt = sub.add_parser(
-        "optimize", parents=[common],
+        "optimize", parents=[common, seeded],
         help="optimal couplings for a configured experiment (with --config) "
              "or optimal state pair at fixed couplings (without)",
     )
@@ -320,12 +300,13 @@ def main(argv=None) -> int:
         config = _effective_config(args)
         _emit(dump_config(config) if args.dump_config else args.func(args, config), args.out)
         return 0
-    except (ValidationError, GridTooSmall, OrthogonalPostselection, FlatObjective) as exc:
+    except CheshireError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConsistencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
+    except MemoryError as exc:
+        # a size the allocator refuses, such as a 10^13-step sweep, is bad input
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return CheshireError.exit_code
 
 
 if __name__ == "__main__":

@@ -1,8 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, each with the command line's
+exit code for it: 2 for bad input, 3 for an internal inconsistency."""
 
 
 class CheshireError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 2
 
 
 class ValidationError(CheshireError, ValueError):
@@ -25,6 +28,8 @@ class FlatObjective(CheshireError):
 class ConsistencyError(CheshireError):
     """An internal numerical consistency check failed (e.g. a probability
     outside [0, 1])."""
+
+    exit_code = 3
 
 
 class PositivityError(ConsistencyError):

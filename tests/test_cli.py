@@ -13,7 +13,7 @@ import pytest
 
 import cheshire
 from cheshire.cli import locate_max, main
-from cheshire.errors import ValidationError
+from cheshire.errors import CheshireError, ValidationError
 from cheshire.config import format_complex, parse_complex
 
 R3 = repr(1.0 / math.sqrt(3.0))
@@ -68,7 +68,7 @@ README_TRIALS_SHA256 = "a82f3b5561d122d3e6dbaebb3440c4dc10b871c2295fb0c77165d797
 # closed form) on the README example, pinned
 README_ANALYTIC_SHA256 = "1ad2b7205a8ce003b51712ad0a26f218af0fbc2bd9bd13c8d3243eaef8226622"
 README_SWEEP_SHA256 = "f0667e16a3ef965b3fc0a2124df2ca7d675c6bb7372dfe19cceb628184e3f783"
-# the same sweep at --grid-points N: coarser grids give other bits
+# the same sweep with `grid = -20, 20, N` in the config: coarser grids give other bits
 README_SWEEP_GRID_SHA256 = {
     801: "024372aad9d48a391a183d09ca2341b07851b25c243343b45af178fbb89a72db",
     2001: "3f5bf0a88723a93b67b7b4ecdb64c5e4c12a0838db266ecfbd4968ec3265dca0",
@@ -94,6 +94,11 @@ def cheshire_path(tmp_path):
     path = tmp_path / "cheshire.cfg"
     path.write_text(CHESHIRE_TEXT, encoding="utf-8")
     return str(path)
+
+
+def _package_errors(cls):
+    """cls and every subclass of it, found by walking ``__subclasses__()``."""
+    return {cls}.union(*(_package_errors(sub) for sub in cls.__subclasses__()))
 
 
 def run_cli(capsys, *argv):
@@ -211,6 +216,53 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as info:
             main(["transmogrify"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("analytic", "--seed", "1"),
+        ("analytic", "--trials", "5"),
+        ("sweep", "--trials", "5"),
+        ("sweep", "--grid-points", "801"),
+        ("montecarlo", "--grid-points", "801"),
+        ("optimize", "--trials", "5"),
+    ], ids=lambda argv: " ".join(argv))
+    def test_flag_the_subcommand_does_not_read_exits_two(self, capsys, config_path, argv):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--config", config_path])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", sorted(_package_errors(CheshireError), key=lambda e: e.__name__),
+                             ids=lambda error: error.__name__)
+    def test_every_package_error_exits_with_its_code(self, capsys, config_path, monkeypatch, error):
+        def cmd_analytic(args, config):
+            raise error("injected")
+
+        monkeypatch.setattr(cheshire.cli, "cmd_analytic", cmd_analytic)
+        code, out, err = run_cli(capsys, "analytic", "--config", config_path)
+        assert code == error.exit_code
+        assert code == (3 if error.__name__ in ("ConsistencyError", "PositivityError") else 2)
+        assert (out, err) == ("", "error: injected\n")
+
+    def test_walk_finds_the_base_and_its_six_subclasses(self):
+        assert sorted(e.__name__ for e in _package_errors(CheshireError)) == [
+            "CheshireError", "ConsistencyError", "FlatObjective", "GridTooSmall",
+            "OrthogonalPostselection", "PositivityError", "ValidationError"]
+
+    # sizes no address space holds, so the allocator refuses them at once
+    # rather than overcommitting
+    def test_refused_sweep_allocation_exits_two(self, capsys, config_path):
+        code, out, err = run_cli(capsys, "sweep", "--config", config_path, "--steps", str(10**18))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_refused_trial_allocation_exits_two_and_removes_the_dump(self, capsys, config_path,
+                                                                     tmp_path):
+        target = tmp_path / "trials.csv"
+        code, out, err = run_cli(capsys, "montecarlo", "--config", config_path,
+                                 "--trials", str(10**18), "--dump-trials", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not target.exists()
 
 
 class TestUnwritableOutput:
@@ -394,9 +446,10 @@ class TestSweep:
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == README_SWEEP_SHA256
 
     @pytest.mark.parametrize("points", sorted(README_SWEEP_GRID_SHA256))
-    def test_readme_example_bytes_on_coarser_grids(self, capsys, readme_path, points):
-        code, out, _ = run_cli(capsys, "sweep", "--config", readme_path, "--steps", "161",
-                               "--grid-points", str(points))
+    def test_readme_example_bytes_on_coarser_grids(self, capsys, tmp_path, points):
+        path = tmp_path / "coarse.cfg"
+        path.write_text(README_TEXT.replace("-20, 20, 4001", f"-20, 20, {points}"), encoding="utf-8")
+        code, out, _ = run_cli(capsys, "sweep", "--config", str(path), "--steps", "161")
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == README_SWEEP_GRID_SHA256[points]
 
@@ -427,7 +480,7 @@ class TestSweep:
 
 class TestMonteCarlo:
     def test_summary_and_determinism(self, capsys, config_path):
-        argv = ("montecarlo", "--config", config_path, "--grid-points", "1001")
+        argv = ("montecarlo", "--config", config_path)
         code, out1, _ = run_cli(capsys, *argv)
         assert code == 0
         code, out2, _ = run_cli(capsys, *argv)
@@ -441,8 +494,7 @@ class TestMonteCarlo:
         assert float(report["std_error"]) > 0.0
 
     def test_thread_count_does_not_change_output(self, capsys, config_path, monkeypatch):
-        argv = ("montecarlo", "--config", config_path,
-                "--trials", "140000", "--grid-points", "801")
+        argv = ("montecarlo", "--config", config_path, "--trials", "140000")
         monkeypatch.setenv("CHESHIRE_THREADS", "1")
         _, out1, _ = run_cli(capsys, *argv)
         monkeypatch.setenv("CHESHIRE_THREADS", "4")
@@ -460,8 +512,7 @@ class TestMonteCarlo:
     def test_dump_trials(self, capsys, config_path, tmp_path):
         target = tmp_path / "trials.csv"
         code, out, _ = run_cli(capsys, "montecarlo", "--config", config_path,
-                               "--trials", "300", "--grid-points", "1001",
-                               "--dump-trials", str(target))
+                               "--trials", "300", "--dump-trials", str(target))
         assert code == 0
         first = target.read_text(encoding="utf-8").splitlines()[0]
         assert first == "tau,x,y"
@@ -543,6 +594,12 @@ class TestOptimize:
         assert code == 0
         c_line = key_values(out)["c_analytic"]
         assert float(c_line) == pytest.approx(math.exp(-1.0), abs=1e-6)
+
+    def test_seed_leaves_the_state_optimum_unchanged(self, capsys):
+        # the benchmark's optimize jobs pass --seed; it changes no byte
+        unseeded = run_cli(capsys, "optimize", "--g-a", "2", "--g-b", "2")
+        assert run_cli(capsys, "optimize", "--g-a", "2", "--g-b", "2", "--seed", "7") == unseeded
+        assert unseeded[0] == 0
 
     def test_coupling_search_with_config(self, capsys, config_path):
         code, out, _ = run_cli(capsys, "optimize", "--config", config_path)

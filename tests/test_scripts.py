@@ -62,6 +62,17 @@ def test_noise_study_unwritable_out_exits_two(capsys, tmp_path):
     assert err.startswith(f"error: out: cannot write {out}: ") and err.count("\n") == 1
 
 
+def test_noise_study_exits_with_the_code_of_a_package_error(capsys, monkeypatch):
+    # an internal inconsistency exits 3, as `cheshire` does, not in a traceback
+    def noise_robustness(*args, **kwargs):
+        raise cheshire.PositivityError("injected")
+
+    script = load_script("noise_study")
+    monkeypatch.setattr(script, "noise_robustness", noise_robustness)
+    assert script.main(["--levels", "2", "--trials", "1000"]) == 3
+    assert capsys.readouterr().err == "error: injected\n"
+
+
 # the CLI with one byte of its sweep CSV changed, as a stand-in for a broken
 # installed command
 ONE_BYTE_OFF = """
@@ -86,11 +97,11 @@ def test_installed_cli_check_passes_on_the_pins_and_fails_on_one_changed_byte(
     assert check.main([sys.executable, "-m", "cheshire.cli"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("c_optimal=")
-    assert lines[-5:] == [f"{name}: OK" for name in
-                          ("optimize.txt", "analytic.txt", "sweep.csv", "montecarlo.txt", "trials.csv")]
+    assert lines[-6:] == [f"{name}: OK" for name in ("optimize.txt", "analytic.txt", "sweep.csv",
+                                                     "montecarlo.txt", "trials.csv", "refused.txt")]
 
     (tmp_path / "one_byte_off.py").write_text(ONE_BYTE_OFF, encoding="utf-8")
     assert check.main([sys.executable, "one_byte_off.py"]) == 1
-    assert capsys.readouterr().out.splitlines()[-5:] == [
+    assert capsys.readouterr().out.splitlines()[-6:] == [
         "optimize.txt: OK", "analytic.txt: OK", "sweep.csv: FAILED", "montecarlo.txt: OK",
-        "trials.csv: OK"]
+        "trials.csv: OK", "refused.txt: OK"]
