@@ -8,13 +8,15 @@ CSV must match their pinned sha256 digests, and the Monte Carlo summary its
 pinned text.  It also runs and prints `optimize --g-a 2 --g-b 2 --seed 7`,
 which must report `c_optimal=`, and runs `analytic --config readme.cfg
 --trials 5`, a flag `analytic` does not take, which must exit 2 with
-argparse's `unrecognized arguments`.  Every output stays in the directory.
+argparse's `unrecognized arguments`.  Last, it runs scripts/noise_study.py,
+next to this script, with this interpreter: its default table must match the
+digest that tests/test_scripts.py pins.  Every output stays in the directory.
 Prints one OK/FAILED line per output and exits 1 if any failed.
 
     python scripts/check_installed_cli.py                           # `cheshire`
     python scripts/check_installed_cli.py python -m cheshire.cli    # any command
 
-The pins are read from the test module's source, so the check imports
+The pins are read from the test modules' source, so the check imports
 neither the tests nor the package.
 """
 
@@ -24,10 +26,12 @@ import os
 import subprocess
 import sys
 
-TEST_CLI = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        "tests", "test_cli.py")
+SCRIPTS = os.path.dirname(os.path.abspath(__file__))
+TEST_CLI = os.path.join(os.path.dirname(SCRIPTS), "tests", "test_cli.py")
+TEST_SCRIPTS = os.path.join(os.path.dirname(SCRIPTS), "tests", "test_scripts.py")
 PINS = ("README_TEXT", "README_MONTECARLO", "README_ANALYTIC_SHA256", "README_SWEEP_SHA256",
-        "README_TRIALS_SHA256")
+        "README_TRIALS_SHA256", "NOISE_TABLE_SHA256")
+NOISE_STUDY = os.path.join(SCRIPTS, "noise_study.py")
 RUNS = {
     "optimize.txt": ["optimize", "--g-a", "2", "--g-b", "2", "--seed", "7"],
     "analytic.txt": ["analytic", "--config", "readme.cfg"],
@@ -38,12 +42,15 @@ RUNS = {
 REFUSED = ["analytic", "--config", "readme.cfg", "--trials", "5"]
 
 
-def read_pins(path: str = TEST_CLI) -> dict:
-    """The pinned module-level constants of tests/test_cli.py, by name."""
-    with open(path, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
-    return {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
-            if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in PINS}
+def read_pins(paths=(TEST_CLI, TEST_SCRIPTS)) -> dict:
+    """The pinned module-level constants of the test modules, by name."""
+    pins = {}
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            for node in ast.parse(fh.read()).body:
+                if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in PINS:
+                    pins[node.targets[0].id] = ast.literal_eval(node.value)
+    return pins
 
 
 def _read(name: str) -> bytes:
@@ -63,6 +70,8 @@ def main(argv=None) -> int:
     exited_0["trials.csv"] = exited_0["montecarlo.txt"]
     with open("refused.txt", "wb") as fh:
         refused = subprocess.run([*command, *REFUSED], stdout=fh, stderr=fh).returncode == 2
+    with open("noise.csv", "wb") as fh:
+        noise_exited_0 = subprocess.run([sys.executable, NOISE_STUDY], stdout=fh).returncode == 0
     sys.stdout.write(_read("optimize.txt").decode())
 
     ok = {"optimize.txt": exited_0["optimize.txt"] and b"\nc_optimal=" in b"\n" + _read("optimize.txt")}
@@ -75,6 +84,8 @@ def main(argv=None) -> int:
     for name, digest in digests.items():
         ok[name] = exited_0[name] and hashlib.sha256(_read(name)).hexdigest() == digest
     ok["refused.txt"] = refused and b"unrecognized arguments: --trials 5" in _read("refused.txt")
+    ok["noise.csv"] = noise_exited_0 and (
+        hashlib.sha256(_read("noise.csv")).hexdigest() == pins["NOISE_TABLE_SHA256"])
     for name, matched in ok.items():
         print(f"{name}: {'OK' if matched else 'FAILED'}")
     return 0 if all(ok.values()) else 1

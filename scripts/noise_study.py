@@ -5,15 +5,16 @@ For each noise level nu (applied to both meters) the table reports the
 Monte Carlo estimate, its standard error, and the exact number of trials
 needed for a 5-sigma detection of a nonzero indicator.  Independent
 zero-mean noise leaves the estimator unbiased; it only inflates the
-per-trial variance.
+per-trial variance.  The table goes to stdout or --out, and errors exit as
+`cheshire`'s do, through `cheshire.cli.run`.
 """
 
 import argparse
 import math
 import sys
 
-from cheshire import (BranchWeights, CheshireError, PhotonKet, noise_robustness,
-                      transition_amplitudes)
+from cheshire import BranchWeights, PhotonKet, noise_robustness, transition_amplitudes
+from cheshire.cli import run
 
 
 def main(argv=None) -> int:
@@ -38,29 +39,18 @@ def main(argv=None) -> int:
         parser.error("--levels must be >= 1")
     step = args.nu_max / max(args.levels - 1, 1)
     nu_grid = [(k * step, k * step) for k in range(args.levels)]
-    try:
+
+    def table() -> str:
         rows = noise_robustness(amps, weights, args.g, args.g, nu_grid,
                                 n=args.trials, seed=args.seed)
-    except CheshireError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
+        lines = ["nu_a,nu_b,c_hat,std_error,n_required\n"]
+        for row in rows:
+            n_req = "inf" if math.isinf(row.n_required) else f"{int(row.n_required)}"
+            lines.append(f"{row.nu_a:.17g},{row.nu_b:.17g},{row.c_hat:.17g},"
+                         f"{row.std_error:.17g},{n_req}\n")
+        return "".join(lines)
 
-    lines = ["nu_a,nu_b,c_hat,std_error,n_required\n"]
-    for row in rows:
-        n_req = "inf" if math.isinf(row.n_required) else f"{int(row.n_required)}"
-        lines.append(f"{row.nu_a:.17g},{row.nu_b:.17g},{row.c_hat:.17g},"
-                     f"{row.std_error:.17g},{n_req}\n")
-    text = "".join(lines)
-    if not args.out:
-        sys.stdout.write(text)
-        return 0
-    try:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"error: out: cannot write {args.out}: {exc}", file=sys.stderr)
-        return CheshireError.exit_code
-    return 0
+    return run(table, args.out)
 
 
 if __name__ == "__main__":

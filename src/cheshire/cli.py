@@ -45,17 +45,6 @@ from .tolerances import ORACLE_AGREEMENT_TOL
 SWEEP_COLUMNS = ("g_a", "g_b", "c_analytic", "c_grid", "p_success", "negativity")
 
 
-def _emit(text: str, out_path) -> None:
-    if out_path:
-        try:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ValidationError(f"out: cannot write {out_path}: {exc}") from exc
-    else:
-        sys.stdout.write(text)
-
-
 def _effective_config(args) -> ExperimentConfig | None:
     """The config file with the command-line overrides applied; None for
     ``optimize``'s state search, the one run that takes no config."""
@@ -176,14 +165,14 @@ def cmd_sweep(args, config: ExperimentConfig) -> str:
     ])
 
 
-def _sample_to_csv(path, run, draws):
+def _sample_to_csv(path, experiment, draws):
     """The trials, written to the trial CSV at ``path``: opened before the first
     draw, so an unwritable path fails at once; a regular file is emptied once
     the trials are drawn, and removed if the run fails only if this run made it."""
     created = not os.path.lexists(path)
     with open(path, "ab") as fh:
         try:
-            trials = sample_trials(*run, **draws)
+            trials = sample_trials(*experiment, **draws)
             if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
                 fh.truncate(0)
             write_trials_csv(trials, fh)
@@ -199,18 +188,22 @@ def _sample_to_csv(path, run, draws):
 def cmd_montecarlo(args, config: ExperimentConfig) -> str:
     if config.n_trials < 100:
         raise ValidationError("n_trials: the Monte Carlo run needs at least 100 trials")
-    run = (config.coherence(), config.weights(), config.g_a, config.g_b)
+    if args.dump_trials and args.out and (
+            os.path.realpath(args.dump_trials) == os.path.realpath(args.out)):
+        # the summary, written to --out after the run, would overwrite the trials
+        raise ValidationError(f"dump-trials: {args.dump_trials} is also the --out file")
+    experiment = (config.coherence(), config.weights(), config.g_a, config.g_b)
     draws = dict(n=config.n_trials, seed=config.seed,
                  noise=NoiseModel(config.noise_a, config.noise_b))
     if args.dump_trials:
         try:
-            trials = _sample_to_csv(args.dump_trials, run, draws)
+            trials = _sample_to_csv(args.dump_trials, experiment, draws)
         except OSError as exc:
             raise ValidationError(f"dump-trials: cannot write {args.dump_trials}: {exc}") from exc
         estimate = estimate_cheshire(trials)
     else:
         # the same estimate, bit for bit, without storing the trials
-        estimate = sample_estimate(*run, **draws)
+        estimate = sample_estimate(*experiment, **draws)
     exact = cheshire_analytic(config.postselection, config.prep, config.g_a, config.g_b)
     z = (estimate.c_hat - exact.c_value) / estimate.std_error if estimate.std_error > 0.0 else math.nan
     return _lines([
@@ -292,13 +285,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    """Run one subcommand: the effective config first, then --dump-config or
-    the subcommand, then stdout or --out, written only once the run succeeds."""
-    args = build_parser().parse_args(argv)
+def run(produce, out_path) -> int:
+    """The exit code of one run: ``produce()``'s text goes to stdout, or to
+    ``out_path`` once it succeeds, and the run exits 0; a package error prints
+    one ``error:`` line and exits with its ``exit_code``."""
     try:
-        config = _effective_config(args)
-        _emit(dump_config(config) if args.dump_config else args.func(args, config), args.out)
+        text = produce()
+        if out_path:
+            try:
+                with open(out_path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ValidationError(f"out: cannot write {out_path}: {exc}") from exc
+        else:
+            sys.stdout.write(text)
         return 0
     except CheshireError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -307,6 +307,17 @@ def main(argv=None) -> int:
         # a size the allocator refuses, such as a 10^13-step sweep, is bad input
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return CheshireError.exit_code
+
+
+def main(argv=None) -> int:
+    """Run one subcommand: the effective config, then --dump-config or the subcommand."""
+    args = build_parser().parse_args(argv)
+
+    def output() -> str:
+        config = _effective_config(args)
+        return dump_config(config) if args.dump_config else args.func(args, config)
+
+    return run(output, args.out)
 
 
 if __name__ == "__main__":

@@ -38,7 +38,6 @@ from .meter import (
     _check_finite,
     _one_coupling_per_meter,
     _shifted,
-    _trapezoid_weights,
     _validate_couplings,
     gaussian_ground_state,
     pointer_matrices,
@@ -269,7 +268,7 @@ def grid_moments(state: JointMeterState, grid: Grid | None = None) -> SuccessMom
     grid = grid or getattr(state.meter, "grid", None) or DEFAULT_GRID
     pairs_a, pairs_b = state._pairs(grid.points, grid.points)
     # [[int 1, int y], [int x, int xy]]: trapezoid weights times the functions (1, x)
-    weights = _trapezoid_weights(grid)[:, None] * np.vander(grid.points, 2, increasing=True)
+    weights = grid.weights[:, None] * np.vander(grid.points, 2, increasing=True)
     total = np.zeros((2, 2))
     for lo in range(0, grid.n_points, _BLOCK_ROWS):
         rows = slice(lo, lo + _BLOCK_ROWS)

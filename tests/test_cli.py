@@ -408,6 +408,26 @@ class TestPipelineOrder:
         assert (code, out) == (2, "")
         assert target.read_text(encoding="utf-8") == "keep"
 
+    @pytest.mark.parametrize("via", ["same-name", "symlink"])
+    def test_dump_trials_and_out_on_one_file_exit_two_before_sampling(
+            self, capsys, config_path, tmp_path, monkeypatch, via):
+        # --out, written after the run, would replace the trials by the summary
+        def sample_trials(*args, **kwargs):
+            raise AssertionError("trials drawn for a dump that --out would overwrite")
+
+        monkeypatch.setattr(cheshire.cli, "sample_trials", sample_trials)
+        target = tmp_path / "same.csv"
+        target.write_text("keep", encoding="utf-8")
+        dump = target
+        if via == "symlink":
+            dump = tmp_path / "link.csv"
+            dump.symlink_to(target)
+        code, out, err = run_cli(capsys, "montecarlo", "--config", config_path, "--trials", "1000",
+                                 "--dump-trials", str(dump), "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err == f"error: dump-trials: {dump} is also the --out file\n"
+        assert target.read_text(encoding="utf-8") == "keep"
+
 
 class TestSweep:
     def test_csv_structure_and_oracle_agreement(self, capsys, config_path):

@@ -3,11 +3,14 @@ installed-command check in ``scripts/`` run end to end."""
 
 import contextlib
 import csv
+import hashlib
 import importlib.util
 import io
 import os
 import re
 import sys
+
+import pytest
 
 import cheshire
 
@@ -31,6 +34,25 @@ def test_readme_quick_start_prints_its_values():
     c_value, p_success, negativity = out.getvalue().split()
     assert (c_value, p_success) == ("0.32700394770794894", "0.30325882594741954")
     assert float(negativity) > 0.0
+
+
+# stdout of scripts/noise_study.py, pinned: the default 9-level table, and a
+# table of the form the benchmark's noise-table jobs run
+NOISE_TABLE_SHA256 = "cc952ee7b703d2b55854b9b87a87d9166983e2d2eb92c551fbebfa21abe6d51b"
+NOISE_TABLE_BENCHMARK_ARGV = ["--levels", "9", "--trials", "20000", "--g", "2.3456",
+                              "--nu-max", "3.21", "--seed", "12345"]
+NOISE_TABLE_BENCHMARK_SHA256 = "342935dc0ad2ced3457ea0f692e62945b274605c583857a11c6b63916902ed42"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ([], NOISE_TABLE_SHA256),
+    (NOISE_TABLE_BENCHMARK_ARGV, NOISE_TABLE_BENCHMARK_SHA256),
+], ids=["default", "benchmark-form"])
+def test_noise_table_bytes(capsys, argv, digest):
+    assert load_script("noise_study").main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_noise_study_writes_one_row_per_level(tmp_path):
@@ -97,11 +119,12 @@ def test_installed_cli_check_passes_on_the_pins_and_fails_on_one_changed_byte(
     assert check.main([sys.executable, "-m", "cheshire.cli"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("c_optimal=")
-    assert lines[-6:] == [f"{name}: OK" for name in ("optimize.txt", "analytic.txt", "sweep.csv",
-                                                     "montecarlo.txt", "trials.csv", "refused.txt")]
+    assert lines[-7:] == [f"{name}: OK" for name in ("optimize.txt", "analytic.txt", "sweep.csv",
+                                                     "montecarlo.txt", "trials.csv", "refused.txt",
+                                                     "noise.csv")]
 
     (tmp_path / "one_byte_off.py").write_text(ONE_BYTE_OFF, encoding="utf-8")
     assert check.main([sys.executable, "one_byte_off.py"]) == 1
-    assert capsys.readouterr().out.splitlines()[-6:] == [
+    assert capsys.readouterr().out.splitlines()[-7:] == [
         "optimize.txt: OK", "analytic.txt: OK", "sweep.csv: FAILED", "montecarlo.txt: OK",
-        "trials.csv: OK", "refused.txt: OK"]
+        "trials.csv: OK", "refused.txt: OK", "noise.csv: OK"]
