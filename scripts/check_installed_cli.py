@@ -8,7 +8,9 @@ CSV must match their pinned sha256 digests, and the Monte Carlo summary its
 pinned text.  It also runs and prints `optimize --g-a 2 --g-b 2 --seed 7`,
 which must report `c_optimal=`, and runs `analytic --config readme.cfg
 --trials 5`, a flag `analytic` does not take, which must exit 2 with
-argparse's `unrecognized arguments`.  Last, it runs scripts/noise_study.py,
+argparse's `unrecognized arguments`, and `montecarlo --config readme.cfg
+--trials 200 --dump-trials readme.cfg`, which must exit 2 with `is also the
+--config file` and leave readme.cfg as it was.  Last, it runs scripts/noise_study.py,
 next to this script, with this interpreter: its default table must match the
 digest that tests/test_scripts.py pins.  Every output stays in the directory.
 Prints one OK/FAILED line per output and exits 1 if any failed.
@@ -40,6 +42,7 @@ RUNS = {
                        "--dump-trials", "trials.csv"],
 }
 REFUSED = ["analytic", "--config", "readme.cfg", "--trials", "5"]
+SAME_FILE = ["montecarlo", "--config", "readme.cfg", "--trials", "200", "--dump-trials", "readme.cfg"]
 
 
 def read_pins(paths=(TEST_CLI, TEST_SCRIPTS)) -> dict:
@@ -70,6 +73,8 @@ def main(argv=None) -> int:
     exited_0["trials.csv"] = exited_0["montecarlo.txt"]
     with open("refused.txt", "wb") as fh:
         refused = subprocess.run([*command, *REFUSED], stdout=fh, stderr=fh).returncode == 2
+    with open("same-file.txt", "wb") as fh:
+        same_file = subprocess.run([*command, *SAME_FILE], stdout=fh, stderr=fh).returncode == 2
     with open("noise.csv", "wb") as fh:
         noise_exited_0 = subprocess.run([sys.executable, NOISE_STUDY], stdout=fh).returncode == 0
     sys.stdout.write(_read("optimize.txt").decode())
@@ -84,6 +89,8 @@ def main(argv=None) -> int:
     for name, digest in digests.items():
         ok[name] = exited_0[name] and hashlib.sha256(_read(name)).hexdigest() == digest
     ok["refused.txt"] = refused and b"unrecognized arguments: --trials 5" in _read("refused.txt")
+    ok["same-file.txt"] = (same_file and b"is also the --config file" in _read("same-file.txt")
+                           and _read("readme.cfg") == pins["README_TEXT"].encode())
     ok["noise.csv"] = noise_exited_0 and (
         hashlib.sha256(_read("noise.csv")).hexdigest() == pins["NOISE_TABLE_SHA256"])
     for name, matched in ok.items():

@@ -13,7 +13,6 @@ import argparse
 import contextlib
 import math
 import os
-import stat
 import sys
 from dataclasses import replace
 
@@ -165,41 +164,17 @@ def cmd_sweep(args, config: ExperimentConfig) -> str:
     ])
 
 
-def _sample_to_csv(path, experiment, draws):
-    """The trials, written to the trial CSV at ``path``: opened before the first
-    draw, so an unwritable path fails at once; a regular file is emptied once
-    the trials are drawn, and removed if the run fails only if this run made it."""
-    created = not os.path.lexists(path)
-    with open(path, "ab") as fh:
-        try:
-            trials = sample_trials(*experiment, **draws)
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                fh.truncate(0)
-            write_trials_csv(trials, fh)
-            return trials
-        except BaseException:
-            if created:
-                fh.close()
-                with contextlib.suppress(OSError):
-                    os.remove(path)
-            raise
-
-
 def cmd_montecarlo(args, config: ExperimentConfig) -> str:
     if config.n_trials < 100:
         raise ValidationError("n_trials: the Monte Carlo run needs at least 100 trials")
-    if args.dump_trials and args.out and (
-            os.path.realpath(args.dump_trials) == os.path.realpath(args.out)):
-        # the summary, written to --out after the run, would overwrite the trials
-        raise ValidationError(f"dump-trials: {args.dump_trials} is also the --out file")
     experiment = (config.coherence(), config.weights(), config.g_a, config.g_b)
     draws = dict(n=config.n_trials, seed=config.seed,
                  noise=NoiseModel(config.noise_a, config.noise_b))
     if args.dump_trials:
-        try:
-            trials = _sample_to_csv(args.dump_trials, experiment, draws)
-        except OSError as exc:
-            raise ValidationError(f"dump-trials: cannot write {args.dump_trials}: {exc}") from exc
+        # the file is made before the first draw, so an unwritable path fails at once
+        with _replacing(args.dump_trials, "dump-trials") as fh:
+            trials = sample_trials(*experiment, **draws)
+            write_trials_csv(trials, fh)
         estimate = estimate_cheshire(trials)
     else:
         # the same estimate, bit for bit, without storing the trials
@@ -251,8 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Postselected two-meter simulator: exact, grid, and Monte Carlo "
                     "values of the signed cross-moment entanglement indicator.",
     )
-    # the config overrides of a subcommand that takes none
-    parser.set_defaults(seed=None, trials=None)
+    # the config overrides and trial file of a subcommand that takes none
+    parser.set_defaults(seed=None, trials=None, dump_trials=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_analytic = sub.add_parser("analytic", parents=[common],
@@ -285,18 +260,62 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _replacing(path, what):
+    """A binary file whose bytes replace ``path``'s only if the block succeeds: a new name
+    or a regular file gets them through ``REALPATH.XXXXXXXX.tmp``, with the mode open or the
+    file gives, removed on failure; any other target, such as a pipe, is written in place."""
+    try:
+        if os.path.exists(path) and not os.path.isfile(path):
+            with open(path, "wb") as fh:
+                yield fh
+            return
+        target = os.path.realpath(path)
+        temp = f"{target}.{os.urandom(4).hex()}.tmp"
+        fh = open(temp, "xb")
+        try:
+            with fh:
+                if os.path.isfile(path):
+                    os.chmod(temp, os.stat(path).st_mode & 0o7777)
+                yield fh
+            os.replace(temp, target)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(temp)
+            raise
+    except OSError as exc:
+        # the reason names the path as given, not the temporary file
+        reason = OSError(exc.errno, exc.strerror, path) if exc.filename else exc
+        raise ValidationError(f"{what}: cannot write {path}: {reason}") from exc
+
+
+def _same_file(a, b) -> bool:
+    """By inode where both exist, so hard links and symlinks count; else by realpath."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
+def _refuse_overwriting(args) -> None:
+    """Bad input: an output that is the other output (checked first) or the config."""
+    pairs = [("dump-trials", args.dump_trials, "--out", args.out),
+             ("dump-trials", args.dump_trials, "--config", args.config),
+             ("out", args.out, "--config", args.config)]
+    for what, output, flag, other in pairs:
+        if output and other and _same_file(output, other):
+            raise ValidationError(f"{what}: {output} is also the {flag} file")
+
+
 def run(produce, out_path) -> int:
-    """The exit code of one run: ``produce()``'s text goes to stdout, or to
-    ``out_path`` once it succeeds, and the run exits 0; a package error prints
-    one ``error:`` line and exits with its ``exit_code``."""
+    """The exit code of one run: ``produce()``'s text goes to stdout, or
+    replaces ``out_path`` once it succeeds, and the run exits 0; a package
+    error prints one ``error:`` line and exits with its ``exit_code``."""
     try:
         text = produce()
         if out_path:
-            try:
-                with open(out_path, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-            except OSError as exc:
-                raise ValidationError(f"out: cannot write {out_path}: {exc}") from exc
+            with _replacing(out_path, "out") as fh:
+                fh.write(text.encode("utf-8"))
         else:
             sys.stdout.write(text)
         return 0
@@ -310,10 +329,11 @@ def run(produce, out_path) -> int:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand: the effective config, then --dump-config or the subcommand."""
+    """Run one subcommand: same-file check, config, then --dump-config or the subcommand."""
     args = build_parser().parse_args(argv)
 
     def output() -> str:
+        _refuse_overwriting(args)
         config = _effective_config(args)
         return dump_config(config) if args.dump_config else args.func(args, config)
 

@@ -263,6 +263,7 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not target.exists()
+        assert os.listdir(tmp_path) == ["example.cfg"]
 
 
 class TestUnwritableOutput:
@@ -319,6 +320,7 @@ class TestUnwritableOutput:
         assert code == 2
         assert "sampling failed" in err
         assert not target.exists()
+        assert os.listdir(tmp_path) == ["example.cfg"]
 
     def test_failed_sampling_keeps_an_existing_file(self, capsys, config_path, tmp_path,
                                                     monkeypatch):
@@ -332,6 +334,7 @@ class TestUnwritableOutput:
                              "--trials", "200", "--dump-trials", str(target))
         assert code == 2
         assert target.read_bytes() == b"kept\n"
+        assert sorted(os.listdir(tmp_path)) == ["example.cfg", "trials.csv"]
 
     def test_failed_sampling_never_removes_a_device(self, capsys, config_path, monkeypatch):
         removed = []
@@ -362,6 +365,76 @@ class TestUnwritableOutput:
         assert "dump-trials: cannot write" in err
 
 
+class TestReplacingWriter:
+    """Every output file is replaced only once its run succeeds."""
+
+    def test_failed_out_write_keeps_the_existing_file(self, config_path, tmp_path):
+        # a write that fails mid-file, as on a full disk: the child may write no
+        # file past 100 bytes, and the report is longer
+        child = ("import resource, signal, sys\n"
+                 "from cheshire.cli import main\n"
+                 "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+                 "resource.setrlimit(resource.RLIMIT_FSIZE, (100, 100))\n"
+                 "sys.exit(main(sys.argv[1:]))\n")
+        directory = tmp_path / "out"
+        directory.mkdir()
+        target = directory / "report.txt"
+        target.write_bytes(b"keep\n")
+        proc = _run_python("-c", child, "analytic", "--config", config_path, "--out", str(target))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: out: cannot write {target}: ")
+        assert target.read_bytes() == b"keep\n"
+        assert os.listdir(directory) == ["report.txt"]
+
+    @pytest.mark.parametrize("kind", ["fresh", "existing", "symlink"])
+    def test_out_keeps_the_mode_open_gives_and_the_link(self, capsys, config_path, tmp_path,
+                                                        kind):
+        # a rename gives the target the temporary file's mode, and would put a
+        # file where the link was
+        mask = os.umask(0)
+        os.umask(mask)
+        target = path = tmp_path / "report.txt"
+        if kind != "fresh":
+            target.write_bytes(b"keep\n")
+            target.chmod(0o640)
+        if kind == "symlink":
+            path = tmp_path / "link.txt"
+            path.symlink_to(target)
+        code, _, _ = run_cli(capsys, "analytic", "--config", config_path, "--out", str(path))
+        assert code == 0
+        assert target.read_text(encoding="utf-8").startswith("c_analytic=")
+        assert path.is_symlink() == (kind == "symlink")
+        assert target.stat().st_mode & 0o7777 == (0o666 & ~mask if kind == "fresh" else 0o640)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    def test_out_to_dev_stdout_on_a_pipe(self, capsys, config_path):
+        # /dev/stdout is no regular file, so it is written in place
+        _, report, _ = run_cli(capsys, "analytic", "--config", config_path)
+        proc = _run_python("-m", "cheshire.cli", "analytic", "--config", config_path,
+                           "--out", "/dev/stdout")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, report, "")
+
+    @pytest.mark.parametrize("flag", ["--out", "--dump-trials"])
+    def test_directory_that_takes_no_new_file_exits_two(self, capsys, config_path, tmp_path,
+                                                        monkeypatch, flag):
+        # a writable file in a directory that refuses the temporary file; a
+        # stand-in refuses it, since directory modes do not bind root
+        def refuse_new_files(file, mode="r", *args, **kwargs):
+            if "x" in mode:
+                raise PermissionError(13, "Permission denied", file)
+            return open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(cheshire.cli, "open", refuse_new_files, raising=False)
+        target = tmp_path / "kept.txt"
+        target.write_bytes(b"keep\n")
+        code, out, err = run_cli(capsys, "montecarlo", "--config", config_path, "--trials", "200",
+                                 flag, str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {flag[2:]}: cannot write {target}: ")
+        assert target.read_bytes() == b"keep\n"
+        assert sorted(os.listdir(tmp_path)) == ["example.cfg", "kept.txt"]
+
+
 class TestDumpConfig:
     def test_round_trip(self, capsys, config_path):
         code, out, _ = run_cli(capsys, "analytic", "--config", config_path, "--dump-config")
@@ -380,7 +453,8 @@ class TestDumpConfig:
 
 
 class TestPipelineOrder:
-    """The config first, then --dump-config, then the subcommand, then --out."""
+    """The same-file check first, then the config, then --dump-config, then the
+    subcommand, then --out."""
 
     def test_dump_config_answers_before_the_trial_minimum(self, capsys, config_path):
         code, out, _ = run_cli(capsys, "montecarlo", "--config", config_path,
@@ -408,7 +482,7 @@ class TestPipelineOrder:
         assert (code, out) == (2, "")
         assert target.read_text(encoding="utf-8") == "keep"
 
-    @pytest.mark.parametrize("via", ["same-name", "symlink"])
+    @pytest.mark.parametrize("via", ["same-name", "symlink", "hardlink"])
     def test_dump_trials_and_out_on_one_file_exit_two_before_sampling(
             self, capsys, config_path, tmp_path, monkeypatch, via):
         # --out, written after the run, would replace the trials by the summary
@@ -422,11 +496,33 @@ class TestPipelineOrder:
         if via == "symlink":
             dump = tmp_path / "link.csv"
             dump.symlink_to(target)
+        if via == "hardlink":
+            dump = tmp_path / "link.csv"
+            os.link(target, dump)
         code, out, err = run_cli(capsys, "montecarlo", "--config", config_path, "--trials", "1000",
                                  "--dump-trials", str(dump), "--out", str(target))
         assert (code, out) == (2, "")
         assert err == f"error: dump-trials: {dump} is also the --out file\n"
         assert target.read_text(encoding="utf-8") == "keep"
+
+    @pytest.mark.parametrize("argv", [
+        ("montecarlo", "--trials", "200", "--dump-trials"),
+        ("analytic", "--out"),
+        ("analytic", "--dump-config", "--out"),
+    ], ids=["dump-trials", "out", "dump-config-out"])
+    def test_output_on_the_config_file_exits_two_before_reading_it(
+            self, capsys, config_path, monkeypatch, argv):
+        def load_config(path):
+            raise AssertionError("config read by a run that would overwrite it")
+
+        monkeypatch.setattr(cheshire.cli, "load_config", load_config)
+        with open(config_path, "rb") as fh:
+            before = fh.read()
+        code, out, err = run_cli(capsys, *argv, config_path, "--config", config_path)
+        what = argv[-1][2:]
+        assert (code, out, err) == (2, "", f"error: {what}: {config_path} is also the --config file\n")
+        with open(config_path, "rb") as fh:
+            assert fh.read() == before
 
 
 class TestSweep:

@@ -119,12 +119,12 @@ def test_installed_cli_check_passes_on_the_pins_and_fails_on_one_changed_byte(
     assert check.main([sys.executable, "-m", "cheshire.cli"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("c_optimal=")
-    assert lines[-7:] == [f"{name}: OK" for name in ("optimize.txt", "analytic.txt", "sweep.csv",
+    assert lines[-8:] == [f"{name}: OK" for name in ("optimize.txt", "analytic.txt", "sweep.csv",
                                                      "montecarlo.txt", "trials.csv", "refused.txt",
-                                                     "noise.csv")]
+                                                     "same-file.txt", "noise.csv")]
 
     (tmp_path / "one_byte_off.py").write_text(ONE_BYTE_OFF, encoding="utf-8")
     assert check.main([sys.executable, "one_byte_off.py"]) == 1
-    assert capsys.readouterr().out.splitlines()[-7:] == [
+    assert capsys.readouterr().out.splitlines()[-8:] == [
         "optimize.txt: OK", "analytic.txt: OK", "sweep.csv: FAILED", "montecarlo.txt: OK",
-        "trials.csv: OK", "refused.txt: OK", "noise.csv: OK"]
+        "trials.csv: OK", "refused.txt: OK", "same-file.txt: OK", "noise.csv: OK"]
