@@ -17,8 +17,6 @@ from .dynamics import (
     JointMeterState,
     SuccessMoments,
     classical_mixture_density,
-    failure_density,
-    grid_moments,
     success_moments,
 )
 from .entanglement import (
@@ -118,11 +116,9 @@ __all__ = [
     "dump_config",
     "embed",
     "estimate_cheshire",
-    "failure_density",
     "format_complex",
     "gaussian_ground_state",
     "gram_orthonormalize",
-    "grid_moments",
     "indicator_bound",
     "load_config",
     "local_averages",

@@ -29,22 +29,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import PositivityError, ValidationError
+from .errors import ValidationError
 from .meter import (
     DEFAULT_GRID,
     Grid,
     GridMeter,
-    _check_edges,
-    _check_finite,
     _one_coupling_per_meter,
-    _shifted,
     _validate_couplings,
     gaussian_ground_state,
     pointer_matrices,
 )
 from .qsystem import PhotonKet, _coherence
-from .tolerances import (DEAD_BRANCH_COHERENCE, DEAD_BRANCH_WEIGHT, NORM_TOL, POSITIVITY_TOL,
-                         REALIZABILITY_TOL)
+from .tolerances import DEAD_BRANCH_COHERENCE, DEAD_BRANCH_WEIGHT, NORM_TOL, REALIZABILITY_TOL
 
 # Per-branch pointer shifts in units of (g_A, g_B): branch order (L, R+, R-).
 BRANCH_SHIFTS_A = (1.0, 0.0, 0.0)
@@ -136,8 +132,8 @@ def _branch_shifts(g_a, g_b) -> tuple[np.ndarray, np.ndarray]:
 
 
 class SuccessMoments(NamedTuple):
-    """Unnormalized integrals over the joint readout: of the success branch
-    in `success_moments`, of any `JointMeterState` in `grid_moments`.
+    """Unnormalized integrals of the success branch over the joint readout,
+    in closed form from `success_moments`.
 
     ``norm`` is P = int |F|^2; ``x``, ``y``, ``xy`` carry the weight
     functions x, y and xy against |F|^2 (not divided by P).
@@ -186,9 +182,6 @@ def success_moments(coherence, g_a, g_b) -> SuccessMoments:
     return SuccessMoments(*(_unstack(sums[..., i]) for i in range(4)))
 
 
-_BLOCK_ROWS = 256  # readout-plane rows per `grid_moments` block of _BLOCK_ROWS * n floats
-
-
 @dataclass(frozen=True, eq=False)
 class JointMeterState:
     """Meter state over the branch coherence K (or a `TransitionAmplitudes`
@@ -196,8 +189,8 @@ class JointMeterState:
     diag(p) - K and the classical mixture for diag(p), all unnormalized.
 
     Both meters start in the pointer state ``meter``: a `GridMeter`, or None
-    for the Gaussian closed form.  The couplings may be stacks for
-    `pointer_matrices`; the readout plane needs one coupling per meter.
+    for the Gaussian closed form.  The couplings may be stacks that
+    broadcast together, for `pointer_matrices`.
     """
 
     coherence: np.ndarray
@@ -222,91 +215,15 @@ class JointMeterState:
             m.setflags(write=False)
         return matrices
 
-    def density(self, x, y) -> np.ndarray:
-        """The readout density at every (x_i, y_j) of the flattened
-        coordinates, shape (len(x), len(y)); |F(x, y)|^2 for rank-1 K."""
-        return _block_density(self.coherence, *self._pairs(np.ravel(x), np.ravel(y)))
-
-    def _pairs(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        _one_coupling_per_meter("grid evaluation", self.g_a, self.g_b)
-        shifts_a, shifts_b = _branch_shifts(self.g_a, self.g_b)
-        return _branch_pairs(self.meter, shifts_a, x), _branch_pairs(self.meter, shifts_b, y)
-
-
-def _branch_pairs(meter, shifts, x: np.ndarray) -> np.ndarray:
-    """conj(w_j(x)) w_k(x) for the branch pairs (j, k), 9 rows in K's row-major
-    order, w_k the meter's wave (None: the Gaussian ground state) shifted by s_k."""
-    if meter is None:
-        waves = gaussian_ground_state(np.asarray(x, dtype=float) - shifts[:, None])
-    else:
-        if not np.array_equal(x, meter.grid.points):
-            raise ValidationError("grid meter branches must be evaluated on the meter's own grid")
-        _check_edges(meter, shifts)
-        waves = _shifted(meter, shifts)
-        _check_finite(waves)
-    return (waves.conj()[:, None] * waves[None, :]).reshape(9, len(x))
-
-
-def _block_density(coherence: np.ndarray, pairs_a: np.ndarray, pairs_b: np.ndarray) -> np.ndarray:
-    """Re sum_jk K_jk (a_j* a_k)(x) (b_j* b_k)(y) over the x of ``pairs_a``
-    (rows) and the y of ``pairs_b``, as one matmul with inner dimension 9:
-    |F|^2 for rank-1 K, p_cl for K = diag(p)."""
-    rows = (coherence.reshape(9, 1) * pairs_a).T
-    if np.isrealobj(pairs_b):
-        # real waves on B: only Re(rows) counts, in under half the complex matmul's time
-        return rows.real @ pairs_b
-    return (rows @ pairs_b).real
-
-
-def grid_moments(state: JointMeterState, grid: Grid | None = None) -> SuccessMoments:
-    """Trapezoidal quadrature of (1, x, y, xy) against the state's readout
-    density on grid x grid, by default the meter's own grid (DEFAULT_GRID
-    for Gaussian pointers): P and the success moments for K, 1 - P and the
-    failure moments for diag(p) - K.  The plane is integrated one block of
-    `_BLOCK_ROWS` rows at a time, so memory stays O(block * n) even on fine
-    grids."""
-    grid = grid or getattr(state.meter, "grid", None) or DEFAULT_GRID
-    pairs_a, pairs_b = state._pairs(grid.points, grid.points)
-    # [[int 1, int y], [int x, int xy]]: trapezoid weights times the functions (1, x)
-    weights = grid.weights[:, None] * np.vander(grid.points, 2, increasing=True)
-    total = np.zeros((2, 2))
-    for lo in range(0, grid.n_points, _BLOCK_ROWS):
-        rows = slice(lo, lo + _BLOCK_ROWS)
-        density = _block_density(state.coherence, pairs_a[:, rows], pairs_b)
-        total += weights[rows].T @ (density @ weights)
-    return SuccessMoments(*total.T.ravel().tolist())
-
 
 def classical_mixture_density(
     weights: BranchWeights, g_a: float, g_b: float, grid: Grid = DEFAULT_GRID
 ) -> np.ndarray:
     """p_cl(x, y) = sum_k p_k |w_k(x, y)|^2 on grid x grid, the readout
-    density over K = diag(p)."""
-    state = JointMeterState(np.diag(weights.probabilities), g_a, g_b)
-    return state.density(grid.points, grid.points)
-
-
-def failure_density(
-    coherence, weights: BranchWeights, g_a: float, g_b: float, grid: Grid = DEFAULT_GRID
-) -> np.ndarray:
-    """p_f = p_cl - p_s on grid x grid, read-only: the diagonal of the
-    failed-branch meter state, the readout density over diag(p) - K, from K
-    or amplitudes.  Its moments are `grid_moments` of
-    ``JointMeterState(np.diag(p) - K, g_a, g_b)``.
-
-    Negative values are returned as computed.  A realizable K is at most
-    (1 + REALIZABILITY_TOL) diag(p) and p_cl <= 1/(2 pi), so a value below
-    -(POSITIVITY_TOL + REALIZABILITY_TOL / (2 pi)) raises `PositivityError`.
-    """
-    _check_realizable(coherence, weights)
-    failed = np.diag(weights.probabilities) - _coherence(coherence)
-    p_f = JointMeterState(failed, g_a, g_b).density(grid.points, grid.points)
-    floor = -(POSITIVITY_TOL + REALIZABILITY_TOL / (2.0 * math.pi))
-    worst = float(p_f.min())
-    if worst < floor:
-        raise PositivityError(
-            f"failure density reaches {worst!r} < {floor!r}; "
-            "branch coherence and branch weights are inconsistent"
-        )
-    p_f.setflags(write=False)
-    return p_f
+    density over K = diag(p), for Gaussian pointers."""
+    _validate_couplings(g_a, g_b)
+    _one_coupling_per_meter("grid evaluation", g_a, g_b)
+    shifts_a, shifts_b = _branch_shifts(g_a, g_b)
+    x = grid.points
+    a, b = (gaussian_ground_state(x - shifts[:, None]) ** 2 for shifts in (shifts_a, shifts_b))
+    return (a.T * weights.probabilities) @ b

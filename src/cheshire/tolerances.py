@@ -25,8 +25,6 @@ ORACLE_AGREEMENT_TOL = 1e-6
 
 # K from effects EIGENVALUE_TOL above 1 is (1 + 1e-10) diag(p); 10x room for rescaling by p^-1/2.
 REALIZABILITY_TOL = 1e-9
-# Rounding of the failure density p_cl - p_s, whose terms are at most 1/(2 pi), is about 1e-16.
-POSITIVITY_TOL = 1e-10
 # A branch weight below this counts as zero, so the 1/sqrt(p) scaling of K stays below 1e15.
 DEAD_BRANCH_WEIGHT = 1e-30
 # |K_kk| a zero-weight branch may keep: amplitudes below 1e-12 are rounding, and K is quadratic.

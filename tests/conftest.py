@@ -7,7 +7,6 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from cheshire.dynamics import JointMeterState
 from cheshire.qsystem import DIM, PhotonKet, _coherence
 
 settings.register_profile(
@@ -50,10 +49,10 @@ def projector(*indices: int) -> np.ndarray:
     return p
 
 
-def failed_state(coherence, weights, g_a, g_b) -> JointMeterState:
-    """The failed-postselection meter state, over diag(p) - K: its
-    `grid_moments` norm is P' = 1 - P and its xy moment flips the success one."""
-    return JointMeterState(np.diag(weights.probabilities) - _coherence(coherence), g_a, g_b)
+def failed_coherence(coherence, weights) -> np.ndarray:
+    """diag(p) - K, the branch coherence of failed postselection: over it the
+    oracle's norm is P' = 1 - P and its xy moment flips the success one."""
+    return np.diag(weights.probabilities) - _coherence(coherence)
 
 
 @pytest.fixture

@@ -25,8 +25,6 @@ from cheshire import (
     cheshire_analytic,
     embed,
     estimate_cheshire,
-    failure_density,
-    grid_moments,
     indicator_bound,
     local_averages,
     meter_negativity,
@@ -39,7 +37,8 @@ from cheshire.cli import locate_max, sweep_rows
 from cheshire.meter import Grid, GridMeter, pointer_matrices
 from cheshire.qsystem import TransitionAmplitudes, branch_coherence
 
-from conftest import failed_state
+import oracle
+from conftest import failed_coherence
 
 EXAMPLE_PREP = PhotonKet.normalized([1.0, 0.0, 1.0, 1.0])
 EXAMPLE_POST = PhotonKet.normalized([1.0, 0.0, 1.0, -1.0])
@@ -107,8 +106,7 @@ def test_criterion_4_oracle_equivalence():
         o0, o1 = (m[0, 1] for m in pointer_matrices((0.0, g), meter))
         o0_exact = math.exp(-g * g / 8.0)
         worst = max(worst, abs(o0 - o0_exact), abs(o1 - 0.5 * g * o0_exact))
-        state = JointMeterState(EXAMPLE_AMPS, g, g)
-        numeric = grid_moments(state, DEFAULT_GRID)
+        numeric = oracle.moments(EXAMPLE_AMPS, g, g, DEFAULT_GRID.points)
         exact = success_moments(EXAMPLE_AMPS, g, g)
         worst = max(worst, abs(numeric.norm - exact.norm))
         worst = max(worst, abs(numeric.xy - exact.xy))
@@ -146,12 +144,10 @@ def test_criterion_6_partition_and_sign_flip():
         weights = BranchWeights.from_preparation(prep)
         g_a = float(rng.uniform(0.0, 3.0))
         g_b = float(rng.uniform(0.0, 3.0))
-        failure_density(amps, weights, g_a, g_b, grid)
-        failed = grid_moments(failed_state(amps, weights, g_a, g_b), grid)
+        failed = oracle.moments(failed_coherence(amps, weights), g_a, g_b, grid.points)
         p = success_moments(amps, g_a, g_b).norm
         worst_partition = max(worst_partition, abs(p + failed.norm - 1.0))
-        state = JointMeterState(amps, g_a, g_b)
-        success_xy = grid_moments(state, grid).xy
+        success_xy = oracle.moments(amps, g_a, g_b, grid.points).xy
         worst_flip = max(worst_flip, abs(failed.xy + success_xy))
     ok = worst_partition < 1e-8 and worst_flip < 1e-8
     _report(6, ok, "P + P' = 1 and failure <xy> = -success <xy> to 1e-8 across "

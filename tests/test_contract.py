@@ -24,9 +24,7 @@ from cheshire import (
     cheshire_analytic,
     classical_mixture_density,
     embed,
-    failure_density,
     gram_orthonormalize,
-    grid_moments,
     indicator_bound,
     local_averages,
     meter_negativity,
@@ -86,9 +84,7 @@ def coupling_entry_points(g_a, g_b):
         "success_moments": lambda: success_moments(K, g_a, g_b),
         "local_averages": lambda: local_averages(K, g_a, g_b),
         "moment_decomposition": lambda: moment_decomposition(JointMeterState(K, g_a, g_b)),
-        "grid_moments": lambda: grid_moments(JointMeterState(K, g_a, g_b), TINY_GRID),
         "classical_mixture_density": lambda: classical_mixture_density(WEIGHTS, g_a, g_b, TINY_GRID),
-        "failure_density": lambda: failure_density(*p, g_a, g_b, TINY_GRID),
         "embed": lambda: embed(JointMeterState(K, g_a, g_b)),
         "meter_negativity": lambda: meter_negativity(JointMeterState(K, g_a, g_b)),
         "sample_trials": lambda: sample_trials(*p, g_a, g_b, n=64, seed=0),
@@ -152,8 +148,8 @@ def test_largest_scales_stay_finite():
     assert np.isfinite(local_averages(K, top, top)).all()
 
 
-SCALAR_ONLY = ["local_averages", "grid_moments", "classical_mixture_density", "failure_density",
-               "sample_trials", "sample_estimate", "noise_robustness", "optimize_states"]
+SCALAR_ONLY = ["local_averages", "classical_mixture_density", "sample_trials", "sample_estimate",
+               "noise_robustness", "optimize_states"]
 
 
 @pytest.mark.parametrize("name", SCALAR_ONLY)
@@ -263,7 +259,7 @@ def nan_past_the_left_edge(x):
     return np.where(x < -20.0, np.nan, gaussian_ground_state(x))
 
 
-@pytest.mark.parametrize("compute", [moment_decomposition, meter_negativity, grid_moments],
+@pytest.mark.parametrize("compute", [moment_decomposition, meter_negativity],
                          ids=lambda compute: compute.__name__)
 def test_non_finite_pointer_values_rejected(compute):
     # psi0 is finite on the grid; the wave shifted by g_A = 2 is not

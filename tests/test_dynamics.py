@@ -1,29 +1,29 @@
 """Success branch, success probability, and failure-branch density."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cheshire import dynamics
+import oracle
 from cheshire.dynamics import (
-    POSITIVITY_TOL,
     REALIZABILITY_TOL,
     BranchWeights,
     JointMeterState,
     _check_realizable,
     classical_mixture_density,
-    failure_density,
-    grid_moments,
     success_moments,
 )
-from cheshire.errors import PositivityError, ValidationError
-from cheshire.meter import Grid, GridMeter, gaussian_ground_state
+from cheshire.errors import ValidationError
+from cheshire.meter import DEFAULT_GRID, Grid, GridMeter, gaussian_ground_state
 from cheshire.qsystem import PhotonKet, TransitionAmplitudes, transition_amplitudes
+from cheshire.sampler import sample_estimate
 
-from conftest import failed_state, unit_kets
+from conftest import failed_coherence, unit_kets
 
 EXAMPLE_AMPS = TransitionAmplitudes(1 / 3, 1 / 3, -1 / 3)
 P_EXAMPLE_G2 = 0.3032588259474194  # 1/3 - (2/9) e^{-2}
@@ -76,8 +76,8 @@ class TestSuccessProbability:
         assert np.isclose(success_moments(EXAMPLE_AMPS, 2.0, 2.0).norm, P_EXAMPLE_G2, atol=1e-15)
 
     def test_matches_grid_oracle(self):
-        state = JointMeterState(EXAMPLE_AMPS, 2.0, 2.0)
-        assert abs(grid_moments(state).norm - P_EXAMPLE_G2) < 1e-8
+        plane = oracle.moments(EXAMPLE_AMPS, 2.0, 2.0, DEFAULT_GRID.points)
+        assert abs(plane.norm - P_EXAMPLE_G2) < 1e-8
 
     def test_inconsistent_amplitudes_returned_unclamped(self):
         # no physical pair gives these amplitudes; P is returned as computed
@@ -104,8 +104,7 @@ class TestSuccessMoments:
         assert np.isclose(m.xy, (4.0 / 9.0) / math.e, atol=1e-15)
 
     def test_matches_grid_oracle(self):
-        state = JointMeterState(EXAMPLE_AMPS, 2.0, 2.0)
-        grid = grid_moments(state)
+        grid = oracle.moments(EXAMPLE_AMPS, 2.0, 2.0, DEFAULT_GRID.points)
         closed = success_moments(EXAMPLE_AMPS, 2.0, 2.0)
         assert abs(grid.norm - closed.norm) < 1e-8
         assert abs(grid.x - closed.x) < 1e-8
@@ -117,8 +116,7 @@ class TestSuccessMoments:
     def test_random_states_match_grid(self, prep, post, g_a, g_b):
         amps = transition_amplitudes(prep, post)
         closed = success_moments(amps, g_a, g_b)
-        state = JointMeterState(amps, g_a, g_b)
-        grid = grid_moments(state, SMALL_GRID)
+        grid = oracle.moments(amps, g_a, g_b, SMALL_GRID.points)
         assert abs(grid.norm - closed.norm) < 1e-8
         assert abs(grid.xy - closed.xy) < 1e-8
 
@@ -145,22 +143,23 @@ class TestSuccessMoments:
 
 class TestJointMeterState:
     def test_zero_coupling_factorizes(self, example_prep, example_post):
+        # the oracle's plane, held to the analytic product
         amps = transition_amplitudes(example_prep, example_post)
-        state = JointMeterState(amps, 0.0, 0.0)
         x = np.linspace(-3, 3, 7)
-        density = state.density(x, x)
+        density = oracle.plane(amps, 0.0, 0.0, x)
         expected = amps.total * np.outer(gaussian_ground_state(x), gaussian_ground_state(x))
         assert np.allclose(density, np.abs(expected) ** 2, atol=1e-15)
 
     def test_pointwise_formula(self):
-        state = JointMeterState(EXAMPLE_AMPS, 2.0, 1.0)
+        # the oracle's plane, held to the analytic |F|^2 at a point
         x, y = 0.7, -0.4
         expected = (
             EXAMPLE_AMPS.l * gaussian_ground_state(x - 2.0) * gaussian_ground_state(y)
             + EXAMPLE_AMPS.r_plus * gaussian_ground_state(x) * gaussian_ground_state(y - 1.0)
             + EXAMPLE_AMPS.r_minus * gaussian_ground_state(x) * gaussian_ground_state(y + 1.0)
         )
-        assert np.isclose(state.density(x, y)[0, 0], abs(expected) ** 2, atol=1e-15)
+        density = oracle.plane(EXAMPLE_AMPS, 2.0, 1.0, x, y)
+        assert np.isclose(density[0, 0], abs(expected) ** 2, atol=1e-15)
 
     @pytest.mark.parametrize("meter", ["gauss", 1.0, GridMeter.gaussian], ids=repr)
     def test_rejects_a_meter_that_is_not_a_grid_meter(self, meter):
@@ -174,17 +173,20 @@ class TestJointMeterState:
         # K and diag(p) - K add up to diag(p) in every moment, x and y too
         amps = transition_amplitudes(prep, post)
         weights = BranchWeights.from_preparation(prep)
-        mixture = JointMeterState(np.diag(weights.probabilities), g_a, g_b)
-        success, failed, classical = (grid_moments(state, SMALL_GRID) for state in (
-            JointMeterState(amps, g_a, g_b), failed_state(amps, weights, g_a, g_b), mixture))
+        success, failed, classical = (oracle.moments(k, g_a, g_b, SMALL_GRID.points) for k in (
+            amps, failed_coherence(amps, weights), np.diag(weights.probabilities)))
         for field in ("norm", "x", "y", "xy"):
             total = getattr(success, field) + getattr(failed, field)
             assert abs(total - getattr(classical, field)) < 1e-12
 
     def test_grid_meter_state_matches_gaussian(self):
+        # the grid state's pointer matrices, and the oracle on the meter's function
         meter = GridMeter.gaussian()
         state = JointMeterState(EXAMPLE_AMPS, 2.0, 2.0, meter)
-        assert abs(grid_moments(state).norm - P_EXAMPLE_G2) < 1e-8
+        (a1, _), (b1, _) = state.pointer_matrices
+        assert abs((state.coherence * a1 * b1).real.sum() - P_EXAMPLE_G2) < 1e-8
+        plane = oracle.moments(EXAMPLE_AMPS, 2.0, 2.0, meter.grid.points, meter.fn)
+        assert abs(plane.norm - P_EXAMPLE_G2) < 1e-8
 
     def test_pointer_matrices_summed_once_and_read_only(self):
         g = np.array([0.0, 1.0, 2.0])
@@ -207,84 +209,98 @@ class TestClassicalMixture:
         dx = SMALL_GRID.spacing
         assert np.isclose(np.trapezoid(np.trapezoid(p, dx=dx), dx=dx), 1.0, atol=1e-10)
 
+    @pytest.mark.parametrize("grid", [Grid(-6.0, 6.0, 25), DEFAULT_GRID], ids=["small", "default"])
+    @pytest.mark.parametrize("g", [0.0, 2.0])
+    def test_matches_oracle_plane(self, grid, g):
+        w = BranchWeights.from_preparation(PhotonKet.normalized([1.0, 0.5j, 2.0, -0.7]))
+        p = classical_mixture_density(w, g, 1.5 * g, grid)
+        x = grid.points
+        for lo in range(0, len(x), oracle.BLOCK_ROWS):  # not a second full 4001^2 plane
+            rows = slice(lo, lo + oracle.BLOCK_ROWS)
+            expected = oracle.plane(np.diag(w.probabilities), g, 1.5 * g, x[rows], x)
+            assert np.abs(p[rows] - expected).max() <= 1e-15
+
 
 class TestFailureDensity:
+    """The failed branch, the oracle's plane over diag(p) - K."""
+
     def test_example_partition(self, example_prep, example_post):
         amps = transition_amplitudes(example_prep, example_post)
         weights = BranchWeights.from_preparation(example_prep)
-        density = failure_density(amps, weights, 2.0, 2.0, SMALL_GRID)
-        failed = grid_moments(failed_state(amps, weights, 2.0, 2.0), SMALL_GRID)
+        failed_k = failed_coherence(amps, weights)
+        failed = oracle.moments(failed_k, 2.0, 2.0, SMALL_GRID.points)
         assert abs(failed.norm - (1.0 - P_EXAMPLE_G2)) < 1e-8
-        assert density.min() >= -POSITIVITY_TOL
-        assert not density.flags.writeable
+        density = oracle.plane(failed_k, 2.0, 2.0, SMALL_GRID.points)
+        assert density.min() >= -oracle.POSITIVITY_FLOOR
 
     def test_cross_moment_antisymmetry(self, example_prep, example_post):
         amps = transition_amplitudes(example_prep, example_post)
         weights = BranchWeights.from_preparation(example_prep)
-        failed = grid_moments(failed_state(amps, weights, 2.0, 2.0), SMALL_GRID)
+        failed = oracle.moments(failed_coherence(amps, weights), 2.0, 2.0, SMALL_GRID.points)
         success_xy = success_moments(amps, 2.0, 2.0).xy
         assert abs(failed.xy + success_xy) < 1e-8
 
     def test_certain_failure_is_left_branch_density(self):
         # preparation entirely in the left arm, postselection orthogonal
         weights = BranchWeights(1.0, 0.0, 0.0)
-        amps = TransitionAmplitudes(0.0, 0.0, 0.0)
-        density = failure_density(amps, weights, 2.0, 1.0, SMALL_GRID)
-        failed = grid_moments(failed_state(amps, weights, 2.0, 1.0), SMALL_GRID)
+        failed_k = failed_coherence(TransitionAmplitudes(0.0, 0.0, 0.0), weights)
+        failed = oracle.moments(failed_k, 2.0, 1.0, SMALL_GRID.points)
         assert abs(failed.norm - 1.0) < 1e-8
         x = SMALL_GRID.points
         expected = np.outer(gaussian_ground_state(x - 2.0) ** 2, gaussian_ground_state(x) ** 2)
-        assert np.allclose(density, expected, atol=1e-12)
+        assert np.allclose(oracle.plane(failed_k, 2.0, 1.0, x), expected, atol=1e-12)
 
     def test_identical_states_weak_limit(self, example_prep):
         amps = transition_amplitudes(example_prep, example_prep)
         weights = BranchWeights.from_preparation(example_prep)
-        failure_density(amps, weights, 0.01, 0.01, SMALL_GRID)
-        assert grid_moments(failed_state(amps, weights, 0.01, 0.01), SMALL_GRID).norm < 1e-4
+        failed_k = failed_coherence(amps, weights)
+        assert oracle.moments(failed_k, 0.01, 0.01, SMALL_GRID.points).norm < 1e-4
 
     @pytest.mark.parametrize("delta", [3e-10, 8e-10, 0.99 * REALIZABILITY_TOL])
     def test_negative_values_of_realizable_coherence_are_returned(self, example_prep, delta):
         # K = (1 + delta) diag(p) passes the realizability check for delta <
-        # REALIZABILITY_TOL, and its failure density -delta p_cl dips below 0,
-        # past -POSITIVITY_TOL for the larger delta: the values come back as
-        # computed
+        # REALIZABILITY_TOL, and its failed plane is -delta p_cl, below 0
         weights = BranchWeights.from_preparation(example_prep)
         k = (1.0 + delta) * np.diag(weights.probabilities)
-        density = failure_density(k, weights, 0.0, 0.0, SMALL_GRID)
+        _check_realizable(k, weights)
+        density = oracle.plane(failed_coherence(k, weights), 0.0, 0.0, SMALL_GRID.points)
         p_cl = classical_mixture_density(weights, 0.0, 0.0, SMALL_GRID)
         assert density.min() < 0.0
         assert np.allclose(density, -delta * p_cl, rtol=1e-6, atol=0.0)
-        failed = grid_moments(failed_state(k, weights, 0.0, 0.0), SMALL_GRID)
+        failed = oracle.moments(failed_coherence(k, weights), 0.0, 0.0, SMALL_GRID.points)
         assert abs(failed.norm + delta) < 1e-15
-
-    def test_negative_values_beyond_realizability_slack_raise(self, example_prep, monkeypatch):
-        # the check stops such K first; without it the density check still fires
-        monkeypatch.setattr(dynamics, "_check_realizable", lambda coherence, weights: None)
-        weights = BranchWeights.from_preparation(example_prep)
-        k = (1.0 + 2.0 * REALIZABILITY_TOL) * np.diag(weights.probabilities)
-        with pytest.raises(PositivityError):
-            failure_density(k, weights, 0.0, 0.0, SMALL_GRID)
 
     def test_unrealizable_amplitudes_rejected(self):
         weights = BranchWeights.from_preparation(PhotonKet.normalized([1.0, 0.0, 1.0, 1.0]))
         with pytest.raises(ValidationError):
-            failure_density(TransitionAmplitudes(0.9, 1 / 3, -1 / 3), weights, 2.0, 2.0, SMALL_GRID)
+            sample_estimate(TransitionAmplitudes(0.9, 1 / 3, -1 / 3), weights, 2.0, 2.0, n=64, seed=0)
 
     def test_zero_weight_branch_with_amplitude_rejected(self):
         weights = BranchWeights(1.0, 0.0, 0.0)
         with pytest.raises(ValidationError):
-            failure_density(TransitionAmplitudes(0.5, 0.5, 0.0), weights, 1.0, 1.0, SMALL_GRID)
+            sample_estimate(TransitionAmplitudes(0.5, 0.5, 0.0), weights, 1.0, 1.0, n=64, seed=0)
 
     @given(prep=unit_kets(), post=unit_kets(), g_a=couplings, g_b=couplings)
     @settings(max_examples=25)
     def test_partition_and_positivity(self, prep, post, g_a, g_b):
         amps = transition_amplitudes(prep, post)
-        weights = BranchWeights.from_preparation(prep)
-        density = failure_density(amps, weights, g_a, g_b, SMALL_GRID)
+        failed_k = failed_coherence(amps, BranchWeights.from_preparation(prep))
+        density = oracle.plane(failed_k, g_a, g_b, SMALL_GRID.points)
+        assert density.min() >= -oracle.POSITIVITY_FLOOR
         p = success_moments(amps, g_a, g_b).norm
-        assert density.min() >= -POSITIVITY_TOL
-        failed = grid_moments(failed_state(amps, weights, g_a, g_b), SMALL_GRID)
+        failed = oracle.moments(failed_k, g_a, g_b, SMALL_GRID.points)
         assert abs(failed.norm - (1.0 - p)) < 1e-8
+
+
+def test_oracle_imports_only_numpy():
+    # not even the test helpers, which import the package: the reference must
+    # not share code with the routes it checks
+    tree = ast.parse((Path(__file__).parent / "oracle.py").read_text())
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    modules |= {"." * node.level + (node.module or "") for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)}
+    assert {name.split(".")[0] for name in modules} <= {"numpy", "typing"}
 
 
 def coherence_with_spectrum(eigenvalues, weights, rng):

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracle
 from cheshire import indicator
-from cheshire.dynamics import JointMeterState, grid_moments, success_moments
+from cheshire.dynamics import JointMeterState, success_moments
 from cheshire.errors import ConsistencyError, FlatObjective, OrthogonalPostselection, ValidationError
 from cheshire.indicator import (
     MAX_TRACE_TERM,
@@ -21,6 +22,7 @@ from cheshire.indicator import (
     optimize_states,
 )
 from cheshire.meter import (
+    DEFAULT_GRID,
     Grid,
     GridMeter,
     gaussian_ground_state,
@@ -80,15 +82,15 @@ class TestMomentDecomposition:
         amps = transition_amplitudes(prep, post)
         state = JointMeterState(amps, g_a, g_b)
         d = moment_decomposition(state)
-        assert abs(d.total - grid_moments(state, SMALL_GRID).xy) < 1e-8
+        assert abs(d.total - oracle.moments(amps, g_a, g_b, SMALL_GRID.points).xy) < 1e-8
 
     def test_complex_pointer_waves_match_grid_moments(self):
         # a chirped Gaussian has complex shifted waves and the Gaussian's
-        # |psi|^2; the pointer matrices and the 2-D quadrature must agree
+        # |psi|^2; the pointer matrices and the oracle's 2-D quadrature must agree
         chirped = GridMeter(
             lambda x: gaussian_ground_state(x) * np.exp(0.3j * x * x), SMALL_GRID)
         state = JointMeterState(EXAMPLE_AMPS, 2.0, 1.5, chirped)
-        direct = grid_moments(state, SMALL_GRID).xy
+        direct = oracle.moments(EXAMPLE_AMPS, 2.0, 1.5, SMALL_GRID.points, chirped.fn).xy
         assert abs(moment_decomposition(state).total - direct) < 1e-8
 
 
@@ -271,8 +273,7 @@ class TestLocalAverages:
     def test_example_against_grid(self, example_prep, example_post):
         amps = transition_amplitudes(example_prep, example_post)
         x_mean, y_mean, p = local_averages(amps, 2.0, 2.0)
-        state = JointMeterState(amps, 2.0, 2.0)
-        m = grid_moments(state)
+        m = oracle.moments(amps, 2.0, 2.0, DEFAULT_GRID.points)
         assert abs(x_mean - m.x / m.norm) < 1e-8
         assert abs(y_mean - m.y / m.norm) < 1e-8
         assert abs(p - m.norm) < 1e-8

@@ -15,13 +15,8 @@ from hypothesis import strategies as st
 
 import pytest
 
-from cheshire.dynamics import (
-    BranchWeights,
-    JointMeterState,
-    failure_density,
-    grid_moments,
-    success_moments,
-)
+import oracle
+from cheshire.dynamics import BranchWeights, JointMeterState, success_moments
 from cheshire.entanglement import meter_negativity
 from cheshire.errors import ValidationError
 from cheshire.indicator import cheshire_analytic, moment_decomposition
@@ -29,7 +24,7 @@ from cheshire.meter import Grid, GridMeter
 from cheshire.qsystem import PhotonEffect, branch_coherence, weak_values
 from cheshire.sampler import sample_estimate, trial_variance
 
-from conftest import failed_state, projector, unit_kets
+from conftest import failed_coherence, projector, unit_kets
 
 PI_L, PI_R_PLUS, PI_R_MINUS = projector(0, 1), projector(2), projector(3)
 SIGMA_R = PI_R_PLUS - PI_R_MINUS
@@ -57,7 +52,7 @@ def test_analytic_matches_grid_oracle(effect, prep, g_a, g_b):
     state = JointMeterState(k, g_a, g_b, METER)
     assert abs(exact.c_value - 2.0 * moment_decomposition(state).total) < 1e-6
     # the 2-D readout-plane quadrature
-    plane = grid_moments(state)
+    plane = oracle.moments(k, g_a, g_b, METER.grid.points)
     assert abs(exact.p_success - plane.norm) < 1e-6
     assert abs(moments.x - plane.x) < 1e-6
     assert abs(moments.y - plane.y) < 1e-6
@@ -68,10 +63,9 @@ def test_analytic_matches_grid_oracle(effect, prep, g_a, g_b):
 @settings(max_examples=30)
 def test_failure_partition_and_sign_flip(effect, prep, g_a, g_b):
     k, weights = branch_coherence(effect, prep), BranchWeights.from_preparation(prep)
-    grid = METER.grid
-    failure_density(k, weights, g_a, g_b, grid)
-    failed = grid_moments(failed_state(k, weights, g_a, g_b), grid)
-    success = grid_moments(JointMeterState(k, g_a, g_b), grid)
+    x = METER.grid.points
+    failed = oracle.moments(failed_coherence(k, weights), g_a, g_b, x)
+    success = oracle.moments(k, g_a, g_b, x)
     assert abs(success_moments(k, g_a, g_b).norm + failed.norm - 1.0) < 1e-8
     assert abs(failed.xy + success.xy) < 1e-8
 

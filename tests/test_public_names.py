@@ -14,8 +14,8 @@ PUBLIC_NAMES = [
     "OPTIMAL_COUPLING", "OrthogonalPostselection", "PhotonDensity", "PhotonEffect", "PhotonKet",
     "PositivityError", "StateOptimum", "SuccessMoments", "TransitionAmplitudes", "Trials",
     "ValidationError", "WeakValues", "cheshire_analytic", "classical_mixture_density",
-    "dump_config", "embed", "estimate_cheshire", "failure_density", "format_complex",
-    "gaussian_ground_state", "gram_orthonormalize", "grid_moments", "indicator_bound",
+    "dump_config", "embed", "estimate_cheshire", "format_complex",
+    "gaussian_ground_state", "gram_orthonormalize", "indicator_bound",
     "load_config", "local_averages", "max_threads", "meter_negativity", "moment_decomposition",
     "negativity", "noise_robustness", "optimize_couplings", "optimize_states", "parse_complex",
     "parse_config_text", "sample_estimate", "sample_trials", "success_moments",
@@ -24,7 +24,7 @@ PUBLIC_NAMES = [
 
 
 def test_exports_are_the_pinned_names():
-    assert len(PUBLIC_NAMES) == 59
+    assert len(PUBLIC_NAMES) == 57
     assert len(set(cheshire.__all__)) == len(cheshire.__all__)
     assert sorted(cheshire.__all__) == PUBLIC_NAMES
 
